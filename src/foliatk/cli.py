@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -123,12 +124,24 @@ def _working_ideal(scene: Scene, order: MonomialOrder) -> IdealPresentation:
     return IdealPresentation(ideal.chart, ideal.generators, order)
 
 
-def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float]:
+def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
+    """Start state, horizon, step and pass threshold of a flow command.
+
+    A horizon or step that is not finite and positive would integrate zero
+    steps (a vacuous pass) or silently one step, so it is an input error, as
+    is a tolerance that is not finite and nonnegative.
+    """
     if scene.flow is None:
         raise SceneError("this command needs a 'flow' section in the scene")
     t_end = args.t_end if args.t_end is not None else scene.flow.t_end
     dt = args.dt if args.dt is not None else scene.flow.dt
-    return FlowState(scene.flow.q, scene.flow.p, 0.0), t_end, dt
+    tol = args.tol if args.tol is not None else _TOL_DEFAULT
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise SceneError(f"{name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SceneError(f"tol must be finite and nonnegative, got {tol!r}")
+    return FlowState(scene.flow.q, scene.flow.p, 0.0), t_end, dt, tol
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +386,7 @@ def _cmd_flow_monitor(scene: Scene, args, order):
     ideal = _working_ideal(scene, order)
     pool = dict(scene.candidates)
     (ham,) = _resolve_candidates(pool, args.candidate or ["H"], 1, "flow-monitor")
-    start, t_end, dt = _flow_params(scene, args)
-    tol = args.tol if args.tol is not None else _TOL_DEFAULT
+    start, t_end, dt, tol = _flow_params(scene, args)
     report = monitor_ideal_preservation(ideal, ham, start, t_end, dt, start_tol=_START_TOL)
     passed = report.max_abs_generator <= tol
     detail = {"passed": passed, "hamiltonian": str(ham)}
@@ -384,8 +396,7 @@ def _cmd_flow_monitor(scene: Scene, args, order):
 
 def _cmd_geodesic_check(scene: Scene, args, order):
     fol = _need(scene, "foliation", "geodesic-check")
-    start, t_end, dt = _flow_params(scene, args)
-    tol = args.tol if args.tol is not None else _TOL_DEFAULT
+    start, t_end, dt, tol = _flow_params(scene, args)
     report = geodesic_orthogonality_check(
         fol, scene.metric, start, t_end, dt, start_tol=_START_TOL
     )

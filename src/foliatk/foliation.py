@@ -1,13 +1,14 @@
 """Singular foliations as finitely generated modules of polynomial vector fields.
 
-A :class:`FoliationModule` is a chart plus generators; construction computes
-the module Groebner basis and the full syzygy basis once, after which every
-point query is pure.  Fibers and isotropy are computed for the presented
-module (generators plus computed syzygies), which realizes the quotient
-``F / I_q F`` concretely: the fiber dimension at ``q`` is the generator count
-minus the rank of the evaluated syzygies, and the isotropy algebra is the
-kernel of evaluation inside that quotient with the bracket induced by
-cofactor-tracked division.
+A :class:`FoliationModule` is a chart plus generators.  The module Groebner
+basis and the full syzygy basis are computed on first use and cached, so
+commands that read neither (the cotangent-lift ideal and the checks built on
+it) never pay for them; every point query is pure.  Fibers and isotropy are
+computed for the presented module (generators plus computed syzygies), which
+realizes the quotient ``F / I_q F`` concretely: the fiber dimension at ``q``
+is the generator count minus the rank of the evaluated syzygies, and the
+isotropy algebra is the kernel of evaluation inside that quotient with the
+bracket induced by cofactor-tracked division.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .groebner import (
     module_membership,
     syzygy_basis,
 )
-from .linalg import EchelonSpan, nullspace, solve_coordinates
+from .linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates
 from .poly import BLOCK, Polynomial, VariableSet
 from .sampling import candidate_points
 
@@ -75,7 +76,11 @@ class CheckResult:
 
 
 class FoliationModule:
-    """Finitely many polynomial vector fields spanning a vector-field module."""
+    """Finitely many polynomial vector fields spanning a vector-field module.
+
+    ``module_gb`` and ``syzygies`` are computed on first access, not at
+    construction, and cached on the instance.
+    """
 
     def __init__(self, chart: VariableSet, generators: Sequence[VectorField]):
         generators = tuple(generators)
@@ -89,8 +94,14 @@ class FoliationModule:
         self._elements = tuple(
             ModuleElement(chart, g.components) for g in generators
         )
-        self.module_gb: ModuleGroebnerBasis = module_groebner(self._elements, BLOCK)
-        self.syzygies: tuple[ModuleElement, ...] = tuple(syzygy_basis(self._elements, BLOCK))
+
+    @cached_property
+    def module_gb(self) -> ModuleGroebnerBasis:
+        return module_groebner(self._elements, BLOCK)
+
+    @cached_property
+    def syzygies(self) -> tuple[ModuleElement, ...]:
+        return tuple(syzygy_basis(self._elements, BLOCK))
 
     @property
     def n_generators(self) -> int:
@@ -197,7 +208,8 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
             f"exactness failed at {pt}: tangent {tdim} + isotropy {idim} != fiber {fdim}"
         )
 
-    quotient_frame = [list(r) for r in syz_span.rows] + [list(b) for b in basis]
+    # factored once; every bracket below is solved against the same frame
+    frame = CoordinateFrame(syz_span.rows + basis, big_n)
     consts = [[[Fraction(0)] * idim for _ in range(idim)] for _ in range(idim)]
     for u in range(idim):
         for v in range(u + 1, idim):
@@ -213,12 +225,12 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                     "the foliation is not involutive"
                 )
             w = [c.evaluate_seq(pt) for c in cert.cofactors]
-            coords = solve_coordinates(quotient_frame, w)
+            coords = solve_coordinates(frame, w)
             if coords is None:
                 raise AmbiguousQuotientError(
                     f"bracket class at {pt} not expressible in the computed presentation"
                 )
-            tail = coords[len(quotient_frame) - idim:]
+            tail = coords[frame.size - idim:]
             for w_idx in range(idim):
                 consts[u][v][w_idx] = tail[w_idx]
                 consts[v][u][w_idx] = -tail[w_idx]

@@ -13,6 +13,7 @@ module equality, and syzygy computation via the standard tagged construction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -170,7 +171,19 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = BLOCK) -> Groe
     reps: list[list[Polynomial]] = [unit_rep(i) for i, _ in live]
     leads = [g.leading(keyf)[0] for g in basis]
 
-    pending: set[tuple[int, int]] = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # each pair's key is computed once, when it is queued; the key tuple is
+    # unique, so pops follow the order (lcm key, pair) exactly.  ``pending``
+    # mirrors the queue for the chain criterion's membership test.
+    queue: list[tuple[tuple, tuple[int, int]]] = []
+    pending: set[tuple[int, int]] = set()
+
+    def push_pairs(new: int) -> None:
+        for k in range(new):
+            heapq.heappush(queue, (keyf(_lcm(leads[k], leads[new])), (k, new)))
+            pending.add((k, new))
+
+    for j in range(len(basis)):
+        push_pairs(j)
 
     def chain_skippable(i: int, j: int, lcm_ij: Exponents) -> bool:
         for k in range(len(basis)):
@@ -184,8 +197,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = BLOCK) -> Groe
                 return True
         return False
 
-    while pending:
-        i, j = min(pending, key=lambda p: (keyf(_lcm(leads[p[0]], leads[p[1]])), p))
+    while queue:
+        i, j = heapq.heappop(queue)[1]
         pending.discard((i, j))
         li, lj = leads[i], leads[j]
         lcm_ij = _lcm(li, lj)
@@ -213,8 +226,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = BLOCK) -> Groe
         basis.append(r)
         reps.append(rep_r)
         leads.append(r.leading(keyf)[0])
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new))
+        push_pairs(len(basis) - 1)
 
     # minimize: drop elements whose leading monomial is divisible by another's
     order_idx = sorted(range(len(basis)), key=lambda k: keyf(leads[k]))
@@ -419,14 +431,21 @@ def module_groebner(
     reps = [unit_rep(i) for i, _ in live]
     leads = [g.leading(keyf)[0] for g in basis]
 
-    pending = {(i, j) for j in range(len(basis)) for i in range(j) if leads[i][0] == leads[j][0]}
+    # same queue discipline as ``buchberger``: pairs with equal lead
+    # positions, keyed once by (lcm key, pair)
+    queue: list[tuple[tuple, tuple[int, int]]] = []
 
-    while pending:
-        i, j = min(
-            pending,
-            key=lambda p: (keyf(_lcm(leads[p[0]][1], leads[p[1]][1])), p),
-        )
-        pending.discard((i, j))
+    def push_pairs(new: int) -> None:
+        pos, expo = leads[new]
+        for k in range(new):
+            if leads[k][0] == pos:
+                heapq.heappush(queue, (keyf(_lcm(leads[k][1], expo)), (k, new)))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    while queue:
+        i, j = heapq.heappop(queue)[1]
         (pos_i, li), (pos_j, lj) = leads[i], leads[j]
         lcm_ij = _lcm(li, lj)
         ci = Fraction(1) / basis[i].leading(keyf)[1]
@@ -451,8 +470,7 @@ def module_groebner(
         basis.append(r)
         reps.append(rep_r)
         leads.append(r.leading(keyf)[0])
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new) if leads[k][0] == leads[new][0])
+        push_pairs(len(basis) - 1)
 
     def mkey(lead):
         pos, expo = lead

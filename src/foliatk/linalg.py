@@ -44,15 +44,6 @@ class EchelonSpan:
         return len(self.rows)
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    span = EchelonSpan(len(rows[0]))
-    for r in rows:
-        span.insert(r)
-    return span.rank
-
-
 def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
     """Basis of {v : M v = 0} for the matrix with the given rows."""
     matrix = [[Fraction(x) for x in r] for r in rows]
@@ -88,18 +79,30 @@ def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Frac
     return basis
 
 
-def solve_coordinates(basis: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> list[Fraction] | None:
-    """Coordinates of ``vec`` in the span of ``basis`` rows, or None."""
-    width = len(vec)
-    aug = EchelonSpan(width + len(basis))
-    for i, b in enumerate(basis):
-        tag = [Fraction(0)] * len(basis)
-        tag[i] = Fraction(1)
-        aug.insert(list(b) + tag)
-    v = aug._reduce([Fraction(x) for x in vec] + [Fraction(0)] * len(basis))
-    if any(v[:width]):
+class CoordinateFrame:
+    """Rows factored once, tagged with unit vectors, for many coordinate solves.
+
+    Row ``i`` is stored as ``basis[i] + e_i`` in an :class:`EchelonSpan`;
+    reducing ``vec + 0`` against it leaves ``0 + (-c)`` exactly when
+    ``vec = sum c_i * basis[i]``.
+    """
+
+    def __init__(self, basis: Sequence[Sequence[Fraction]], width: int):
+        self.width = width
+        self.size = len(basis)
+        self.span = EchelonSpan(width + self.size)
+        for i, b in enumerate(basis):
+            tag = [Fraction(0)] * self.size
+            tag[i] = Fraction(1)
+            self.span.insert(list(b) + tag)
+
+
+def solve_coordinates(frame: CoordinateFrame, vec: Sequence[Fraction]) -> list[Fraction] | None:
+    """Coordinates of ``vec`` in the span of the frame's rows, or None."""
+    v = frame.span._reduce([Fraction(x) for x in vec] + [Fraction(0)] * frame.size)
+    if any(v[:frame.width]):
         return None
-    return [-x for x in v[width:]]
+    return [-x for x in v[frame.width:]]
 
 
 # -- polynomial matrices ----------------------------------------------------

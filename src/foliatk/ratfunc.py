@@ -101,10 +101,9 @@ class RationalFunction:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        # hash only structurally-normalized data; equal-but-unreduced values
-        # are avoided by never using RationalFunction as a dict key downstream
-        return hash((self.num, self.den))
+    # Equal values need not share a (num, den) pair, since no gcd is taken,
+    # and there is no normal form to hash: the type is unhashable.
+    __hash__ = None
 
     def __str__(self) -> str:
         if self.is_polynomial():

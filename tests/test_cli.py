@@ -1,6 +1,8 @@
 import argparse
 import json
 
+import pytest
+
 from foliatk import VariableSet, parse_expression
 from foliatk.cli import main, render_report, run_command
 
@@ -232,3 +234,38 @@ def test_order_flag_ignored_by_block_pinned_commands():
     )
     assert code == 0
     assert report["provenance"]["order"] == "block"
+
+
+@pytest.mark.parametrize("command", ["flow-monitor", "geodesic-check"])
+@pytest.mark.parametrize("flag", ["dt", "t_end"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_flow_step_and_horizon_must_be_finite_and_positive(command, flag, value):
+    report, code = run_command(command, SCENES / "so3_moment.json", ns(**{flag: value}))
+    assert code == 2 and report["verdict"] == "error"
+    assert report["detail"]["error_type"] == "SceneError"
+    assert flag in report["detail"]["message"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+def test_flow_tolerance_must_be_finite_and_nonnegative(value):
+    report, code = run_command("flow-monitor", SCENES / "so3_moment.json", ns(tol=value))
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert "tol" in report["detail"]["message"]
+
+
+def test_zero_tolerance_is_a_real_check():
+    report, code = run_command("flow-monitor", SCENES / "so3_moment.json",
+                               ns(tol=0.0, t_end=0.01))
+    assert code in (0, 1) and report["verdict"] in ("pass", "fail")
+    assert len(report["monitor"]["samples"]) > 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "0"),
+    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
+])
+def test_cli_rejects_vacuous_flow_flags(flag, value, capsys):
+    code = main(["flow-monitor", "--scene", str(SCENES / "so3_moment.json"), flag, value])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"] == "error"

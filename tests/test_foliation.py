@@ -15,9 +15,11 @@ from foliatk import (
     module_equal,
     tangent_dim,
 )
+from foliatk.ipoisson import poisson_closure_check, srf_check
 from foliatk.linalg import EchelonSpan
+from foliatk.scene import load_scene
 
-from conftest import P, VF
+from conftest import P, SCENES, VF
 
 R1 = VariableSet(("x",))
 R2 = VariableSet(("x", "y"))
@@ -268,3 +270,23 @@ def test_empty_foliation_is_the_zero_module():
 def test_point_dimension_mismatch_raises(so3_foliation):
     with pytest.raises(PreconditionError):
         tangent_dim(so3_foliation, (1, 0))
+
+
+# -- lazy module data ------------------------------------------------------------
+
+
+def test_lift_commands_leave_module_data_uncomputed():
+    scene = load_scene(SCENES / "order_3_n3.json")
+    fol = scene.foliation
+    ideal = lift_ideal(fol)
+    srf_check(fol, scene.metric)
+    poisson_closure_check(ideal)
+    assert "module_gb" not in vars(fol)
+    assert "syzygies" not in vars(fol)
+
+
+def test_module_data_is_computed_once_on_first_use(so3_foliation):
+    assert "module_gb" not in vars(so3_foliation)
+    gb = so3_foliation.module_gb
+    syz = so3_foliation.syzygies
+    assert so3_foliation.module_gb is gb and so3_foliation.syzygies is syz

@@ -231,3 +231,13 @@ def test_hamiltonian_self_bracket_vanishes():
     ))
     h = hamiltonian(band)
     assert canonical_poisson(h, h).is_zero()
+
+
+def test_equal_unreduced_rational_functions_are_unhashable():
+    # x/y and x(x+y)/(y(x+y)) are equal, but no gcd puts them in one normal
+    # form, so no hash could agree with equality
+    a = RationalFunction(P("x", R2), P("y", R2))
+    b = RationalFunction(P("x*(x + y)", R2), P("y*(x + y)", R2))
+    assert a == b
+    with pytest.raises(TypeError):
+        {a, b}

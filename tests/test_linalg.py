@@ -1,0 +1,54 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from foliatk.linalg import CoordinateFrame, EchelonSpan, solve_coordinates
+
+
+def _random_rows(rng, count, width):
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(width)]
+            for _ in range(count)]
+
+
+def _combine(rows, coords, width):
+    return [sum((c * r[k] for c, r in zip(coords, rows)), Fraction(0)) for k in range(width)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_factored_solve_reexpands_exactly(seed):
+    rng = random.Random(seed)
+    width = rng.randint(2, 7)
+    rows = _random_rows(rng, rng.randint(1, width), width)
+    # a dependent row: the frame must still solve, with some valid coordinates
+    rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
+    frame = CoordinateFrame(rows, width)
+    for _ in range(5):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows]
+        target = _combine(rows, coeffs, width)
+        coords = solve_coordinates(frame, target)
+        assert coords is not None and len(coords) == len(rows)
+        assert _combine(rows, coords, width) == target
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_factored_solve_rejects_vectors_outside_the_span(seed):
+    rng = random.Random(100 + seed)
+    width = rng.randint(3, 7)
+    rows = _random_rows(rng, rng.randint(1, width - 1), width)
+    span = EchelonSpan(width)
+    for r in rows:
+        span.insert(r)
+    frame = CoordinateFrame(rows, width)
+    outside = next(v for v in (_random_rows(rng, 1, width)[0] for _ in range(100))
+                   if not span.contains(v))
+    assert solve_coordinates(frame, outside) is None
+
+
+def test_frame_is_reused_without_changing_its_rows():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
+    frame = CoordinateFrame(rows, 2)
+    before = [list(r) for r in frame.span.rows]
+    assert solve_coordinates(frame, [Fraction(1), Fraction(3)]) == [1, 1]
+    assert solve_coordinates(frame, [Fraction(0), Fraction(0)]) == [0, 0]
+    assert frame.span.rows == before
