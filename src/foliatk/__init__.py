@@ -16,6 +16,7 @@ from .poly import BLOCK, GREVLEX, LEX, MonomialOrder, Polynomial, VariableSet, f
 from .ratfunc import RationalFunction
 from .groebner import (
     Certificate,
+    CheckResult,
     GroebnerBasis,
     ModuleElement,
     ModuleGroebnerBasis,
@@ -42,7 +43,6 @@ from .geometry import (
     sym_tensor_lift,
 )
 from .foliation import (
-    CheckResult,
     FoliationModule,
     PointReport,
     fiber_dim,

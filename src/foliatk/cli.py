@@ -83,6 +83,14 @@ def _refutation_level(obstruction) -> str:
     return "smooth: remainder nonzero at a common zero of the generators"
 
 
+def _add_failure(detail: dict, certs: list, claim: str, cert: Certificate,
+                 obstruction_point, **witness) -> None:
+    """Append the failing claim's certificate and say how strongly it refutes."""
+    certs.append(_cert_dict(claim, cert))
+    detail.update(witness, obstruction_point=_point_str(obstruction_point),
+                  refutation_level=_refutation_level(obstruction_point))
+
+
 def _need(scene: Scene, attr: str, command: str):
     value = getattr(scene, attr)
     if value is None:
@@ -128,8 +136,10 @@ def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
     """Start state, horizon, step and pass threshold of a flow command.
 
     A horizon or step that is not finite and positive would integrate zero
-    steps (a vacuous pass) or silently one step, so it is an input error, as
-    is a tolerance that is not finite and nonnegative.
+    steps (a vacuous pass) or silently one step, and a step longer than the
+    horizon would be shortened to one step while the report echoes the
+    requested one, so each is an input error, as is a tolerance that is not
+    finite and nonnegative.
     """
     if scene.flow is None:
         raise SceneError("this command needs a 'flow' section in the scene")
@@ -139,6 +149,8 @@ def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise SceneError(f"{name} must be finite and positive, got {value!r}")
+    if dt > t_end:
+        raise SceneError(f"dt {dt!r} exceeds t_end {t_end!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise SceneError(f"tol must be finite and nonnegative, got {tol!r}")
     return FlowState(scene.flow.q, scene.flow.p, 0.0), t_end, dt, tol
@@ -155,12 +167,8 @@ def _cmd_check_involutive(scene: Scene, args, order):
     detail = {"passed": res.passed}
     if not res.passed:
         (a, b), cert = res.witness
-        certs.append(_cert_dict(f"[X_{a}, X_{b}] in module", cert))
-        detail.update({
-            "witness_pair": [a, b],
-            "obstruction_point": _point_str(res.obstruction_point),
-            "refutation_level": _refutation_level(res.obstruction_point),
-        })
+        _add_failure(detail, certs, f"[X_{a}, X_{b}] in module", cert,
+                     res.obstruction_point, witness_pair=[a, b])
     return ("pass" if res.passed else "fail", detail, certs, None, {})
 
 
@@ -183,12 +191,10 @@ def _cmd_check_srf(scene: Scene, args, order):
         "hamiltonian": str(out.hamiltonian),
         "generator_index": out.generator_index,
         "bracket": str(out.bracket),
-        "obstruction_point": _point_str(out.obstruction_point),
-        "refutation_level": _refutation_level(out.obstruction_point),
     }
-    certs = [_cert_dict(
-        f"{{lift(X_{out.generator_index}), H_g}} in I_F", out.certificate
-    )]
+    certs = []
+    _add_failure(detail, certs, f"{{lift(X_{out.generator_index}), H_g}} in I_F",
+                 out.certificate, out.obstruction_point)
     return ("fail", detail, certs, None, {})
 
 
@@ -222,12 +228,8 @@ def _cmd_closure_check(scene: Scene, args, order):
     detail = {"passed": res.passed}
     if not res.passed:
         (i, j), cert = res.witness
-        certs.append(_cert_dict(f"{{g_{i}, g_{j}}} in ideal", cert))
-        detail.update({
-            "witness_pair": [i, j],
-            "obstruction_point": _point_str(res.obstruction_point),
-            "refutation_level": _refutation_level(res.obstruction_point),
-        })
+        _add_failure(detail, certs, f"{{g_{i}, g_{j}}} in ideal", cert,
+                     res.obstruction_point, witness_pair=[i, j])
     return ("pass" if res.passed else "fail", detail, certs, None, {})
 
 
@@ -239,12 +241,8 @@ def _cmd_normalizer_check(scene: Scene, args, order):
     detail = {"passed": res.passed, "candidate": str(cand)}
     if not res.passed:
         i, cert = res.witness
-        certs.append(_cert_dict(f"{{candidate, g_{i}}} in ideal", cert))
-        detail.update({
-            "witness_generator": i,
-            "obstruction_point": _point_str(res.obstruction_point),
-            "refutation_level": _refutation_level(res.obstruction_point),
-        })
+        _add_failure(detail, certs, f"{{candidate, g_{i}}} in ideal", cert,
+                     res.obstruction_point, witness_generator=i)
     return ("pass" if res.passed else "fail", detail, certs, None, {})
 
 
@@ -284,13 +282,8 @@ def _cmd_module_equal(scene: Scene, args, order):
     detail = {"passed": res.passed}
     if not res.passed:
         side, idx, cert = res.witness
-        certs.append(_cert_dict(f"generator {idx} of {side} in the other module", cert))
-        detail.update({
-            "witness_side": side,
-            "witness_generator": idx,
-            "obstruction_point": _point_str(res.obstruction_point),
-            "refutation_level": _refutation_level(res.obstruction_point),
-        })
+        _add_failure(detail, certs, f"generator {idx} of {side} in the other module", cert,
+                     res.obstruction_point, witness_side=side, witness_generator=idx)
     return ("pass" if res.passed else "fail", detail, certs, None, {})
 
 

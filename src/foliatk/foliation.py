@@ -22,6 +22,7 @@ from .errors import AmbiguousQuotientError, ChartMismatchError, PreconditionErro
 from .geometry import VectorField, cotangent_lift, lie_bracket
 from .groebner import (
     Certificate,
+    CheckResult,
     ModuleElement,
     ModuleGroebnerBasis,
     module_groebner,
@@ -60,19 +61,6 @@ class PointReport:
     isotropy_dim: int
     structure_constants: tuple[tuple[tuple[Fraction, ...], ...], ...]
     isotropy_basis: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a pass/witness decision procedure."""
-
-    passed: bool
-    certificates: tuple = ()
-    witness: object = None
-    obstruction_point: Point | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 class FoliationModule:

@@ -1,4 +1,4 @@
-"""Groebner bases with mandatory cofactor tracking, plus free-module variants.
+"""Groebner bases with mandatory cofactor tracking: one engine for ideals and modules.
 
 Every membership decision made by this package flows through the division
 routine here, and every answer is a :class:`Certificate`: an exact cofactor
@@ -7,8 +7,19 @@ remainder is zero iff the claim holds.  Certificates re-expand exactly; that
 identity is asserted throughout the test suite and can be re-checked by third
 parties from serialized reports.
 
-The module side (position-over-term order) powers involutivity checks,
-module equality, and syzygy computation via the standard tagged construction.
+There is one engine.  It works in a free module ``R^rank`` under the
+position-over-term extension of a monomial order, and a polynomial is a
+module element of rank 1, so ideals (:func:`buchberger`) and modules
+(:func:`module_groebner`) share one division, one Buchberger loop and one
+certificate composition.  S-vectors are formed only for equal lead positions.
+Of the Gebauer-Moeller pair criteria, the chain criterion holds in every rank
+and is always applied.  The product criterion (coprime leading monomials)
+holds only for ideals: in ``R^2`` the elements ``(x, 1)`` and ``(y, 0)`` have
+coprime leads, yet their S-vector reduces to ``(0, y)``, not to zero.  It is
+applied only in rank 1.
+
+Module bases power involutivity checks, module equality, and syzygy
+computation via the standard tagged construction.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ def _coprime(a: Exponents, b: Exponents) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# certificates and check results
 
 
 @dataclass(frozen=True)
@@ -75,213 +86,26 @@ class Certificate:
         return self.reexpand() == target
 
 
-# ---------------------------------------------------------------------------
-# polynomial division and Buchberger
-
-
-def divide_with_cofactors(
-    f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
-) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division with full remainder.
-
-    Ties in divisor selection go to the first divisor in list order whose
-    leading term divides, which makes certificates reproducible.  The
-    remainder has no term divisible by any divisor leading term.
-    """
-    varset = f.varset
-    keyf = order.key_function(varset)
-    leads = []
-    for g in divisors:
-        if g.varset != varset:
-            raise VariableSetError("divisor on a different chart")
-        leads.append(None if g.is_zero() else g.leading(keyf))
-    cofactors = [Polynomial.zero(varset) for _ in divisors]
-    remainder: dict[Exponents, Fraction] = {}
-    work = dict(f.terms)
-    while work:
-        expo = max(work, key=keyf)
-        coeff = work.pop(expo)
-        for i, lead in enumerate(leads):
-            if lead is None:
-                continue
-            lt_e, lt_c = lead
-            if _divides(lt_e, expo):
-                q_expo = _sub(expo, lt_e)
-                q_coeff = coeff / lt_c
-                cofactors[i] = cofactors[i] + Polynomial.monomial(varset, q_expo, q_coeff)
-                for ge, gc in divisors[i].terms.items():
-                    te = tuple(a + b for a, b in zip(ge, q_expo))
-                    if te == expo:
-                        continue
-                    s = work.get(te, Fraction(0)) - gc * q_coeff
-                    if s:
-                        work[te] = s
-                    else:
-                        work.pop(te, None)
-                break
-        else:
-            remainder[expo] = coeff
-    return cofactors, Polynomial(varset, remainder)
-
-
 @dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced Groebner basis remembering how it sits over its input generators."""
+class CheckResult:
+    """Outcome of a pass/witness decision procedure.
 
-    input_generators: tuple[Polynomial, ...]
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
-    representation: tuple[tuple[Polynomial, ...], ...]
-    reduced: bool = True
-
-    @property
-    def varset(self) -> VariableSet:
-        return self.input_generators[0].varset if self.input_generators else self.generators[0].varset
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        _, r = divide_with_cofactors(f, self.generators, self.order)
-        return r
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
-
-
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = BLOCK) -> GroebnerBasis:
-    """Reduced Groebner basis with the product and chain criteria.
-
-    An empty input (or all-zero input) yields the zero ideal's empty basis.
+    ``certificates`` holds the memberships that passed; on a fail, ``witness``
+    names the failing claim with its certificate, and ``obstruction_point``
+    is a rational point refuting it with smooth coefficients, when found.
     """
-    gens = tuple(gens)
-    live = [(i, g) for i, g in enumerate(gens) if not g.is_zero()]
-    if not live:
-        return GroebnerBasis(gens, (), order, ())
-    varset = live[0][1].varset
-    for _, g in live:
-        if g.varset != varset:
-            raise VariableSetError("generators on different charts")
-    keyf = order.key_function(varset)
 
-    def unit_rep(i: int) -> list[Polynomial]:
-        return [
-            Polynomial.constant(varset, 1) if j == i else Polynomial.zero(varset)
-            for j in range(len(gens))
-        ]
+    passed: bool
+    certificates: tuple = ()
+    witness: object = None
+    obstruction_point: tuple[Fraction, ...] | None = None
 
-    basis: list[Polynomial] = [g for _, g in live]
-    reps: list[list[Polynomial]] = [unit_rep(i) for i, _ in live]
-    leads = [g.leading(keyf)[0] for g in basis]
-
-    # each pair's key is computed once, when it is queued; the key tuple is
-    # unique, so pops follow the order (lcm key, pair) exactly.  ``pending``
-    # mirrors the queue for the chain criterion's membership test.
-    queue: list[tuple[tuple, tuple[int, int]]] = []
-    pending: set[tuple[int, int]] = set()
-
-    def push_pairs(new: int) -> None:
-        for k in range(new):
-            heapq.heappush(queue, (keyf(_lcm(leads[k], leads[new])), (k, new)))
-            pending.add((k, new))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    def chain_skippable(i: int, j: int, lcm_ij: Exponents) -> bool:
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not _divides(leads[k], lcm_ij):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                return True
-        return False
-
-    while queue:
-        i, j = heapq.heappop(queue)[1]
-        pending.discard((i, j))
-        li, lj = leads[i], leads[j]
-        lcm_ij = _lcm(li, lj)
-        if _coprime(li, lj):
-            continue
-        if chain_skippable(i, j, lcm_ij):
-            continue
-        ci = Fraction(1) / basis[i].terms[li]
-        cj = Fraction(1) / basis[j].terms[lj]
-        mi = Polynomial.monomial(varset, _sub(lcm_ij, li), ci)
-        mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), cj)
-        s = mi * basis[i] - mj * basis[j]
-        rep_s = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
-        cof, r = divide_with_cofactors(s, basis, order)
-        if r.is_zero():
-            continue
-        rep_r = rep_s
-        for c, rep_k in zip(cof, reps):
-            if not c.is_zero():
-                rep_r = [a - c * b for a, b in zip(rep_r, rep_k)]
-        lc = r.leading(keyf)[1]
-        inv = Fraction(1) / lc
-        r = r.scale(inv)
-        rep_r = [p.scale(inv) for p in rep_r]
-        basis.append(r)
-        reps.append(rep_r)
-        leads.append(r.leading(keyf)[0])
-        push_pairs(len(basis) - 1)
-
-    # minimize: drop elements whose leading monomial is divisible by another's
-    order_idx = sorted(range(len(basis)), key=lambda k: keyf(leads[k]))
-    kept: list[int] = []
-    for k in order_idx:
-        if not any(_divides(leads[m], leads[k]) for m in kept):
-            kept.append(k)
-
-    # inter-reduce tails and normalize monic
-    final: list[tuple[Polynomial, list[Polynomial]]] = []
-    minimal = [basis[k] for k in kept]
-    for pos, k in enumerate(kept):
-        others = minimal[:pos] + minimal[pos + 1:]
-        other_reps = [reps[m] for m in kept if m != k]
-        cof, r = divide_with_cofactors(basis[k], others, order)
-        rep_r = list(reps[k])
-        for c, rep_o in zip(cof, other_reps):
-            if not c.is_zero():
-                rep_r = [a - c * b for a, b in zip(rep_r, rep_o)]
-        lc = r.leading(keyf)[1]
-        inv = Fraction(1) / lc
-        final.append((r.scale(inv), [p.scale(inv) for p in rep_r]))
-
-    final.sort(key=lambda item: keyf(item[0].leading(keyf)[0]), reverse=True)
-    return GroebnerBasis(
-        gens,
-        tuple(p for p, _ in final),
-        order,
-        tuple(tuple(rep) for _, rep in final),
-    )
-
-
-def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis) -> Certificate:
-    """Deterministic normal form; cofactors refer to the basis elements."""
-    cof, r = divide_with_cofactors(f, gb.generators, gb.order)
-    return Certificate(gb.generators, tuple(cof), r)
-
-
-def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> Certificate:
-    """Membership certificate with cofactors over the *input* generators."""
-    cof, r = divide_with_cofactors(f, gb.generators, gb.order)
-    varset = f.varset
-    inputs = gb.input_generators
-    composed = [Polynomial.zero(varset) for _ in inputs]
-    for c, rep in zip(cof, gb.representation):
-        if c.is_zero():
-            continue
-        for i, t in enumerate(rep):
-            if not t.is_zero():
-                composed[i] = composed[i] + c * t
-    return Certificate(inputs, tuple(composed), r)
+    def __bool__(self) -> bool:
+        return self.passed
 
 
 # ---------------------------------------------------------------------------
-# free-module layer
+# free-module elements (a polynomial is one of rank 1)
 
 
 @dataclass(frozen=True)
@@ -330,200 +154,279 @@ class ModuleElement:
         return tuple(c.evaluate_seq(values) for c in self.components)
 
     def leading(self, keyf) -> tuple[tuple[int, Exponents], Fraction]:
-        best = None
-        best_key = None
+        """Position over term: the leading term of the first nonzero component."""
         for pos, comp in enumerate(self.components):
-            for expo, coeff in comp.terms.items():
-                k = (-pos, keyf(expo))
-                if best_key is None or k > best_key:
-                    best_key = k
-                    best = ((pos, expo), coeff)
-        if best is None:
-            raise ValueError("zero module element has no leading term")
-        return best
+            if comp.terms:
+                expo, coeff = comp.leading(keyf)
+                return (pos, expo), coeff
+        raise ValueError("zero module element has no leading term")
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
+def _rank_one(f: Polynomial) -> ModuleElement:
+    return ModuleElement(f.varset, (f,))
+
+
+# ---------------------------------------------------------------------------
+# division
+
+
 def module_divide(
     v: ModuleElement, divisors: Sequence[ModuleElement], order: MonomialOrder
 ) -> tuple[list[Polynomial], ModuleElement]:
-    """Division in R^rank under the position-over-term extension of ``order``."""
+    """Division in R^rank under the position-over-term extension of ``order``.
+
+    Ties in divisor selection go to the first divisor in list order whose
+    leading term divides, which makes certificates reproducible.  The
+    remainder has no term divisible by any divisor leading term.
+    """
     varset = v.varset
     keyf = order.key_function(varset)
-    leads = [None if d.is_zero() else d.leading(keyf) for d in divisors]
-    cofactors = [Polynomial.zero(varset) for _ in divisors]
+    leads = []
+    for d in divisors:
+        if d.varset != varset or d.rank != v.rank:
+            raise VariableSetError("module rank or chart mismatch")
+        leads.append(None if d.is_zero() else d.leading(keyf))
+    cofactors: list[dict[Exponents, Fraction]] = [{} for _ in divisors]
+    work = [dict(c.terms) for c in v.components]
+    remainder: list[dict[Exponents, Fraction]] = [{} for _ in work]
+    # a divisor leading at position ``pos`` has no terms at earlier positions,
+    # so each position is finished before the next one is touched
+    for pos, terms in enumerate(work):
+        while terms:
+            expo = max(terms, key=keyf)
+            coeff = terms.pop(expo)
+            for i, lead in enumerate(leads):
+                if lead is None:
+                    continue
+                (lpos, lexpo), lcoeff = lead
+                if lpos == pos and _divides(lexpo, expo):
+                    q_expo = _sub(expo, lexpo)
+                    q_coeff = coeff / lcoeff
+                    # each divisor reduces strictly decreasing terms of one
+                    # position, so its quotient exponents never repeat
+                    cofactors[i][q_expo] = q_coeff
+                    for dpos, dcomp in enumerate(divisors[i].components):
+                        target = work[dpos]
+                        for ge, gc in dcomp.terms.items():
+                            te = tuple(a + b for a, b in zip(ge, q_expo))
+                            if dpos == pos and te == expo:
+                                continue
+                            s = target.get(te, Fraction(0)) - gc * q_coeff
+                            if s:
+                                target[te] = s
+                            else:
+                                target.pop(te, None)
+                    break
+            else:
+                remainder[pos][expo] = coeff
+    return (
+        [Polynomial(varset, c) for c in cofactors],
+        ModuleElement(varset, tuple(Polynomial(varset, r) for r in remainder)),
+    )
 
-    work: dict[tuple[int, Exponents], Fraction] = {}
-    for pos, comp in enumerate(v.components):
-        for expo, coeff in comp.terms.items():
-            work[(pos, expo)] = coeff
-    remainder: dict[tuple[int, Exponents], Fraction] = {}
 
-    def mkey(item: tuple[int, Exponents]):
-        return (-item[0], keyf(item[1]))
+def divide_with_cofactors(
+    f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
+) -> tuple[list[Polynomial], Polynomial]:
+    """Multivariate division with full remainder: :func:`module_divide` in rank 1."""
+    cofactors, r = module_divide(_rank_one(f), [_rank_one(g) for g in divisors], order)
+    return cofactors, r.components[0]
 
-    while work:
-        pos, expo = max(work, key=mkey)
-        coeff = work.pop((pos, expo))
-        for i, lead in enumerate(leads):
-            if lead is None:
-                continue
-            (lpos, lexpo), lcoeff = lead
-            if lpos == pos and _divides(lexpo, expo):
-                q_expo = _sub(expo, lexpo)
-                q_coeff = coeff / lcoeff
-                cofactors[i] = cofactors[i] + Polynomial.monomial(varset, q_expo, q_coeff)
-                for dpos, dcomp in enumerate(divisors[i].components):
-                    for ge, gc in dcomp.terms.items():
-                        te = tuple(a + b for a, b in zip(ge, q_expo))
-                        key = (dpos, te)
-                        if key == (pos, expo):
-                            continue
-                        s = work.get(key, Fraction(0)) - gc * q_coeff
-                        if s:
-                            work[key] = s
-                        else:
-                            work.pop(key, None)
-                break
-        else:
-            remainder[(pos, expo)] = coeff
 
-    comps: list[dict[Exponents, Fraction]] = [dict() for _ in range(v.rank)]
-    for (pos, expo), coeff in remainder.items():
-        comps[pos][expo] = coeff
-    rem = ModuleElement(varset, tuple(Polynomial(varset, c) for c in comps))
-    return cofactors, rem
+# ---------------------------------------------------------------------------
+# Buchberger
 
 
 @dataclass(frozen=True)
-class ModuleGroebnerBasis:
-    input_generators: tuple[ModuleElement, ...]
-    generators: tuple[ModuleElement, ...]
+class GroebnerBasis:
+    """Reduced Groebner basis remembering how it sits over its input generators.
+
+    The elements are polynomials for an ideal (:func:`buchberger`) and
+    :class:`ModuleElement` values for a module (:func:`module_groebner`).
+    ``representation[k]`` holds the cofactors of ``generators[k]`` over
+    ``input_generators``.
+    """
+
+    input_generators: tuple
+    generators: tuple
     order: MonomialOrder
     representation: tuple[tuple[Polynomial, ...], ...]
     reduced: bool = True
 
+    @property
+    def varset(self) -> VariableSet:
+        return self.input_generators[0].varset if self.input_generators else self.generators[0].varset
 
-def module_groebner(
-    gens: Sequence[ModuleElement], order: MonomialOrder = BLOCK
-) -> ModuleGroebnerBasis:
-    """Buchberger over a free module (S-vectors only for equal lead positions)."""
-    gens = tuple(gens)
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """Remainder of ``f`` on division by an ideal basis."""
+        _, r = divide_with_cofactors(f, self.generators, self.order)
+        return r
+
+    def contains(self, f: Polynomial) -> bool:
+        return self.normal_form(f).is_zero()
+
+
+ModuleGroebnerBasis = GroebnerBasis
+
+
+def _buchberger(
+    gens: tuple[ModuleElement, ...], order: MonomialOrder
+) -> tuple[tuple[ModuleElement, ...], tuple[tuple[Polynomial, ...], ...]]:
+    """Reduced basis of the submodule spanned by ``gens``, with representation rows.
+
+    Zero inputs are skipped; an all-zero or empty input gives the empty basis.
+    """
     live = [(i, g) for i, g in enumerate(gens) if not g.is_zero()]
     if not live:
-        return ModuleGroebnerBasis(gens, (), order, ())
+        return (), ()
     varset = live[0][1].varset
     rank = live[0][1].rank
     for _, g in live:
         if g.varset != varset or g.rank != rank:
             raise VariableSetError("module rank or chart mismatch")
     keyf = order.key_function(varset)
-
-    def unit_rep(i: int) -> list[Polynomial]:
-        return [
-            Polynomial.constant(varset, 1) if j == i else Polynomial.zero(varset)
-            for j in range(len(gens))
-        ]
+    one, zero = Polynomial.constant(varset, 1), Polynomial.zero(varset)
 
     basis = [g for _, g in live]
-    reps = [unit_rep(i) for i, _ in live]
-    leads = [g.leading(keyf)[0] for g in basis]
+    reps = [[one if j == i else zero for j in range(len(gens))] for i, _ in live]
+    leads = [g.leading(keyf) for g in basis]
 
-    # same queue discipline as ``buchberger``: pairs with equal lead
-    # positions, keyed once by (lcm key, pair)
+    def reduce_rep(rep, cofactors, rows):
+        for c, row in zip(cofactors, rows):
+            if not c.is_zero():
+                rep = [a - c * b for a, b in zip(rep, row)]
+        return rep
+
+    def monic(r: ModuleElement, rep):
+        inv = Fraction(1) / r.leading(keyf)[1]
+        return r.scale_by(Polynomial.constant(varset, inv)), [p.scale(inv) for p in rep]
+
+    # each pair is keyed once, when it is queued; the key is unique, so pops
+    # follow (lcm key, pair) exactly.  ``pending`` mirrors the queue for the
+    # chain criterion's membership test.
     queue: list[tuple[tuple, tuple[int, int]]] = []
+    pending: set[tuple[int, int]] = set()
 
     def push_pairs(new: int) -> None:
-        pos, expo = leads[new]
+        pos, expo = leads[new][0]
         for k in range(new):
-            if leads[k][0] == pos:
-                heapq.heappush(queue, (keyf(_lcm(leads[k][1], expo)), (k, new)))
+            if leads[k][0][0] == pos:
+                heapq.heappush(queue, (keyf(_lcm(leads[k][0][1], expo)), (k, new)))
+                pending.add((k, new))
+
+    def chain_skippable(i: int, j: int, pos: int, lcm_ij: Exponents) -> bool:
+        for k, ((kpos, kexpo), _) in enumerate(leads):
+            if k in (i, j) or kpos != pos or not _divides(kexpo, lcm_ij):
+                continue
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+                return True
+        return False
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while queue:
         i, j = heapq.heappop(queue)[1]
-        (pos_i, li), (pos_j, lj) = leads[i], leads[j]
-        lcm_ij = _lcm(li, lj)
-        ci = Fraction(1) / basis[i].leading(keyf)[1]
-        cj = Fraction(1) / basis[j].leading(keyf)[1]
-        mi = Polynomial.monomial(varset, _sub(lcm_ij, li), ci)
-        mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), cj)
-        s = basis[i].scale_by(mi) - basis[j].scale_by(mj)
-        rep_s = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
-        if s.is_zero():
+        pending.discard((i, j))
+        ((pos, li), ci), ((_, lj), cj) = leads[i], leads[j]
+        if rank == 1 and _coprime(li, lj):
             continue
-        cof, r = module_divide(s, basis, order)
+        lcm_ij = _lcm(li, lj)
+        if chain_skippable(i, j, pos, lcm_ij):
+            continue
+        mi = Polynomial.monomial(varset, _sub(lcm_ij, li), Fraction(1) / ci)
+        mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), Fraction(1) / cj)
+        cof, r = module_divide(basis[i].scale_by(mi) - basis[j].scale_by(mj), basis, order)
         if r.is_zero():
             continue
-        rep_r = rep_s
-        for c, rep_k in zip(cof, reps):
-            if not c.is_zero():
-                rep_r = [a - c * b for a, b in zip(rep_r, rep_k)]
-        lc = r.leading(keyf)[1]
-        inv = Fraction(1) / lc
-        r = r.scale_by(Polynomial.constant(varset, inv))
-        rep_r = [p.scale(inv) for p in rep_r]
+        rep_s = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
+        r, rep_r = monic(r, reduce_rep(rep_s, cof, reps))
         basis.append(r)
         reps.append(rep_r)
-        leads.append(r.leading(keyf)[0])
+        leads.append(r.leading(keyf))
         push_pairs(len(basis) - 1)
 
     def mkey(lead):
         pos, expo = lead
         return (-pos, keyf(expo))
 
-    order_idx = sorted(range(len(basis)), key=lambda k: mkey(leads[k]))
+    # minimize: drop elements whose leading term is divisible by another's
     kept: list[int] = []
-    for k in order_idx:
-        if not any(
-            leads[m][0] == leads[k][0] and _divides(leads[m][1], leads[k][1]) for m in kept
-        ):
+    for k in sorted(range(len(basis)), key=lambda k: mkey(leads[k][0])):
+        pos, expo = leads[k][0]
+        if not any(leads[m][0][0] == pos and _divides(leads[m][0][1], expo) for m in kept):
             kept.append(k)
 
-    final: list[tuple[ModuleElement, list[Polynomial]]] = []
-    minimal = [basis[k] for k in kept]
-    for pos, k in enumerate(kept):
-        others = minimal[:pos] + minimal[pos + 1:]
-        other_reps = [reps[m] for m in kept if m != k]
-        cof, r = module_divide(basis[k], others, order)
-        rep_r = list(reps[k])
-        for c, rep_o in zip(cof, other_reps):
-            if not c.is_zero():
-                rep_r = [a - c * b for a, b in zip(rep_r, rep_o)]
-        lc = r.leading(keyf)[1]
-        inv = Fraction(1) / lc
-        final.append((r.scale_by(Polynomial.constant(varset, inv)), [p.scale(inv) for p in rep_r]))
+    # inter-reduce tails and normalize monic
+    final = []
+    for k in kept:
+        others = [m for m in kept if m != k]
+        cof, r = module_divide(basis[k], [basis[m] for m in others], order)
+        final.append(monic(r, reduce_rep(list(reps[k]), cof, [reps[m] for m in others])))
 
     final.sort(key=lambda item: mkey(item[0].leading(keyf)[0]), reverse=True)
-    return ModuleGroebnerBasis(
-        gens,
-        tuple(m for m, _ in final),
-        order,
-        tuple(tuple(rep) for _, rep in final),
-    )
+    return tuple(m for m, _ in final), tuple(tuple(rep) for _, rep in final)
 
 
-def module_membership(
-    v: ModuleElement,
-    gens: Sequence[ModuleElement] | ModuleGroebnerBasis,
-    order: MonomialOrder = BLOCK,
-) -> Certificate:
-    """Membership certificate with a ModuleElement remainder, cofactors over inputs."""
-    gb = gens if isinstance(gens, ModuleGroebnerBasis) else module_groebner(gens, order)
-    cof, r = module_divide(v, gb.generators, gb.order)
-    varset = v.varset
-    composed = [Polynomial.zero(varset) for _ in gb.input_generators]
-    for c, rep in zip(cof, gb.representation):
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = BLOCK) -> GroebnerBasis:
+    """Reduced Groebner basis of an ideal: the engine in rank 1.
+
+    An empty input (or all-zero input) yields the zero ideal's empty basis.
+    """
+    gens = tuple(gens)
+    basis, reps = _buchberger(tuple(_rank_one(g) for g in gens), order)
+    return GroebnerBasis(gens, tuple(m.components[0] for m in basis), order, reps)
+
+
+def module_groebner(
+    gens: Sequence[ModuleElement], order: MonomialOrder = BLOCK
+) -> GroebnerBasis:
+    """Reduced Groebner basis of a submodule of a free module."""
+    gens = tuple(gens)
+    basis, reps = _buchberger(gens, order)
+    return GroebnerBasis(gens, basis, order, reps)
+
+
+# ---------------------------------------------------------------------------
+# membership certificates
+
+
+def _certificate(gb: GroebnerBasis, cofactors: list[Polynomial], remainder) -> Certificate:
+    """Compose cofactors over the basis into cofactors over the input generators."""
+    composed = [Polynomial.zero(remainder.varset) for _ in gb.input_generators]
+    for c, rep in zip(cofactors, gb.representation):
         if c.is_zero():
             continue
         for i, t in enumerate(rep):
             if not t.is_zero():
                 composed[i] = composed[i] + c * t
-    return Certificate(gb.input_generators, tuple(composed), r)
+    return Certificate(gb.input_generators, tuple(composed), remainder)
+
+
+def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis) -> Certificate:
+    """Deterministic normal form; cofactors refer to the basis elements."""
+    cof, r = divide_with_cofactors(f, gb.generators, gb.order)
+    return Certificate(gb.generators, tuple(cof), r)
+
+
+def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> Certificate:
+    """Membership certificate with cofactors over the *input* generators."""
+    cofactors, r = divide_with_cofactors(f, gb.generators, gb.order)
+    return _certificate(gb, cofactors, r)
+
+
+def module_membership(
+    v: ModuleElement,
+    gens: Sequence[ModuleElement] | GroebnerBasis,
+    order: MonomialOrder = BLOCK,
+) -> Certificate:
+    """Membership certificate with a ModuleElement remainder, cofactors over inputs."""
+    gb = gens if isinstance(gens, GroebnerBasis) else module_groebner(gens, order)
+    cofactors, r = module_divide(v, gb.generators, gb.order)
+    return _certificate(gb, cofactors, r)
 
 
 def syzygy_basis(

@@ -29,7 +29,7 @@ from .geometry import (
     canonical_poisson,
     hamiltonian,
 )
-from .groebner import Certificate, GroebnerBasis, buchberger, ideal_membership
+from .groebner import Certificate, CheckResult, GroebnerBasis, buchberger, ideal_membership
 from .poly import BLOCK, MonomialOrder, Polynomial, VariableSet
 from .ratfunc import RationalFunction
 from .sampling import candidate_points
@@ -99,17 +99,6 @@ class IdealPresentation:
         return f"IdealPresentation({len(self.generators)} generators on {self.chart.names})"
 
 
-@dataclass(frozen=True)
-class IdealCheckResult:
-    passed: bool
-    certificates: tuple = ()
-    witness: object = None
-    obstruction_point: Point | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def find_obstruction_point(
     generators: Sequence[Polynomial], residue: Polynomial
 ) -> Point | None:
@@ -127,7 +116,7 @@ def find_obstruction_point(
     return None
 
 
-def poisson_closure_check(ideal: IdealPresentation) -> IdealCheckResult:
+def poisson_closure_check(ideal: IdealPresentation) -> CheckResult:
     """Pass iff the bracket of every generator pair stays in the ideal."""
     certs = []
     gens = ideal.generators
@@ -137,14 +126,14 @@ def poisson_closure_check(ideal: IdealPresentation) -> IdealCheckResult:
             cert = ideal.membership(br)
             if not cert.claim_holds:
                 point = find_obstruction_point(gens, cert.remainder)
-                return IdealCheckResult(
+                return CheckResult(
                     False, tuple(certs), ((i, j), cert), point
                 )
             certs.append(((i, j), cert))
-    return IdealCheckResult(True, tuple(certs))
+    return CheckResult(True, tuple(certs))
 
 
-def normalizer_check(ideal: IdealPresentation, f: Polynomial) -> IdealCheckResult:
+def normalizer_check(ideal: IdealPresentation, f: Polynomial) -> CheckResult:
     """Pass iff {f, g} lies in the ideal for every generator g."""
     certs = []
     for i, g in enumerate(ideal.generators):
@@ -152,9 +141,9 @@ def normalizer_check(ideal: IdealPresentation, f: Polynomial) -> IdealCheckResul
         cert = ideal.membership(br)
         if not cert.claim_holds:
             point = find_obstruction_point(ideal.generators, cert.remainder)
-            return IdealCheckResult(False, tuple(certs), (i, cert), point)
+            return CheckResult(False, tuple(certs), (i, cert), point)
         certs.append((i, cert))
-    return IdealCheckResult(True, tuple(certs))
+    return CheckResult(True, tuple(certs))
 
 
 def reduced_bracket(ideal: IdealPresentation, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -376,7 +365,7 @@ class MorphismReport:
     """Defect certificates for the three morphism conditions."""
 
     ideal_certificates: tuple[Certificate, ...]
-    normalizer_results: tuple[IdealCheckResult, ...]
+    normalizer_results: tuple[CheckResult, ...]
     bracket_certificates: tuple[tuple[tuple[int, int], Polynomial, Certificate], ...]
     passed: bool
     witness: object = None

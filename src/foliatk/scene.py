@@ -135,12 +135,17 @@ def _parse_submersion(data: Mapping, chart: VariableSet, metric: MetricData,
 
 def load_scene(source) -> Scene:
     """Build a scene from a dict, a JSON string, or a path to a JSON file."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    data = source
+    if isinstance(source, (str, Path)):
+        try:
+            found = Path(source).exists()
+        except OSError:  # JSON text can be longer than a file name may be
+            found = False
+        try:
+            data = json.loads(Path(source).read_text(encoding="utf-8") if found else str(source))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            kind = "file" if found else "path or JSON text"
+            raise SceneError(f"cannot read scene {kind} {str(source)!r}: {exc}") from exc
     if not isinstance(data, Mapping):
         raise SceneError("scene must be a JSON object")
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ChartMismatchError, InternalCheckError, PreconditionError, VariableSetError
-from .foliation import CheckResult, FoliationModule, involutivity_check, module_equal
+from .foliation import FoliationModule, involutivity_check, module_equal
 from .geometry import MetricData, VectorField, canonical_poisson, cotangent_lift, hamiltonian, lie_bracket
-from .groebner import Certificate
+from .groebner import Certificate, CheckResult
 from .ipoisson import IdealPresentation, PolyMap, _restrict_to_base
 from .linalg import poly_adjugate
 from .poly import Polynomial, VariableSet

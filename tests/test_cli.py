@@ -262,10 +262,24 @@ def test_zero_tolerance_is_a_real_check():
 
 @pytest.mark.parametrize("flag, value", [
     ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "0"),
-    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"),
+    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "5"),
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
 ])
 def test_cli_rejects_vacuous_flow_flags(flag, value, capsys):
     code = main(["flow-monitor", "--scene", str(SCENES / "so3_moment.json"), flag, value])
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["verdict"] == "error"
+
+
+@pytest.mark.parametrize("content", [None, "not json", b"\xff\xfe"])
+def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
+    path = tmp_path / "scene.json"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    elif content is not None:
+        path.write_bytes(content)
+    code = main(["check-srf", "--scene", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"] == "error"
+    assert report["detail"]["error_type"] == "SceneError"
+    assert "scene.json" in report["detail"]["message"]

@@ -15,12 +15,13 @@ from foliatk import (
     VectorField,
     buchberger,
     cotangent_lift,
+    module_groebner,
     module_membership,
     normalizer_check,
     reduced_bracket,
     sym_tensor_lift,
 )
-from foliatk.groebner import _lcm, _sub, divide_with_cofactors
+from foliatk.groebner import _divides, _lcm, _sub, divide_with_cofactors, module_divide
 from foliatk.ipoisson import IdealPresentation
 from foliatk.poly import BLOCK, GREVLEX, MonomialOrder, random_polynomial
 
@@ -32,25 +33,50 @@ R2 = VariableSet(("x", "y"))
 
 
 def _buchberger_no_criteria(gens, order):
-    """Reference Buchberger: every S-pair reduced, no skipping, no reduction pass."""
+    """Reference Buchberger over R^rank: every S-vector of two elements leading
+    in the same position is reduced, with no skipping and no reduction pass."""
     varset = gens[0].varset
     keyf = order.key_function(varset)
     basis = [g for g in gens if not g.is_zero()]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop()
-        li, _ = basis[i].leading(keyf)
-        lj, _ = basis[j].leading(keyf)
+        (pi, li), ci = basis[i].leading(keyf)
+        (pj, lj), cj = basis[j].leading(keyf)
+        if pi != pj:
+            continue
         lcm_ij = _lcm(li, lj)
-        ci = Fraction(1) / basis[i].terms[li]
-        cj = Fraction(1) / basis[j].terms[lj]
-        s = (Polynomial.monomial(varset, _sub(lcm_ij, li), ci) * basis[i]
-             - Polynomial.monomial(varset, _sub(lcm_ij, lj), cj) * basis[j])
-        _, r = divide_with_cofactors(s, basis, order)
+        s = (basis[i].scale_by(Polynomial.monomial(varset, _sub(lcm_ij, li), Fraction(1) / ci))
+             - basis[j].scale_by(Polynomial.monomial(varset, _sub(lcm_ij, lj), Fraction(1) / cj)))
+        _, r = module_divide(s, basis, order)
         if not r.is_zero():
             basis.append(r)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return basis
+
+
+def _reduced_reference(basis, order):
+    """Minimise, inter-reduce and make monic a Groebner basis; the result is unique."""
+    varset = basis[0].varset
+    keyf = order.key_function(varset)
+
+    def lead(g):
+        return g.leading(keyf)[0]
+
+    minimal = []
+    for g in sorted(basis, key=lambda g: (-lead(g)[0], keyf(lead(g)[1]))):
+        if not any(lead(m)[0] == lead(g)[0] and _divides(lead(m)[1], lead(g)[1])
+                   for m in minimal):
+            minimal.append(g)
+    reduced = []
+    for k, g in enumerate(minimal):
+        _, r = module_divide(g, minimal[:k] + minimal[k + 1:], order)
+        reduced.append(r.scale_by(Polynomial.constant(varset, Fraction(1) / r.leading(keyf)[1])))
+    return reduced
+
+
+def _rank_one(polys):
+    return [ModuleElement(p.varset, (p,)) for p in polys]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -66,7 +92,7 @@ def test_criteria_do_not_change_the_ideal(seed):
         return
     order = rnd.choice((GREVLEX, BLOCK, MonomialOrder("lex")))
     fast = buchberger(gens, order)
-    slow = _buchberger_no_criteria(gens, order)
+    slow = [m.components[0] for m in _buchberger_no_criteria(_rank_one(gens), order)]
     # same ideal: each side's elements reduce to zero against the other
     for g in slow:
         assert fast.normal_form(g).is_zero()
@@ -90,6 +116,55 @@ def test_reduced_basis_is_presentation_independent(seed):
     a = buchberger([g1, g2], BLOCK)
     b = buchberger([g2, g1 + mixer * g2, g1], BLOCK)
     assert a.generators == b.generators
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_module_chain_criterion_keeps_the_reduced_basis(seed):
+    rnd = random.Random(9600 + seed)
+    rank = rnd.choice((2, 3))
+    gens = []
+    for _ in range(rnd.choice((2, 3))):
+        g = ModuleElement(R2, tuple(
+            random_polynomial(rnd, R2, max_base_degree=2, terms=rnd.choice((1, 2)))
+            for _ in range(rank)))
+        if not g.is_zero():
+            gens.append(g)
+    if not gens:
+        return
+    # on a chart without fiber variables BLOCK is GREVLEX
+    order = rnd.choice((GREVLEX, MonomialOrder("lex")))
+    gb = module_groebner(gens, order)
+    reference = _reduced_reference(_buchberger_no_criteria(gens, order), order)
+    assert len(gb.generators) == len(reference)
+    assert set(gb.generators) == set(reference)
+    for elem, row in zip(gb.generators, gb.representation):
+        acc = ModuleElement.zero(R2, rank)
+        for c, g in zip(row, gens):
+            acc = acc + g.scale_by(c)
+        assert acc == elem
+
+
+def test_product_criterion_does_not_hold_in_rank_two():
+    """(x, 1) and (y, 0) have coprime leads, yet their S-vector is (0, y)."""
+    one, zero = Polynomial.constant(R2, 1), Polynomial.zero(R2)
+    x, y = Polynomial.variable(R2, "x"), Polynomial.variable(R2, "y")
+    gens = [ModuleElement(R2, (x, one)), ModuleElement(R2, (y, zero))]
+    target = ModuleElement(R2, (zero, y))
+    cert = module_membership(target, gens)
+    assert cert.claim_holds and cert.verify(target)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ideal_basis_is_the_rank_one_module_basis(seed):
+    rnd = random.Random(9700 + seed)
+    gens = [random_polynomial(rnd, COT2, max_base_degree=2, max_fiber_degree=1,
+                              terms=rnd.choice((1, 2, 3)))
+            for _ in range(rnd.choice((2, 3)))]
+    order = rnd.choice((GREVLEX, BLOCK, MonomialOrder("lex")))
+    ideal = buchberger(gens, order)
+    module = module_groebner(_rank_one(gens), order)
+    assert ideal.generators == tuple(m.components[0] for m in module.generators)
+    assert ideal.representation == module.representation
 
 
 def _module_span_oracle(v, gens, degree_bound):

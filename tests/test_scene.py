@@ -23,6 +23,12 @@ def test_loads_every_shipped_scene():
         assert scene.chart.dimension >= 1, path.name
 
 
+def test_loads_a_scene_from_json_text_longer_than_a_file_name():
+    text = (SCENES / "so3_moment.json").read_text(encoding="utf-8")
+    assert len(text) > 255
+    assert load_scene(text).chart == load_scene(SCENES / "so3_moment.json").chart
+
+
 def test_asymmetric_cometric_rejected():
     with pytest.raises(SceneError):
         load_scene(base(cometric=[["1", "x"], ["0", "1"]]))
