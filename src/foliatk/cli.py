@@ -136,10 +136,10 @@ def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
     """Start state, horizon, step and pass threshold of a flow command.
 
     A horizon or step that is not finite and positive would integrate zero
-    steps (a vacuous pass) or silently one step, and a step longer than the
-    horizon would be shortened to one step while the report echoes the
-    requested one, so each is an input error, as is a tolerance that is not
-    finite and nonnegative.
+    steps (a vacuous pass) or silently one step, and a step that does not
+    divide the horizon into a whole number of steps would be rewritten to one
+    that does while the report echoes the requested one, so each is an input
+    error, as is a tolerance that is not finite and nonnegative.
     """
     if scene.flow is None:
         raise SceneError("this command needs a 'flow' section in the scene")
@@ -149,8 +149,9 @@ def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise SceneError(f"{name} must be finite and positive, got {value!r}")
-    if dt > t_end:
-        raise SceneError(f"dt {dt!r} exceeds t_end {t_end!r}")
+    steps = t_end / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise SceneError(f"dt {dt!r} does not divide t_end {t_end!r} into whole steps")
     if not (math.isfinite(tol) and tol >= 0):
         raise SceneError(f"tol must be finite and nonnegative, got {tol!r}")
     return FlowState(scene.flow.q, scene.flow.p, 0.0), t_end, dt, tol

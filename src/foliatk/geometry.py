@@ -181,20 +181,6 @@ class SymTensor2:
         return (self.chart, self.kind, self.entries) == (other.chart, other.kind, other.entries)
 
 
-def _fraction_det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = Fraction(0)
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * _fraction_det(minor)
-        acc += term if j % 2 == 0 else -term
-    return acc
-
-
 @dataclass(frozen=True)
 class MetricData:
     """Cometric (required) plus optional covariant polynomial metric.
@@ -228,13 +214,12 @@ class MetricData:
         if not pts:
             pts = ((Fraction(0),) * chart.dimension,)
             object.__setattr__(self, "sample_points", pts)
+        entries = self.cometric.entries
+        minors = [poly_det([row[:k] for row in entries[:k]])
+                  for k in range(1, chart.dimension + 1)]
         for pt in pts:
-            values = [[self.cometric.entries[i][j].evaluate_seq(pt)
-                       for j in range(chart.dimension)] for i in range(chart.dimension)]
-            for k in range(1, chart.dimension + 1):
-                minor = [row[:k] for row in values[:k]]
-                if _fraction_det(minor) <= 0:
-                    raise MetricError(f"cometric not positive-definite at {pt}")
+            if any(m.evaluate_seq(pt) <= 0 for m in minors):
+                raise MetricError(f"cometric not positive-definite at {pt}")
 
     @property
     def chart(self) -> VariableSet:

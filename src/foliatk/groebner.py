@@ -254,19 +254,11 @@ class GroebnerBasis:
     generators: tuple
     order: MonomialOrder
     representation: tuple[tuple[Polynomial, ...], ...]
-    reduced: bool = True
-
-    @property
-    def varset(self) -> VariableSet:
-        return self.input_generators[0].varset if self.input_generators else self.generators[0].varset
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Remainder of ``f`` on division by an ideal basis."""
         _, r = divide_with_cofactors(f, self.generators, self.order)
         return r
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
 
 
 ModuleGroebnerBasis = GroebnerBasis

@@ -72,27 +72,16 @@ class IdealPresentation:
     def membership(self, f: Polynomial) -> Certificate:
         """Certificate with cofactors over the presentation's own generators.
 
-        For fiber-degree-1 homogeneous presentations (every lift ideal) the
-        division runs per fiber-degree component, so cofactors inherit the
-        grading.
+        Fiber-homogeneous generators (every lift ideal) have a fiber-homogeneous
+        Groebner basis in any order, so the division never mixes fiber degrees:
+        the cofactors and remainder are the sums of those of ``f``'s fiber
+        components, and cofactors inherit the grading.
         """
         if f.varset != self.chart:
             raise VariableSetError("candidate on a different chart")
-        if not self.generators:
-            return Certificate((), (), f)
-        if self.fiber_graded_linear and not f.is_fiber_homogeneous():
-            cof_total = [Polynomial.zero(self.chart) for _ in self.generators]
-            rem_total = Polynomial.zero(self.chart)
-            for _, comp in f.fiber_components():
-                cert = ideal_membership(comp, self.gb)
-                cof_total = [a + b for a, b in zip(cof_total, cert.cofactors)]
-                rem_total = rem_total + cert.remainder
-            return Certificate(self.generators, tuple(cof_total), rem_total)
         return ideal_membership(f, self.gb)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if not self.generators:
-            return f
         return self.gb.normal_form(f)
 
     def __repr__(self):

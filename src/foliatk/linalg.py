@@ -45,36 +45,30 @@ class EchelonSpan:
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
-    matrix = [[Fraction(x) for x in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot_row = None
-        for i in range(r, len(matrix)):
-            if matrix[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = Fraction(1) / matrix[r][c]
-        matrix[r] = [x * inv for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c]:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free = [c for c in range(width) if c not in pivots]
+    """Basis of {v : M v = 0}: one vector per free column of the reduced echelon form.
+
+    Back-substitution runs from the last pivot: a row is zero at the pivots
+    inserted before it, so clearing its pivot never refills an earlier one.
+    """
+    span = EchelonSpan(width)
+    for r in rows:
+        span.insert(r)
+    for k in reversed(range(span.rank)):
+        row, piv = span.rows[k], span.pivots[k]
+        for other in span.rows[:k]:
+            f = other[piv]
+            if f:
+                for c in range(piv, width):
+                    other[c] -= f * row[c]
+    reduced = dict(zip(span.pivots, span.rows))
     basis = []
-    for fc in free:
+    for fc in range(width):
+        if fc in reduced:
+            continue
         v = [Fraction(0)] * width
         v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -matrix[row_idx][fc]
+        for pc, row in reduced.items():
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 

@@ -394,26 +394,6 @@ class Polynomial:
         expo = max(self.terms, key=keyf)
         return expo, self.terms[expo]
 
-    def try_divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
-        """Exact quotient by a single polynomial, or None if not divisible."""
-        if divisor.varset != self.varset:
-            raise VariableSetError("variable-set mismatch")
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        keyf = GREVLEX.key_function(self.varset)
-        lt_e, lt_c = divisor.leading(keyf)
-        quotient: dict[Exponents, Fraction] = {}
-        rest = self
-        while rest:
-            e, c = rest.leading(keyf)
-            q = tuple(a - b for a, b in zip(e, lt_e))
-            if any(x < 0 for x in q):
-                return None
-            coeff = c / lt_c
-            quotient[q] = coeff
-            rest = rest - divisor * Polynomial.monomial(self.varset, q, coeff)
-        return Polynomial(self.varset, quotient)
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:

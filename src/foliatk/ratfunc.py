@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import VariableSetError
+from .groebner import divide_with_cofactors
 from .poly import GREVLEX, Polynomial, VariableSet
 
 
@@ -27,9 +28,9 @@ class RationalFunction:
         if num.is_zero():
             den = Polynomial.constant(num.varset, 1)
         else:
-            q = num.try_divide_exact(den)
-            if q is not None:
-                num, den = q, Polynomial.constant(num.varset, 1)
+            quotient, rest = divide_with_cofactors(num, [den], GREVLEX)
+            if rest.is_zero():
+                num, den = quotient[0], Polynomial.constant(num.varset, 1)
             lc = den.leading(GREVLEX.key_function(den.varset))[1]
             if lc != 1:
                 inv = Fraction(1) / lc

@@ -148,7 +148,13 @@ def load_scene(source) -> Scene:
             raise SceneError(f"cannot read scene {kind} {str(source)!r}: {exc}") from exc
     if not isinstance(data, Mapping):
         raise SceneError("scene must be a JSON object")
+    try:
+        return _build_scene(data)
+    except (ValueError, TypeError, ZeroDivisionError, AttributeError) as exc:
+        raise SceneError(f"malformed scene value: {exc}") from exc
 
+
+def _build_scene(data: Mapping) -> Scene:
     chart_spec = _require(data, "chart", "scene")
     coords = tuple(_require(chart_spec, "coordinates", "chart"))
     if "dimension" in chart_spec and int(chart_spec["dimension"]) != len(coords):

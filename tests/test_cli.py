@@ -262,7 +262,7 @@ def test_zero_tolerance_is_a_real_check():
 
 @pytest.mark.parametrize("flag, value", [
     ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "0"),
-    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "5"),
+    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "5"), ("--dt", "0.6"),
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
 ])
 def test_cli_rejects_vacuous_flow_flags(flag, value, capsys):
@@ -283,3 +283,30 @@ def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     assert code == 2 and report["verdict"] == "error"
     assert report["detail"]["error_type"] == "SceneError"
     assert "scene.json" in report["detail"]["message"]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("chart", "dimension"), "a"),
+    (("points", "origin"), ["1/0", "0", "0"]),
+    (("points", "origin"), ["abc", "0", "0"]),
+    (("sample_points",), [["1/0", "0", "0"]]),
+    (("flow", "q"), ["abc", "0", "0"]),
+    (("flow", "dt"), "x"),
+    (("foliation",), 5),
+    (("chart", "coordinates"), 5),
+    (("notes",), 5),
+    (("candidates",), ["x"]),
+], ids=["dimension", "point-zero-denominator", "point-not-a-number", "sample-point",
+        "flow-q", "flow-dt", "foliation", "coordinates", "notes", "candidates"])
+def test_malformed_scene_values_are_scene_errors(tmp_path, capsys, path, value):
+    data = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["lift-ideal", "--scene", str(scene)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"] == "error"
+    assert report["detail"]["error_type"] == "SceneError"

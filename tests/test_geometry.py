@@ -241,3 +241,19 @@ def test_equal_unreduced_rational_functions_are_unhashable():
     assert a == b
     with pytest.raises(TypeError):
         {a, b}
+
+
+def test_rational_function_divides_out_an_exact_denominator(rng):
+    for _ in range(10):
+        p = random_polynomial(rng, R2, max_base_degree=3, terms=3)
+        q = random_polynomial(rng, R2, max_base_degree=2, terms=3)
+        if q.is_zero():
+            continue
+        r = RationalFunction(p * q, q)
+        assert r.num == p and r.den == P("1", R2)
+
+
+def test_rational_function_keeps_a_non_dividing_denominator_monic():
+    r = RationalFunction(P("x^2 + y", R2), P("2*x*y + 3", R2))
+    assert r.den == P("x*y + 3/2", R2) and r.num == P("1/2*x^2 + 1/2*y", R2)
+    assert not r.is_polynomial()

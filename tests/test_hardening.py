@@ -10,6 +10,7 @@ from foliatk import (
     ModuleElement,
     Polynomial,
     PreconditionError,
+    SubmersionData,
     SymTensor2,
     VariableSet,
     VectorField,
@@ -25,7 +26,7 @@ from foliatk.groebner import _divides, _lcm, _sub, divide_with_cofactors, module
 from foliatk.ipoisson import IdealPresentation
 from foliatk.poly import BLOCK, GREVLEX, MonomialOrder, random_polynomial
 
-from conftest import P
+from conftest import P, euclidean
 from oracle import _Span, monomials_up_to
 
 COT2 = VariableSet(("x", "y")).cotangent()
@@ -307,3 +308,29 @@ def test_every_s_polynomial_reduces_to_zero():
                  - Polynomial.monomial(cot, _sub(lcm_ij, lj), Fraction(1) / cj) * basis[j])
             _, r = divide_with_cofactors(s, basis, BLOCK)
             assert r.is_zero()
+
+
+@pytest.mark.parametrize("kind", ["block", "grevlex", "lex"])
+def test_membership_is_the_sum_over_fiber_components(so3_foliation, kind):
+    """Fiber-homogeneous generators: dividing f at once equals dividing each
+    fiber component and adding the certificates."""
+    order = MonomialOrder(kind)
+    src, tgt = VariableSet(("x", "y", "z")), VariableSet(("u", "v"))
+    vertical = SubmersionData(src, tgt, (0, 1), euclidean(src), euclidean(tgt)).vertical_ideal()
+    lift = so3_foliation.lift_presentation
+    rng = random.Random(kind)
+    for base in (lift, vertical):
+        ideal = IdealPresentation(base.chart, base.generators, order)
+        for _ in range(3):
+            f = random_polynomial(rng, ideal.chart, max_base_degree=2, max_fiber_degree=3,
+                                  terms=8)
+            if len(f.fiber_components()) < 2:
+                continue
+            whole = ideal.membership(f)
+            parts = [ideal.membership(c) for _, c in f.fiber_components()]
+            cofactors, remainder = list(parts[0].cofactors), parts[0].remainder
+            for part in parts[1:]:
+                cofactors = [a + b for a, b in zip(cofactors, part.cofactors)]
+                remainder = remainder + part.remainder
+            assert whole.cofactors == tuple(cofactors)
+            assert whole.remainder == remainder

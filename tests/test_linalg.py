@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from foliatk.linalg import CoordinateFrame, EchelonSpan, solve_coordinates
+from foliatk.linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates
 
 
 def _random_rows(rng, count, width):
@@ -52,3 +52,32 @@ def test_frame_is_reused_without_changing_its_rows():
     assert solve_coordinates(frame, [Fraction(1), Fraction(3)]) == [1, 1]
     assert solve_coordinates(frame, [Fraction(0), Fraction(0)]) == [0, 0]
     assert frame.span.rows == before
+
+
+def _pivot_columns(rows, width):
+    """Columns not in the span of the columns before them."""
+    columns = EchelonSpan(len(rows))
+    return [c for c in range(width) if columns.insert([r[c] for r in rows])]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nullspace_is_the_reduced_kernel_basis(seed):
+    rng = random.Random(200 + seed)
+    width = rng.randint(1, 7)
+    rank = rng.randint(0, width)
+    independent = _random_rows(rng, rank, width)
+    # dependent rows and zero rows; taller or wider than square
+    rows = independent + [
+        _combine(independent, [Fraction(rng.randint(-2, 2)) for _ in independent], width)
+        for _ in range(rng.randint(0, 3))
+    ] + [[Fraction(0)] * width for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    span = EchelonSpan(width)
+    for r in rows:
+        span.insert(r)
+    free = [c for c in range(width) if c not in _pivot_columns(rows, width)]
+    kernel = nullspace(rows, width)
+    assert len(kernel) == width - span.rank == len(free)
+    for v, fc in zip(kernel, free):
+        assert all(sum((a * b for a, b in zip(r, v)), Fraction(0)) == 0 for r in rows)
+        assert [v[c] for c in free] == [Fraction(c == fc) for c in free]
