@@ -149,8 +149,8 @@ def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise SceneError(f"{name} must be finite and positive, got {value!r}")
-    steps = t_end / dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
+    steps = t_end / dt  # an infinite count is refused by the dynamics step cap
+    if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
         raise SceneError(f"dt {dt!r} does not divide t_end {t_end!r} into whole steps")
     if not (math.isfinite(tol) and tol >= 0):
         raise SceneError(f"tol must be finite and nonnegative, got {tol!r}")

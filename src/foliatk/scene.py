@@ -67,8 +67,20 @@ def _require(mapping: Mapping, key: str, context: str):
     return mapping[key]
 
 
+def _array(value, context: str) -> list | tuple:
+    """``value`` itself if it is a JSON array; a string is not read as one."""
+    if not isinstance(value, (list, tuple)):
+        raise SceneError(f"{context} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _point(coords, context: str) -> tuple[Fraction, ...]:
+    return tuple(Fraction(str(v)) for v in _array(coords, context))
+
+
 def _parse_matrix(rows, varset: VariableSet, kind: str, context: str) -> SymTensor2:
     n = varset.dimension
+    rows = [_array(r, f"{context} row") for r in _array(rows, context)]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SceneError(f"{context}: matrix must be {n}x{n}")
     entries = tuple(
@@ -92,7 +104,8 @@ def _parse(text, varset: VariableSet, context: str) -> Polynomial:
 
 def _parse_foliation(rows, chart: VariableSet, context: str) -> FoliationModule:
     gens = []
-    for idx, comps in enumerate(rows):
+    for idx, comps in enumerate(_array(rows, context)):
+        comps = _array(comps, f"{context}[{idx}]")
         if len(comps) != chart.dimension:
             raise SceneError(f"{context}: generator {idx} needs {chart.dimension} components")
         gens.append(VectorField(chart, tuple(
@@ -108,7 +121,8 @@ def _parse_metric_data(data: Mapping, chart: VariableSet, context: str) -> Metri
     if data.get("metric") is not None:
         metric = _parse_matrix(data["metric"], chart, "covariant", f"{context}.metric")
     samples = tuple(
-        tuple(Fraction(str(v)) for v in pt) for pt in data.get("sample_points", [])
+        _point(pt, f"{context}.sample_points")
+        for pt in _array(data.get("sample_points", []), f"{context}.sample_points")
     )
     try:
         return MetricData(cometric, metric, samples)
@@ -118,8 +132,10 @@ def _parse_metric_data(data: Mapping, chart: VariableSet, context: str) -> Metri
 
 def _parse_submersion(data: Mapping, chart: VariableSet, metric: MetricData,
                       context: str) -> tuple[SubmersionData, VariableSet]:
-    target = VariableSet(tuple(_require(data, "target_coordinates", context)))
-    indices = tuple(int(i) for i in _require(data, "base_indices", context))
+    target = VariableSet(tuple(_array(_require(data, "target_coordinates", context),
+                                      f"{context}.target_coordinates")))
+    indices = tuple(int(i) for i in _array(_require(data, "base_indices", context),
+                                           f"{context}.base_indices"))
     target_metric = _parse_metric_data(
         {"cometric": _require(data, "target_cometric", context),
          "metric": data.get("target_metric"),
@@ -156,7 +172,7 @@ def load_scene(source) -> Scene:
 
 def _build_scene(data: Mapping) -> Scene:
     chart_spec = _require(data, "chart", "scene")
-    coords = tuple(_require(chart_spec, "coordinates", "chart"))
+    coords = tuple(_array(_require(chart_spec, "coordinates", "chart"), "chart.coordinates"))
     if "dimension" in chart_spec and int(chart_spec["dimension"]) != len(coords):
         raise SceneError("chart dimension disagrees with the coordinate list")
     try:
@@ -175,7 +191,7 @@ def _build_scene(data: Mapping) -> Scene:
         scene.foliation_b = _parse_foliation(data["foliation_b"], chart, "foliation_b")
 
     if data.get("ideal") is not None:
-        gens = [_parse(t, cot, "ideal") for t in data["ideal"]]
+        gens = [_parse(t, cot, "ideal") for t in _array(data["ideal"], "ideal")]
         try:
             scene.ideal = IdealPresentation(cot, gens)
         except FoliatkError as exc:
@@ -187,14 +203,12 @@ def _build_scene(data: Mapping) -> Scene:
             sub, target = _parse_submersion(data[key], chart, metric, key)
             setattr(scene, key, sub)
             if data.get(fol_key) is not None:
-                rows = data[fol_key]
-                fol = _parse_foliation(rows, target, fol_key) if rows else FoliationModule(target, ())
-                setattr(scene, fol_key, fol)
+                setattr(scene, fol_key, _parse_foliation(data[fol_key], target, fol_key))
         elif data.get(fol_key) is not None:
             raise SceneError(f"{fol_key} declared without {key}")
 
     for name, coords_ in data.get("points", {}).items():
-        pt = tuple(Fraction(str(v)) for v in coords_)
+        pt = _point(coords_, f"point {name!r}")
         if len(pt) != chart.dimension:
             raise SceneError(f"point {name!r} has the wrong dimension")
         scene.points[name] = pt
@@ -211,13 +225,13 @@ def _build_scene(data: Mapping) -> Scene:
     if data.get("flow") is not None:
         flow = data["flow"]
         scene.flow = FlowSpec(
-            q=tuple(float(Fraction(str(v))) for v in _require(flow, "q", "flow")),
-            p=tuple(float(Fraction(str(v))) for v in _require(flow, "p", "flow")),
+            q=tuple(float(c) for c in _point(_require(flow, "q", "flow"), "flow.q")),
+            p=tuple(float(c) for c in _point(_require(flow, "p", "flow"), "flow.p")),
             t_end=float(flow.get("t_end", 1.0)),
             dt=float(flow.get("dt", 1e-3)),
         )
         if len(scene.flow.q) != chart.dimension or len(scene.flow.p) != chart.dimension:
             raise SceneError("flow start has the wrong dimension")
 
-    scene.notes = tuple(data.get("notes", []))
+    scene.notes = tuple(_array(data.get("notes", []), "notes"))
     return scene

@@ -1,17 +1,26 @@
-"""Bounded-degree linear-solve membership oracle, independent of the division path.
+"""Reference implementations that the tests compare the package against.
 
-Membership of f in <g_1..g_k> with cofactor degree at most D is a linear
-question: does f lie in the Q-span of {m * g_i : deg(m) <= D}?  The span is
+Bounded-degree membership: f lies in <g_1..g_k> with cofactor degree at most
+D iff f lies in the Q-span of {m * g_i : deg(m) <= D}.  The span is
 echelonized by leading monomial (grevlex) with exact rational arithmetic, so
 the verdict is exact and shares no code with Buchberger or the division
 routine.
+
+Flows: the closure interpreter and the stored-trajectory rk4, leapfrog and
+monitor loops that the generated flow kernels replaced.  They perform the
+same float operations in the same order, so the kernels must agree with them
+exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Callable, Sequence
 
+from foliatk.dynamics import FlowState, MonitorReport
+from foliatk.errors import FlowDivergedError, PreconditionError
 from foliatk.poly import GREVLEX, Polynomial
 
 
@@ -70,3 +79,111 @@ def bounded_membership(f: Polynomial, gens: list[Polynomial], degree_bound: int)
         for g in gens:
             span.insert((mono * g).terms)
     return span.contains(f.terms)
+
+
+# -- flow reference ------------------------------------------------------------
+
+
+def reference_evaluator(poly: Polynomial) -> Callable[[Sequence[float]], float]:
+    terms = [
+        (float(c), tuple((i, k) for i, k in enumerate(e) if k))
+        for e, c in poly.terms.items()
+    ]
+
+    def evaluate(vals: Sequence[float]) -> float:
+        acc = 0.0
+        for coeff, powers in terms:
+            term = coeff
+            for i, k in powers:
+                term *= vals[i] ** k
+            acc += term
+        return acc
+
+    return evaluate
+
+
+def reference_rhs(h: Polynomial) -> Callable[[Sequence[float]], list[float]]:
+    varset = h.varset
+    dq = [reference_evaluator(h.diff(p_name)) for p_name in varset.fiber]
+    dp = [reference_evaluator(h.diff(q_name)) for q_name in varset.base]
+
+    def rhs(state: Sequence[float]) -> list[float]:
+        return [f(state) for f in dq] + [-f(state) for f in dp]
+
+    return rhs
+
+
+def reference_flow(h: Polynomial, start: FlowState, t_end: float, dt: float,
+                   method: str = "rk4") -> list[FlowState]:
+    varset = h.varset
+    n = varset.dimension
+    steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    dt = t_end / steps if steps else dt
+    states = [FlowState(tuple(start.q), tuple(start.p), 0.0)]
+
+    if method == "rk4":
+        rhs = reference_rhs(h)
+
+        def step(vec: list[float]) -> list[float]:
+            k1 = rhs(vec)
+            k2 = rhs([v + 0.5 * dt * d for v, d in zip(vec, k1)])
+            k3 = rhs([v + 0.5 * dt * d for v, d in zip(vec, k2)])
+            k4 = rhs([v + dt * d for v, d in zip(vec, k3)])
+            return [
+                v + dt * (a + 2 * b + 2 * c + d) / 6.0
+                for v, a, b, c, d in zip(vec, k1, k2, k3, k4)
+            ]
+
+    else:
+        dT = [reference_evaluator(h.diff(p_name)) for p_name in varset.fiber]
+        dV = [reference_evaluator(h.diff(q_name)) for q_name in varset.base]
+
+        def step(vec: list[float]) -> list[float]:
+            q, p = vec[:n], vec[n:]
+            p_half = [pi - 0.5 * dt * f(q + p) for pi, f in zip(p, dV)]
+            mid = q + p_half
+            q_new = [qi + dt * f(mid) for qi, f in zip(q, dT)]
+            state_new = q_new + p_half
+            p_new = [pi - 0.5 * dt * f(state_new) for pi, f in zip(p_half, dV)]
+            return q_new + p_new
+
+    vec = states[0].vector()
+    for i in range(steps):
+        try:
+            vec = step(vec)
+        except OverflowError:
+            raise FlowDivergedError(
+                f"state overflowed near t={(i + 1) * dt:.6g}"
+            ) from None
+        if not all(math.isfinite(v) for v in vec):
+            raise FlowDivergedError(
+                f"non-finite state at t={(i + 1) * dt:.6g}: {vec}"
+            )
+        states.append(FlowState(tuple(vec[:n]), tuple(vec[n:]), (i + 1) * dt))
+    return states
+
+
+def reference_monitor(generators: Sequence[Polynomial], h: Polynomial, start: FlowState,
+                      t_end: float, dt: float, start_tol: float = 1e-12,
+                      store_every: int = 10) -> MonitorReport:
+    gen_evals = [reference_evaluator(g) for g in generators]
+    h_eval = reference_evaluator(h)
+    vec0 = start.vector()
+    initial = [abs(f(vec0)) for f in gen_evals]
+    if any(v > start_tol for v in initial):
+        raise PreconditionError(f"generator values at start are {initial}")
+    trajectory = reference_flow(h, start, t_end, dt)
+    e0 = h_eval(vec0)
+    max_gen = 0.0
+    drift = 0.0
+    samples = []
+    last = len(trajectory) - 1
+    for idx, state in enumerate(trajectory):
+        vec = state.vector()
+        values = tuple(f(vec) for f in gen_evals)
+        energy = h_eval(vec)
+        max_gen = max(max_gen, max((abs(v) for v in values), default=0.0))
+        drift = max(drift, abs(energy - e0))
+        if idx % store_every == 0 or idx == last:
+            samples.append((state.t, values, energy))
+    return MonitorReport(tuple(samples), max_gen, drift)

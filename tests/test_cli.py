@@ -271,6 +271,25 @@ def test_cli_rejects_vacuous_flow_flags(flag, value, capsys):
     assert code == 2 and report["verdict"] == "error"
 
 
+@pytest.mark.parametrize("command", ["flow-monitor", "geodesic-check"])
+@pytest.mark.parametrize("flags", [["--t-end", "1e9"], ["--t-end", "1e300", "--dt", "1e-10"]])
+def test_flow_longer_than_the_step_cap_is_refused(command, flags, capsys):
+    # 1e12 steps, or more than a float can count: refused before the first
+    # step, so the call returns at once
+    code = main([command, "--scene", str(SCENES / "so3_moment.json"), *flags])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"] == "error"
+    assert report["detail"]["error_type"] == "PreconditionError"
+    assert "MAX_FLOW_STEPS" in report["detail"]["message"]
+
+
+def test_coefficient_too_large_for_a_float_is_an_error_report():
+    scene = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
+    scene["candidates"]["H"] = "10^400*p_q1^2 + 1/2*p_q2^2"
+    report, code = run_command("flow-monitor", json.dumps(scene))
+    assert code == 2 and report["detail"]["error_type"] == "PreconditionError"
+
+
 @pytest.mark.parametrize("content", [None, "not json", b"\xff\xfe"])
 def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     path = tmp_path / "scene.json"
@@ -296,8 +315,17 @@ def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     (("chart", "coordinates"), 5),
     (("notes",), 5),
     (("candidates",), ["x"]),
+    (("notes",), "abc"),
+    (("points", "origin"), "000"),
+    (("chart", "coordinates"), "xyz"),
+    (("flow", "q"), "100"),
+    (("foliation", 0), "000"),
+    (("cometric", 0), "100"),
+    (("sample_points",), ["000"]),
 ], ids=["dimension", "point-zero-denominator", "point-not-a-number", "sample-point",
-        "flow-q", "flow-dt", "foliation", "coordinates", "notes", "candidates"])
+        "flow-q", "flow-dt", "foliation", "coordinates", "notes", "candidates",
+        "notes-string", "point-string", "coordinates-string", "flow-q-string",
+        "foliation-row-string", "cometric-row-string", "sample-point-string"])
 def test_malformed_scene_values_are_scene_errors(tmp_path, capsys, path, value):
     data = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
     target = data

@@ -99,3 +99,11 @@ def test_scene_without_ideal_or_foliation_has_no_working_ideal():
     scene = load_scene(base())
     with pytest.raises(SceneError):
         scene.lift_or_explicit_ideal()
+
+
+@pytest.mark.parametrize("value", ["", "0"])
+def test_target_foliation_must_be_an_array(value):
+    data = json.loads((SCENES / "submersion_r3_to_r2.json").read_text(encoding="utf-8"))
+    data["target_foliation"] = value
+    with pytest.raises(SceneError, match="JSON array"):
+        load_scene(data)
