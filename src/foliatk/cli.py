@@ -57,14 +57,27 @@ def _value_str(obj) -> object:
     return str(obj)
 
 
-def _cert_dict(claim: str, cert: Certificate) -> dict:
-    return {
-        "claim": claim,
-        "holds": cert.claim_holds,
-        "generators": [_value_str(g) for g in cert.generators],
-        "cofactors": [str(c) for c in cert.cofactors],
-        "remainder": _value_str(cert.remainder),
-    }
+def _cert_dicts(certs: Sequence[tuple[str, Certificate]]) -> list[dict]:
+    """Serialize (claim, certificate) pairs; each generator list is formatted once.
+
+    Lists are keyed by the identity of the generator tuple, which ``certs``
+    keeps alive for the whole call.
+    """
+    formatted: dict[int, list] = {}
+    out = []
+    for claim, cert in certs:
+        gens = formatted.get(id(cert.generators))
+        if gens is None:
+            gens = [_value_str(g) for g in cert.generators]
+            formatted[id(cert.generators)] = gens
+        out.append({
+            "claim": claim,
+            "holds": cert.claim_holds,
+            "generators": gens,
+            "cofactors": [str(c) for c in cert.cofactors],
+            "remainder": _value_str(cert.remainder),
+        })
+    return out
 
 
 def _oneform_dict(form: OneForm) -> list[dict]:
@@ -86,7 +99,7 @@ def _refutation_level(obstruction) -> str:
 def _add_failure(detail: dict, certs: list, claim: str, cert: Certificate,
                  obstruction_point, **witness) -> None:
     """Append the failing claim's certificate and say how strongly it refutes."""
-    certs.append(_cert_dict(claim, cert))
+    certs.append((claim, cert))
     detail.update(witness, obstruction_point=_point_str(obstruction_point),
                   refutation_level=_refutation_level(obstruction_point))
 
@@ -158,13 +171,14 @@ def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (verdict, detail, certificates, monitor, tolerances)
+# handlers: each returns (verdict, detail, certificates, monitor, tolerances),
+# with the certificates as (claim, Certificate) pairs
 
 
 def _cmd_check_involutive(scene: Scene, args, order):
     fol = _need(scene, "foliation", "check-involutive")
     res = involutivity_check(fol)
-    certs = [_cert_dict(f"[X_{a}, X_{b}] in module", c) for (a, b), c in res.certificates]
+    certs = [(f"[X_{a}, X_{b}] in module", c) for (a, b), c in res.certificates]
     detail = {"passed": res.passed}
     if not res.passed:
         (a, b), cert = res.witness
@@ -183,7 +197,7 @@ def _cmd_check_srf(scene: Scene, args, order):
             "lambda": [[str(l) for l in row] for row in out.lam],
         }
         certs = [
-            _cert_dict(f"{{lift(X_{a}), H_g}} in I_F", c)
+            (f"{{lift(X_{a}), H_g}} in I_F", c)
             for a, c in enumerate(out.certificates)
         ]
         return ("pass", detail, certs, None, {})
@@ -209,7 +223,7 @@ def _cmd_killing_connection(scene: Scene, args, order):
         "verified_identity": kc.verified_identity,
     }
     certs = [
-        _cert_dict(f"{{lift(X_{a}), H_g}} in I_F", c) for a, c in enumerate(kc.certificates)
+        (f"{{lift(X_{a}), H_g}} in I_F", c) for a, c in enumerate(kc.certificates)
     ]
     return ("pass", detail, certs, None, {})
 
@@ -225,7 +239,7 @@ def _cmd_lift_ideal(scene: Scene, args, order):
 def _cmd_closure_check(scene: Scene, args, order):
     ideal = _working_ideal(scene, order)
     res = poisson_closure_check(ideal)
-    certs = [_cert_dict(f"{{g_{i}, g_{j}}} in ideal", c) for (i, j), c in res.certificates]
+    certs = [(f"{{g_{i}, g_{j}}} in ideal", c) for (i, j), c in res.certificates]
     detail = {"passed": res.passed}
     if not res.passed:
         (i, j), cert = res.witness
@@ -238,7 +252,7 @@ def _cmd_normalizer_check(scene: Scene, args, order):
     ideal = _working_ideal(scene, order)
     (cand,) = _resolve_candidates(scene.candidates, args.candidate, 1, "normalizer-check")
     res = normalizer_check(ideal, cand)
-    certs = [_cert_dict(f"{{candidate, g_{i}}} in ideal", c) for i, c in res.certificates]
+    certs = [(f"{{candidate, g_{i}}} in ideal", c) for i, c in res.certificates]
     detail = {"passed": res.passed, "candidate": str(cand)}
     if not res.passed:
         i, cert = res.witness
@@ -277,7 +291,7 @@ def _cmd_module_equal(scene: Scene, args, order):
     f2 = _need(scene, "foliation_b", "module-equal")
     res = module_equal(f1, f2)
     certs = [
-        _cert_dict(f"generator {idx} of {side} in the other module", c)
+        (f"generator {idx} of {side} in the other module", c)
         for (side, idx), c in res.certificates
     ]
     detail = {"passed": res.passed}
@@ -321,14 +335,14 @@ def _cmd_poisson_defect(scene: Scene, args, order):
     f, g = _resolve_candidates(scene.target_candidates, args.candidate, 2, "poisson-defect")
     defect, cert = poisson_defect(sub, f, g)
     detail = {"defect": str(defect), "first": str(f), "second": str(g)}
-    return ("pass", detail, [_cert_dict("defect in <p_alpha>", cert)], None, {})
+    return ("pass", detail, [("defect in <p_alpha>", cert)], None, {})
 
 
 def _cmd_metric_defect(scene: Scene, args, order):
     sub = _need(scene, "submersion", "metric-defect")
     defect, cert = metric_defect(sub)
     detail = {"defect": str(defect)}
-    return ("pass", detail, [_cert_dict("H_h - H_g o phi in <p_alpha>", cert)], None, {})
+    return ("pass", detail, [("H_h - H_g o phi in <p_alpha>", cert)], None, {})
 
 
 def _cmd_integrability(scene: Scene, args, order):
@@ -349,7 +363,7 @@ def _cmd_morita_span(scene: Scene, args, order):
     s2 = _need(scene, "submersion_b", "morita-span")
     res = morita_span_check(s1, s2, scene.target_foliation, scene.target_foliation_b)
     certs = [
-        _cert_dict(f"generator {idx} of {side} pullback in the other", c)
+        (f"generator {idx} of {side} pullback in the other", c)
         for (side, idx), c in res.comparison.certificates
     ]
     detail = {
@@ -360,7 +374,7 @@ def _cmd_morita_span(scene: Scene, args, order):
     }
     if not res.passed:
         side, idx, cert = res.comparison.witness
-        certs.append(_cert_dict(f"generator {idx} of {side} pullback in the other", cert))
+        certs.append((f"generator {idx} of {side} pullback in the other", cert))
         detail.update({"witness_side": side, "witness_generator": idx})
     return ("pass" if res.passed else "fail", detail, certs, None, {})
 
@@ -444,8 +458,8 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
                            {"message": str(exc), "error_type": type(exc).__name__},
                            [], None, notes, effective_order, {})
         return report, 2
-    report = _assemble(command, verdict, detail, certs, monitor, notes, effective_order,
-                       tolerances)
+    report = _assemble(command, verdict, detail, _cert_dicts(certs), monitor, notes,
+                       effective_order, tolerances)
     return report, 0 if verdict == "pass" else 1
 
 

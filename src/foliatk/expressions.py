@@ -13,6 +13,7 @@ identity on canonical forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,7 +137,10 @@ class _Parser:
     def atom(self) -> Polynomial:
         tok = self.advance()
         if tok.kind == "number":
-            return Polynomial.constant(self.varset, Fraction(tok.text))
+            try:
+                return Polynomial.constant(self.varset, Fraction(tok.text))
+            except ValueError as exc:  # more digits than int() accepts
+                raise ParseError(str(exc), tok.pos) from None
         if tok.kind == "name":
             if tok.text not in self.varset.names:
                 raise ParseError(f"undeclared variable {tok.text!r}", tok.pos)
@@ -149,5 +153,18 @@ class _Parser:
 
 
 def parse_expression(text: str, varset: VariableSet) -> Polynomial:
-    """Parse an expression over the declared variables into canonical form."""
-    return _Parser(_tokenize(text), varset).parse()
+    """Parse an expression over the declared variables into canonical form.
+
+    A coefficient with more digits than ``sys.get_int_max_str_digits()``
+    allows could not be printed in a report, so it is a parse error.
+    """
+    value = _Parser(_tokenize(text), varset).parse()
+    # 0 means no limit, as on interpreters older than the limit itself
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        for c in value.terms.values():
+            for n in (abs(c.numerator), c.denominator):
+                # below 2^(3*limit) a number has at most ``limit`` digits
+                if n.bit_length() > 3 * limit and n >= 10 ** limit:
+                    raise ParseError(f"a coefficient has more than {limit} digits", 0)
+    return value

@@ -198,6 +198,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
 
     # factored once; every bracket below is solved against the same frame
     frame = CoordinateFrame(syz_span.rows + basis, big_n)
+    zero = Fraction(0)
     consts = [[[Fraction(0)] * idim for _ in range(idim)] for _ in range(idim)]
     for u in range(idim):
         for v in range(u + 1, idim):
@@ -212,7 +213,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                     "bracket of isotropy representatives leaves the module; "
                     "the foliation is not involutive"
                 )
-            w = [c.evaluate_seq(pt) for c in cert.cofactors]
+            w = [c.evaluate_seq(pt) if c.terms else zero for c in cert.cofactors]
             coords = solve_coordinates(frame, w)
             if coords is None:
                 raise AmbiguousQuotientError(

@@ -76,9 +76,14 @@ class VectorField:
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Derivation on chart functions: X(f) = sum X^i df/dq^i."""
+        if f.varset != self.chart:
+            raise VariableSetError("variable-set mismatch")
         acc = Polynomial.zero(self.chart)
         for name, comp in zip(self.chart.base, self.components):
-            acc = acc + comp * f.diff(name)
+            if comp.terms:
+                d = f.diff(name)
+                if d.terms:
+                    acc = acc + comp * d
         return acc
 
     def evaluate_seq(self, values) -> tuple[Fraction, ...]:

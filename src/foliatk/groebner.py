@@ -18,6 +18,16 @@ holds only for ideals: in ``R^2`` the elements ``(x, 1)`` and ``(y, 0)`` have
 coprime leads, yet their S-vector reduces to ``(0, y)``, not to zero.  It is
 applied only in rank 1.
 
+The engine is sparse.  :func:`module_divide` returns only the nonzero
+cofactors, as ``{divisor index: cofactor}``; the representation rows of a
+basis over its input generators (``GroebnerBasis.rows``) and the composition
+of certificates use the same maps.  Dense tuples exist only at the public
+boundary: ``GroebnerBasis.representation`` and ``Certificate.cofactors``.
+A division looks up each divisor's leading term, which the polynomial caches
+under the order's key function (one function object per order and chart
+dimension), and tries a term only against the divisors leading at that
+term's position.
+
 Module bases power involutivity checks, module equality, and syzygy
 computation via the standard tagged construction.
 """
@@ -27,6 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Sequence
 
 from .errors import VariableSetError
@@ -37,11 +48,11 @@ from .poly import BLOCK, Exponents, MonomialOrder, Polynomial, VariableSet
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
@@ -132,19 +143,24 @@ class ModuleElement:
         z = Polynomial.zero(varset)
         return cls(varset, (z,) * rank)
 
+    # where the result equals a component as it is, that component is reused:
+    # most components of a tagged syzygy element are zero
+
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
-        return ModuleElement(self.varset, tuple(a + b for a, b in zip(self.components, other.components)))
+        return ModuleElement(self.varset, tuple(
+            a + b if b.terms else a for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
-        return ModuleElement(self.varset, tuple(a - b for a, b in zip(self.components, other.components)))
+        return ModuleElement(self.varset, tuple(
+            a - b if b.terms else a for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> "ModuleElement":
         return ModuleElement(self.varset, tuple(-a for a in self.components))
 
     def scale_by(self, p: Polynomial) -> "ModuleElement":
-        return ModuleElement(self.varset, tuple(p * a for a in self.components))
+        return ModuleElement(self.varset, tuple(p * a if a.terms else a for a in self.components))
 
     def _check(self, other: "ModuleElement"):
         if other.varset != self.varset or other.rank != self.rank:
@@ -175,62 +191,76 @@ def _rank_one(f: Polynomial) -> ModuleElement:
 
 def module_divide(
     v: ModuleElement, divisors: Sequence[ModuleElement], order: MonomialOrder
-) -> tuple[list[Polynomial], ModuleElement]:
+) -> tuple[dict[int, Polynomial], ModuleElement]:
     """Division in R^rank under the position-over-term extension of ``order``.
 
-    Ties in divisor selection go to the first divisor in list order whose
-    leading term divides, which makes certificates reproducible.  The
-    remainder has no term divisible by any divisor leading term.
+    Returns the nonzero cofactors as ``{divisor index: cofactor}`` in index
+    order, and the remainder.  Ties in divisor selection go to the first
+    divisor in list order whose leading term divides, which makes
+    certificates reproducible.  The remainder has no term divisible by any
+    divisor leading term.
     """
     varset = v.varset
+    rank = v.rank
     keyf = order.key_function(varset)
-    leads = []
-    for d in divisors:
-        if d.varset != varset or d.rank != v.rank:
+    # a term at position ``pos`` is divisible only by a divisor leading there;
+    # each list keeps list order, so the first divisor that divides wins
+    by_pos: dict[int, list[tuple[int, Exponents, Fraction]]] = {}
+    for i, d in enumerate(divisors):
+        if d.varset != varset or len(d.components) != rank:
             raise VariableSetError("module rank or chart mismatch")
-        leads.append(None if d.is_zero() else d.leading(keyf))
-    cofactors: list[dict[Exponents, Fraction]] = [{} for _ in divisors]
+        for lpos, comp in enumerate(d.components):
+            if comp.terms:  # a zero divisor has no lead and divides nothing
+                lexpo, lcoeff = comp.leading(keyf)
+                by_pos.setdefault(lpos, []).append((i, lexpo, lcoeff))
+                break
+    cofactors: dict[int, dict[Exponents, Fraction]] = {}
     work = [dict(c.terms) for c in v.components]
     remainder: list[dict[Exponents, Fraction]] = [{} for _ in work]
     # a divisor leading at position ``pos`` has no terms at earlier positions,
     # so each position is finished before the next one is touched
     for pos, terms in enumerate(work):
+        leads = by_pos.get(pos, ())
         while terms:
             expo = max(terms, key=keyf)
             coeff = terms.pop(expo)
-            for i, lead in enumerate(leads):
-                if lead is None:
-                    continue
-                (lpos, lexpo), lcoeff = lead
-                if lpos == pos and _divides(lexpo, expo):
+            for i, lexpo, lcoeff in leads:
+                if _divides(lexpo, expo):
                     q_expo = _sub(expo, lexpo)
                     q_coeff = coeff / lcoeff
                     # each divisor reduces strictly decreasing terms of one
                     # position, so its quotient exponents never repeat
-                    cofactors[i][q_expo] = q_coeff
-                    for dpos, dcomp in enumerate(divisors[i].components):
+                    cofactors.setdefault(i, {})[q_expo] = q_coeff
+                    comps = divisors[i].components
+                    for dpos in range(pos, rank):
                         target = work[dpos]
-                        for ge, gc in dcomp.terms.items():
-                            te = tuple(a + b for a, b in zip(ge, q_expo))
-                            if dpos == pos and te == expo:
-                                continue
-                            s = target.get(te, Fraction(0)) - gc * q_coeff
-                            if s:
-                                target[te] = s
+                        for ge, gc in comps[dpos].terms.items():
+                            if dpos == pos and ge is lexpo:
+                                continue  # the leading term cancels ``coeff``
+                            te = tuple(map(add, ge, q_expo))
+                            old = target.get(te)
+                            if old is None:
+                                target[te] = -gc * q_coeff
                             else:
-                                target.pop(te, None)
+                                s = old - gc * q_coeff
+                                if s:
+                                    target[te] = s
+                                else:
+                                    del target[te]
                     break
             else:
                 remainder[pos][expo] = coeff
+    zero = Polynomial.zero(varset)
     return (
-        [Polynomial(varset, c) for c in cofactors],
-        ModuleElement(varset, tuple(Polynomial(varset, r) for r in remainder)),
+        {i: Polynomial._trusted(varset, cofactors[i]) for i in sorted(cofactors)},
+        ModuleElement(varset, tuple(Polynomial._trusted(varset, r) if r else zero
+                                    for r in remainder)),
     )
 
 
 def divide_with_cofactors(
     f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
-) -> tuple[list[Polynomial], Polynomial]:
+) -> tuple[dict[int, Polynomial], Polynomial]:
     """Multivariate division with full remainder: :func:`module_divide` in rank 1."""
     cofactors, r = module_divide(_rank_one(f), [_rank_one(g) for g in divisors], order)
     return cofactors, r.components[0]
@@ -240,20 +270,50 @@ def divide_with_cofactors(
 # Buchberger
 
 
+Row = dict[int, Polynomial]  # nonzero entries of a sparse cofactor vector, by index
+
+
+def _dense(row: Row, n: int, varset: VariableSet) -> tuple[Polynomial, ...]:
+    zero = Polynomial.zero(varset)
+    return tuple(row.get(i, zero) for i in range(n))
+
+
+def _sub_scaled(acc: Row, c: Polynomial, row: Row) -> None:
+    """acc -= c * row, entry by entry; entries that cancel are dropped."""
+    for j, b in row.items():
+        t = c * b
+        a = acc.get(j)
+        if a is None:
+            acc[j] = -t
+        else:
+            a = a - t
+            if a.terms:
+                acc[j] = a
+            else:
+                del acc[j]
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis remembering how it sits over its input generators.
 
     The elements are polynomials for an ideal (:func:`buchberger`) and
     :class:`ModuleElement` values for a module (:func:`module_groebner`).
-    ``representation[k]`` holds the cofactors of ``generators[k]`` over
-    ``input_generators``.
+    ``rows[k]`` holds the nonzero cofactors of ``generators[k]`` over
+    ``input_generators``, keyed by input index; :attr:`representation` is
+    the same data as dense tuples.
     """
 
     input_generators: tuple
     generators: tuple
     order: MonomialOrder
-    representation: tuple[tuple[Polynomial, ...], ...]
+    rows: tuple[Row, ...]
+
+    @property
+    def representation(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """``representation[k][i]`` is the cofactor of input ``i`` in ``generators[k]``."""
+        n = len(self.input_generators)
+        return tuple(_dense(row, n, self.input_generators[0].varset) for row in self.rows)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Remainder of ``f`` on division by an ideal basis."""
@@ -266,8 +326,8 @@ ModuleGroebnerBasis = GroebnerBasis
 
 def _buchberger(
     gens: tuple[ModuleElement, ...], order: MonomialOrder
-) -> tuple[tuple[ModuleElement, ...], tuple[tuple[Polynomial, ...], ...]]:
-    """Reduced basis of the submodule spanned by ``gens``, with representation rows.
+) -> tuple[tuple[ModuleElement, ...], tuple[Row, ...]]:
+    """Reduced basis of the submodule spanned by ``gens``, with sparse representation rows.
 
     Zero inputs are skipped; an all-zero or empty input gives the empty basis.
     """
@@ -280,21 +340,21 @@ def _buchberger(
         if g.varset != varset or g.rank != rank:
             raise VariableSetError("module rank or chart mismatch")
     keyf = order.key_function(varset)
-    one, zero = Polynomial.constant(varset, 1), Polynomial.zero(varset)
+    one = Polynomial.constant(varset, 1)
 
     basis = [g for _, g in live]
-    reps = [[one if j == i else zero for j in range(len(gens))] for i, _ in live]
+    reps: list[Row] = [{i: one} for i, _ in live]
     leads = [g.leading(keyf) for g in basis]
 
-    def reduce_rep(rep, cofactors, rows):
-        for c, row in zip(cofactors, rows):
-            if not c.is_zero():
-                rep = [a - c * b for a, b in zip(rep, row)]
+    def reduce_rep(rep: Row, cofactors: Row, rows: Sequence[Row]) -> Row:
+        for k, c in cofactors.items():
+            _sub_scaled(rep, c, rows[k])
         return rep
 
-    def monic(r: ModuleElement, rep):
+    def monic(r: ModuleElement, rep: Row):
         inv = Fraction(1) / r.leading(keyf)[1]
-        return r.scale_by(Polynomial.constant(varset, inv)), [p.scale(inv) for p in rep]
+        return (r.scale_by(Polynomial.constant(varset, inv)),
+                {j: p.scale(inv) for j, p in rep.items()})
 
     # each pair is keyed once, when it is queued; the key is unique, so pops
     # follow (lcm key, pair) exactly.  ``pending`` mirrors the queue for the
@@ -334,7 +394,8 @@ def _buchberger(
         cof, r = module_divide(basis[i].scale_by(mi) - basis[j].scale_by(mj), basis, order)
         if r.is_zero():
             continue
-        rep_s = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
+        rep_s = {k: mi * a for k, a in reps[i].items()}
+        _sub_scaled(rep_s, mj, reps[j])
         r, rep_r = monic(r, reduce_rep(rep_s, cof, reps))
         basis.append(r)
         reps.append(rep_r)
@@ -357,10 +418,10 @@ def _buchberger(
     for k in kept:
         others = [m for m in kept if m != k]
         cof, r = module_divide(basis[k], [basis[m] for m in others], order)
-        final.append(monic(r, reduce_rep(list(reps[k]), cof, [reps[m] for m in others])))
+        final.append(monic(r, reduce_rep(dict(reps[k]), cof, [reps[m] for m in others])))
 
     final.sort(key=lambda item: mkey(item[0].leading(keyf)[0]), reverse=True)
-    return tuple(m for m, _ in final), tuple(tuple(rep) for _, rep in final)
+    return tuple(m for m, _ in final), tuple(rep for _, rep in final)
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = BLOCK) -> GroebnerBasis:
@@ -369,8 +430,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = BLOCK) -> Groe
     An empty input (or all-zero input) yields the zero ideal's empty basis.
     """
     gens = tuple(gens)
-    basis, reps = _buchberger(tuple(_rank_one(g) for g in gens), order)
-    return GroebnerBasis(gens, tuple(m.components[0] for m in basis), order, reps)
+    basis, rows = _buchberger(tuple(_rank_one(g) for g in gens), order)
+    return GroebnerBasis(gens, tuple(m.components[0] for m in basis), order, rows)
 
 
 def module_groebner(
@@ -378,30 +439,29 @@ def module_groebner(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of a submodule of a free module."""
     gens = tuple(gens)
-    basis, reps = _buchberger(gens, order)
-    return GroebnerBasis(gens, basis, order, reps)
+    basis, rows = _buchberger(gens, order)
+    return GroebnerBasis(gens, basis, order, rows)
 
 
 # ---------------------------------------------------------------------------
 # membership certificates
 
 
-def _certificate(gb: GroebnerBasis, cofactors: list[Polynomial], remainder) -> Certificate:
-    """Compose cofactors over the basis into cofactors over the input generators."""
-    composed = [Polynomial.zero(remainder.varset) for _ in gb.input_generators]
-    for c, rep in zip(cofactors, gb.representation):
-        if c.is_zero():
-            continue
-        for i, t in enumerate(rep):
-            if not t.is_zero():
-                composed[i] = composed[i] + c * t
-    return Certificate(gb.input_generators, tuple(composed), remainder)
+def _certificate(gb: GroebnerBasis, cofactors: Row, remainder) -> Certificate:
+    """Compose cofactors over the basis into dense cofactors over the input generators."""
+    composed: Row = {}
+    for k, c in cofactors.items():
+        for i, t in gb.rows[k].items():
+            a = composed.get(i)
+            composed[i] = c * t if a is None else a + c * t
+    n = len(gb.input_generators)
+    return Certificate(gb.input_generators, _dense(composed, n, remainder.varset), remainder)
 
 
 def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis) -> Certificate:
     """Deterministic normal form; cofactors refer to the basis elements."""
     cof, r = divide_with_cofactors(f, gb.generators, gb.order)
-    return Certificate(gb.generators, tuple(cof), r)
+    return Certificate(gb.generators, _dense(cof, len(gb.generators), f.varset), r)
 
 
 def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> Certificate:

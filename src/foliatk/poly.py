@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import VariableSetError
@@ -109,16 +111,22 @@ class MonomialOrder:
             raise ValueError(f"unknown monomial order {self.kind!r}")
 
     def key_function(self, varset: VariableSet) -> Callable[[Exponents], object]:
-        if self.kind == "lex":
-            return lambda e: e
-        if self.kind == "grevlex":
-            return _grevlex_key
-        n = varset.dimension
+        """Sort key of the order on ``varset``; one function object per order and
+        chart dimension, so the leading terms cached under it stay valid."""
+        return _key_function(self.kind, varset.dimension)
 
-        def block_key(e: Exponents):
-            return (_grevlex_key(e[n:]), _grevlex_key(e[:n]))
 
-        return block_key
+@lru_cache(maxsize=None)
+def _key_function(kind: str, n: int) -> Callable[[Exponents], object]:
+    if kind == "lex":
+        return lambda e: e
+    if kind == "grevlex":
+        return _grevlex_key
+
+    def block_key(e: Exponents):
+        return (_grevlex_key(e[n:]), _grevlex_key(e[:n]))
+
+    return block_key
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -129,7 +137,7 @@ BLOCK = MonomialOrder("block")
 class Polynomial:
     """Canonical sparse polynomial over a fixed :class:`VariableSet`."""
 
-    __slots__ = ("varset", "terms", "_hash")
+    __slots__ = ("varset", "terms", "_hash", "_lead")
 
     def __init__(self, varset: VariableSet, terms: Mapping[Exponents, Scalar] | None = None):
         clean: dict[Exponents, Fraction] = {}
@@ -145,6 +153,22 @@ class Polynomial:
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
+
+    @classmethod
+    def _trusted(cls, varset: VariableSet, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap a term map that is already clean, without checking it.
+
+        Every key must be an exponent tuple of the chart's width and every
+        value a nonzero ``Fraction``.  The polynomial takes ownership of
+        ``terms``, which must not be changed afterwards.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "varset", varset)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        object.__setattr__(p, "_lead", None)
+        return p
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError("Polynomial is immutable")
@@ -237,12 +261,12 @@ class Polynomial:
                 res[e] = s
             else:
                 res.pop(e, None)
-        return Polynomial(self.varset, res)
+        return Polynomial._trusted(self.varset, res)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.varset, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.varset, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -255,13 +279,13 @@ class Polynomial:
         res: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = res.get(e, Fraction(0)) + c1 * c2
                 if s:
                     res[e] = s
                 else:
                     res.pop(e, None)
-        return Polynomial(self.varset, res)
+        return Polynomial._trusted(self.varset, res)
 
     __rmul__ = __mul__
 
@@ -293,7 +317,7 @@ class Polynomial:
             de = list(e)
             de[i] -= 1
             res[tuple(de)] = c * e[i]
-        return Polynomial(self.varset, res)
+        return Polynomial._trusted(self.varset, res)
 
     def evaluate(self, point: Mapping[str, object]):
         """Evaluate at a point assigning every variable.
@@ -391,8 +415,13 @@ class Polynomial:
     # -- division helpers --------------------------------------------------
 
     def leading(self, keyf: Callable[[Exponents], object]) -> tuple[Exponents, Fraction]:
-        expo = max(self.terms, key=keyf)
-        return expo, self.terms[expo]
+        """Leading exponent and coefficient under ``keyf``, computed once per key."""
+        lead = self._lead
+        if lead is None or lead[0] is not keyf:
+            expo = max(self.terms, key=keyf)
+            lead = (keyf, expo, self.terms[expo])
+            object.__setattr__(self, "_lead", lead)
+        return lead[1], lead[2]
 
     # -- printing ----------------------------------------------------------
 

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foliatk
 from foliatk import VariableSet, parse_expression
 from foliatk.cli import main, render_report, run_command
 
@@ -288,6 +293,31 @@ def test_coefficient_too_large_for_a_float_is_an_error_report():
     scene["candidates"]["H"] = "10^400*p_q1^2 + 1/2*p_q2^2"
     report, code = run_command("flow-monitor", json.dumps(scene))
     assert code == 2 and report["detail"]["error_type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("candidate", ["2^100000*p_q1", "1/3^9100*p_q1", "9" * 5000 + "*p_q1"],
+                         ids=["power", "denominator", "literal"])
+def test_coefficient_with_too_many_digits_is_an_error_report(tmp_path, capsys, candidate):
+    # a report could not print it: str() refuses ints past sys.get_int_max_str_digits()
+    scene = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
+    scene["candidates"]["big"] = candidate
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene), encoding="utf-8")
+    code = main(["normalizer-check", "--scene", str(path), "--candidate", "big"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"] == "error"
+    assert "digits" in report["detail"]["message"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(foliatk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "foliatk", "check-srf", "--scene", "scenes/rotation_srf_r2.json"],
+        cwd=SCENES.parent, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("content", [None, "not json", b"\xff\xfe"])
