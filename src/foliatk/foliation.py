@@ -30,7 +30,7 @@ from .groebner import (
     syzygy_basis,
 )
 from .linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates
-from .poly import BLOCK, Polynomial, VariableSet
+from .poly import BLOCK, ExactPoint, Polynomial, VariableSet
 from .sampling import candidate_points
 
 Point = tuple[Fraction, ...]
@@ -141,39 +141,36 @@ def involutivity_check(fol: FoliationModule) -> CheckResult:
 
 def tangent_dim(fol: FoliationModule, point: Sequence) -> int:
     """Rank over Q of the evaluated generators, i.e. dim of the leaf tangent."""
-    pt = _as_point(fol.chart, point)
-    rows = [list(g.evaluate_seq(pt)) for g in fol.generators]
+    exact = ExactPoint(_as_point(fol.chart, point))
     span = EchelonSpan(fol.chart.dimension)
-    for r in rows:
-        span.insert(r)
+    for g in fol.generators:
+        span.insert(g.evaluate_seq(exact))
     return span.rank
 
 
 def fiber_dim(fol: FoliationModule, point: Sequence) -> int:
     """dim F/I_q F = generator count minus the rank of the evaluated syzygies."""
-    pt = _as_point(fol.chart, point)
+    exact = ExactPoint(_as_point(fol.chart, point))
     span = EchelonSpan(fol.n_generators)
     for s in fol.syzygies:
-        span.insert(list(s.evaluate_seq(pt)))
+        span.insert(s.evaluate_seq(exact))
     return fol.n_generators - span.rank
 
 
 def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     """Kernel of evaluation inside the fiber, with its induced Lie bracket."""
     pt = _as_point(fol.chart, point)
-    n, big_n = fol.chart.dimension, fol.n_generators
+    exact = ExactPoint(pt)
+    big_n = fol.n_generators
 
     syz_span = EchelonSpan(big_n)
     for s in fol.syzygies:
-        syz_span.insert(list(s.evaluate_seq(pt)))
+        syz_span.insert(s.evaluate_seq(exact))
     fdim = big_n - syz_span.rank
 
     # kernel of c |-> sum_a c_a X_a(q)
-    matrix_rows = [
-        [fol.generators[a].components[i].evaluate_seq(pt) for a in range(big_n)]
-        for i in range(n)
-    ]
-    kernel = nullspace(matrix_rows, big_n)
+    values = [g.evaluate_seq(exact) for g in fol.generators]
+    kernel = nullspace(list(zip(*values)), big_n)
     tdim = big_n - len(kernel)
 
     # basis of ker(ev_q) modulo the evaluated syzygies, preferring generator classes
@@ -183,7 +180,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     basis: list[tuple[Fraction, ...]] = []
     unit_candidates = []
     for a in range(big_n):
-        if all(v == 0 for v in fol.generators[a].evaluate_seq(pt)):
+        if not any(values[a]):
             e = [Fraction(0)] * big_n
             e[a] = Fraction(1)
             unit_candidates.append(tuple(e))
@@ -200,11 +197,10 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     frame = CoordinateFrame(syz_span.rows + basis, big_n)
     zero = Fraction(0)
     consts = [[[Fraction(0)] * idim for _ in range(idim)] for _ in range(idim)]
+    reps = [_combine(fol, b) for b in basis]
     for u in range(idim):
         for v in range(u + 1, idim):
-            yu = _combine(fol, basis[u])
-            yv = _combine(fol, basis[v])
-            bracket = lie_bracket(yu, yv)
+            bracket = lie_bracket(reps[u], reps[v])
             cert = module_membership(
                 ModuleElement(fol.chart, bracket.components), fol.module_gb
             )
@@ -213,7 +209,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                     "bracket of isotropy representatives leaves the module; "
                     "the foliation is not involutive"
                 )
-            w = [c.evaluate_seq(pt) if c.terms else zero for c in cert.cofactors]
+            w = [c.evaluate_seq(exact) if c.terms else zero for c in cert.cofactors]
             coords = solve_coordinates(frame, w)
             if coords is None:
                 raise AmbiguousQuotientError(
@@ -235,6 +231,9 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
 
 
 def _combine(fol: FoliationModule, coeffs: Sequence[Fraction]) -> VectorField:
+    nonzero = [a for a, c in enumerate(coeffs) if c]
+    if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
+        return fol.generators[nonzero[0]]
     acc = VectorField.zero(fol.chart)
     for c, gen in zip(coeffs, fol.generators):
         if c:
@@ -279,10 +278,13 @@ def find_module_obstruction(
         return None
     width = residue.rank
     for pt in candidate_points(residue.varset.n_vars):
+        exact = ExactPoint(pt)
+        value = residue.evaluate_seq(exact)
+        if not any(value):
+            continue
         span = EchelonSpan(width)
         for g in gens:
-            span.insert(list(g.evaluate_seq(pt)))
-        value = list(residue.evaluate_seq(pt))
-        if any(value) and not span.contains(value):
+            span.insert(g.evaluate_seq(exact))
+        if not span.contains(value):
             return pt
     return None

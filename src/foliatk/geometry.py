@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import ChartMismatchError, MetricError, VariableSetError
 from .linalg import poly_adjugate, poly_det, poly_mat_mul
-from .poly import Polynomial, VariableSet
+from .poly import ExactPoint, Polynomial, VariableSet
 from .ratfunc import RationalFunction
 
 
@@ -223,7 +223,8 @@ class MetricData:
         minors = [poly_det([row[:k] for row in entries[:k]])
                   for k in range(1, chart.dimension + 1)]
         for pt in pts:
-            if any(m.evaluate_seq(pt) <= 0 for m in minors):
+            exact = ExactPoint(pt)
+            if any(m.evaluate_seq(exact) <= 0 for m in minors):
                 raise MetricError(f"cometric not positive-definite at {pt}")
 
     @property

@@ -30,7 +30,7 @@ from .geometry import (
     hamiltonian,
 )
 from .groebner import Certificate, CheckResult, GroebnerBasis, buchberger, ideal_membership
-from .poly import BLOCK, MonomialOrder, Polynomial, VariableSet
+from .poly import BLOCK, ExactPoint, MonomialOrder, Polynomial, VariableSet
 from .ratfunc import RationalFunction
 from .sampling import candidate_points
 
@@ -99,8 +99,9 @@ def find_obstruction_point(
         return None
     chart = residue.varset
     for pt in candidate_points(chart.n_vars):
-        if all(g.evaluate_seq(pt) == 0 for g in generators):
-            if residue.evaluate_seq(pt) != 0:
+        exact = ExactPoint(pt)
+        if all(g.vanishes_at(exact) for g in generators):
+            if not residue.vanishes_at(exact):
                 return pt
     return None
 

@@ -7,6 +7,13 @@ from typing import Sequence
 
 from .poly import Polynomial
 
+_ZERO = Fraction(0)
+
+
+def _fractions(vec: Sequence) -> list[Fraction]:
+    """A fresh list of the entries as ``Fraction``s; those that are stay as they are."""
+    return [x if x.__class__ is Fraction else Fraction(x) for x in vec]
+
 
 class EchelonSpan:
     """Incremental row span over Q with exact rank queries."""
@@ -26,7 +33,7 @@ class EchelonSpan:
 
     def insert(self, vec: Sequence[Fraction]) -> bool:
         """Add a vector; returns True iff it enlarged the span."""
-        v = self._reduce([Fraction(x) for x in vec])
+        v = self._reduce(_fractions(vec))
         for piv in range(self.width):
             if v[piv]:
                 inv = Fraction(1) / v[piv]
@@ -37,7 +44,7 @@ class EchelonSpan:
         return False
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self._reduce([Fraction(x) for x in vec]))
+        return not any(self._reduce(_fractions(vec)))
 
     @property
     def rank(self) -> int:
@@ -93,7 +100,7 @@ class CoordinateFrame:
 
 def solve_coordinates(frame: CoordinateFrame, vec: Sequence[Fraction]) -> list[Fraction] | None:
     """Coordinates of ``vec`` in the span of the frame's rows, or None."""
-    v = frame.span._reduce([Fraction(x) for x in vec] + [Fraction(0)] * frame.size)
+    v = frame.span._reduce(_fractions(vec) + [_ZERO] * frame.size)
     if any(v[:frame.width]):
         return None
     return [-x for x in v[frame.width:]]

@@ -9,6 +9,17 @@ A :class:`VariableSet` carries base variables ``q^1..q^n`` and, on a cotangent
 chart, exactly one fiber variable per base variable.  The fiber grading (total
 degree in the fiber variables) is the grading used by every membership
 criterion downstream.
+
+Exact evaluation has one path, on integers.  A polynomial keeps, built once on
+first use, its *integer form*: the common denominator ``D`` of its
+coefficients, the integer numerators, and for each term its nonzero
+``(variable, exponent)`` pairs and its degree.  An :class:`ExactPoint` clears
+a rational point once to integer numerators ``a_i`` over one common
+denominator ``d``.  The value is then ``sum c_e a^e d^(deg-|e|)`` over
+``D d^deg``, where ``deg`` is the total degree: terms with a zero coordinate
+are skipped before any multiplication, the powers of ``d`` drop out when
+``d = 1``, and a zero test reads the integer sum alone.  Callers that
+evaluate many polynomials at one point convert it once.
 """
 
 from __future__ import annotations
@@ -17,8 +28,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Sized, Union
 
 from .errors import VariableSetError
 
@@ -59,6 +71,14 @@ class VariableSet:
             if not _NAME_RE.match(name):
                 raise VariableSetError(f"invalid variable name: {name!r}")
 
+    def __eq__(self, other) -> bool:
+        # charts are compared on every coercion and division; most are the same object
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.fiber == other.fiber
+
     @property
     def dimension(self) -> int:
         return len(self.base)
@@ -89,6 +109,31 @@ class VariableSet:
 
     def base_only(self) -> "VariableSet":
         return self if not self.fiber else VariableSet(self.base)
+
+
+def _check_length(varset: VariableSet, values: Sized) -> None:
+    if len(values) != len(varset.base) + len(varset.fiber):
+        raise VariableSetError(
+            f"point has {len(values)} coordinates, chart {varset.names} has {varset.n_vars}"
+        )
+
+
+class ExactPoint:
+    """A rational point cleared once to integer numerators over one denominator.
+
+    Coordinate ``i`` is ``nums[i] / den`` with ``den`` the least common
+    denominator.  Pass it to :meth:`Polynomial.evaluate_seq` or
+    :meth:`Polynomial.vanishes_at` to evaluate many polynomials at one point
+    without converting the point again.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values: Sequence[Scalar]):
+        coords = [_as_fraction(v) for v in values]
+        den = lcm(*(c.denominator for c in coords))
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
 
 
 def _grevlex_key(expo: Exponents):
@@ -137,7 +182,7 @@ BLOCK = MonomialOrder("block")
 class Polynomial:
     """Canonical sparse polynomial over a fixed :class:`VariableSet`."""
 
-    __slots__ = ("varset", "terms", "_hash", "_lead")
+    __slots__ = ("varset", "terms", "_hash", "_lead", "_int")
 
     def __init__(self, varset: VariableSet, terms: Mapping[Exponents, Scalar] | None = None):
         clean: dict[Exponents, Fraction] = {}
@@ -154,6 +199,7 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_int", None)
 
     @classmethod
     def _trusted(cls, varset: VariableSet, terms: dict[Exponents, Fraction]) -> "Polynomial":
@@ -168,6 +214,7 @@ class Polynomial:
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "_hash", None)
         object.__setattr__(p, "_lead", None)
+        object.__setattr__(p, "_int", None)
         return p
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
@@ -322,31 +369,84 @@ class Polynomial:
     def evaluate(self, point: Mapping[str, object]):
         """Evaluate at a point assigning every variable.
 
-        Rational assignments give an exact ``Fraction``; if any assignment is
-        a float the result is an IEEE double.
+        Rational assignments give an exact ``Fraction``, computed on integers
+        as :meth:`evaluate_seq` does; if any assignment is a float the result
+        is an IEEE double.
         """
-        names = self.varset.names
         values = []
-        exact = True
-        for name in names:
+        for name in self.varset.names:
             if name not in point:
                 raise VariableSetError(f"missing assignment for {name!r}")
-            v = point[name]
-            if isinstance(v, float):
-                exact = False
-                values.append(v)
+            values.append(point[name])
+        return self.evaluate_seq(values)
+
+    def evaluate_seq(self, values: Sequence[Scalar] | ExactPoint):
+        """Evaluate at values in variable order, exactly unless one is a float.
+
+        ``values`` may be an :class:`ExactPoint`, built once for many
+        polynomials; anything else is cleared to one on each call.  The exact
+        value is ``Fraction(sum c_e a^e d^(deg-|e|), D d^deg)`` from the
+        integer forms of the polynomial and the point.  A point whose length
+        is not the chart's variable count raises :class:`VariableSetError`.
+        """
+        if not isinstance(values, ExactPoint):
+            if any(isinstance(v, float) for v in values):
+                return self._evaluate_float(values)
+            values = ExactPoint(values)
+        num, den = self._integer_value(values)
+        return Fraction(num, den)
+
+    def vanishes_at(self, point: ExactPoint) -> bool:
+        """Exact zero test; reads the integer sum and builds no ``Fraction``."""
+        return not self._integer_value(point)[0]
+
+    def _integer_form(self) -> tuple[int, int, tuple, int]:
+        """``(D, deg, terms, width)``, built once: ``terms`` holds, per term,
+        its numerator over ``D``, its nonzero ``(variable, exponent)`` pairs
+        and its degree; ``width`` is the chart's variable count."""
+        form = self._int
+        if form is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            terms = tuple(
+                (c.numerator * (den // c.denominator),
+                 tuple((i, k) for i, k in enumerate(e) if k),
+                 sum(e))
+                for e, c in self.terms.items()
+            )
+            form = (den, max((t[2] for t in terms), default=0), terms, self.varset.n_vars)
+            object.__setattr__(self, "_int", form)
+        return form
+
+    def _integer_value(self, point: ExactPoint) -> tuple[int, int]:
+        """The value as ``num / den`` with ``den > 0``, unreduced."""
+        den, degree, terms, width = self._integer_form()
+        a, d = point.nums, point.den
+        if len(a) != width:
+            _check_length(self.varset, a)
+        total = 0
+        if d == 1:
+            for c, powers, _ in terms:
+                for i, _ in powers:
+                    if not a[i]:
+                        break
+                else:
+                    for i, k in powers:
+                        c *= a[i] ** k
+                    total += c
+            return total, den
+        for c, powers, deg in terms:
+            for i, _ in powers:
+                if not a[i]:
+                    break
             else:
-                values.append(_as_fraction(v))
-        if exact:
-            total = Fraction(0)
-            for e, c in self.terms.items():
-                term = c
-                for v, k in zip(values, e):
-                    if k:
-                        term *= v ** k
-                total += term
-            return total
-        fvals = [float(v) for v in values]
+                for i, k in powers:
+                    c *= a[i] ** k
+                total += c * d ** (degree - deg)
+        return total, den * d ** degree
+
+    def _evaluate_float(self, values: Sequence) -> float:
+        _check_length(self.varset, values)
+        fvals = [v if isinstance(v, float) else float(_as_fraction(v)) for v in values]
         acc = 0.0
         for e, c in self.terms.items():
             term = float(c)
@@ -355,10 +455,6 @@ class Polynomial:
                     term *= v ** k
             acc += term
         return acc
-
-    def evaluate_seq(self, values: Sequence[Scalar]) -> Fraction:
-        """Exact evaluation given values in variable order."""
-        return self.evaluate(dict(zip(self.varset.names, values)))
 
     def compose(self, varset_out: VariableSet, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute every occurring variable by its image polynomial."""

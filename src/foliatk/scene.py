@@ -120,12 +120,16 @@ def _parse_metric_data(data: Mapping, chart: VariableSet, context: str) -> Metri
     metric = None
     if data.get("metric") is not None:
         metric = _parse_matrix(data["metric"], chart, "covariant", f"{context}.metric")
-    samples = tuple(
-        _point(pt, f"{context}.sample_points")
-        for pt in _array(data.get("sample_points", []), f"{context}.sample_points")
-    )
+    samples = []
+    for idx, coords in enumerate(_array(data.get("sample_points", []),
+                                        f"{context}.sample_points")):
+        where = f"{context}.sample_points[{idx}]"
+        pt = _point(coords, where)
+        if len(pt) != chart.dimension:
+            raise SceneError(f"{where} has {len(pt)} coordinates, chart has {chart.dimension}")
+        samples.append(pt)
     try:
-        return MetricData(cometric, metric, samples)
+        return MetricData(cometric, metric, tuple(samples))
     except FoliatkError as exc:
         raise SceneError(f"{context}: {exc}") from exc
 

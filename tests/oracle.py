@@ -6,6 +6,9 @@ echelonized by leading monomial (grevlex) with exact rational arithmetic, so
 the verdict is exact and shares no code with Buchberger or the division
 routine.
 
+Exact evaluation: the ``Fraction`` loop that the integer evaluator in
+``poly.py`` replaced, one coordinate power at a time.
+
 Flows: the closure interpreter and the stored-trajectory rk4, leapfrog and
 monitor loops that the generated flow kernels replaced.  They perform the
 same float operations in the same order, so the kernels must agree with them
@@ -79,6 +82,22 @@ def bounded_membership(f: Polynomial, gens: list[Polynomial], degree_bound: int)
         for g in gens:
             span.insert((mono * g).terms)
     return span.contains(f.terms)
+
+
+# -- exact evaluation reference ------------------------------------------------
+
+
+def reference_evaluate(poly: Polynomial, values: Sequence) -> Fraction:
+    """Exact value of ``poly`` at ``values`` (in variable order), term by term."""
+    coords = [Fraction(v) for v in values]
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        term = c
+        for v, k in zip(coords, e):
+            if k:
+                term *= v ** k
+        total += term
+    return total
 
 
 # -- flow reference ------------------------------------------------------------

@@ -334,6 +334,24 @@ def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     assert "scene.json" in report["detail"]["message"]
 
 
+@pytest.mark.parametrize("scene, path, entry", [
+    ("rotation_srf_r2", ("sample_points",), ["1", "2", "3"]),
+    ("rotation_srf_r2", ("sample_points",), ["1"]),
+    ("submersion_r3_to_r2", ("submersion", "target_sample_points"), ["1", "2", "3"]),
+    ("submersion_r3_to_r2", ("submersion", "target_sample_points"), ["1"]),
+], ids=["too-long", "too-short", "target-too-long", "target-too-short"])
+def test_sample_point_of_the_wrong_dimension_is_a_scene_error(scene, path, entry):
+    data = json.loads((SCENES / f"{scene}.json").read_text(encoding="utf-8"))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = [["1", "1"], entry]
+    report, code = run_command("check-srf", data)
+    assert code == 2 and report["verdict"] == "error"
+    assert report["detail"]["error_type"] == "SceneError"
+    assert "sample_points[1]" in report["detail"]["message"]
+
+
 @pytest.mark.parametrize("path, value", [
     (("chart", "dimension"), "a"),
     (("points", "origin"), ["1/0", "0", "0"]),

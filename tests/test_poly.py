@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliatk import Polynomial, VariableSet, VariableSetError
-from foliatk.poly import BLOCK, GREVLEX, LEX, random_polynomial
+from foliatk.poly import BLOCK, GREVLEX, LEX, ExactPoint, random_polynomial
 
 from conftest import P
 
@@ -60,6 +60,30 @@ def test_eval_float_path():
 def test_eval_missing_assignment():
     with pytest.raises(VariableSetError):
         P("x", COT2).evaluate({"x": 1})
+
+
+@pytest.mark.parametrize("values", [(1, 2, 3, 4, 5), (1, 2, 3), ()],
+                         ids=["too-long", "too-short", "empty"])
+def test_eval_point_of_the_wrong_length(values):
+    f = P("x + p_y", COT2)
+    with pytest.raises(VariableSetError):
+        f.evaluate_seq(values)
+    with pytest.raises(VariableSetError):
+        f.evaluate_seq(tuple(float(v) for v in values) or (0.5,))
+    with pytest.raises(VariableSetError):
+        f.evaluate_seq(ExactPoint(values))
+    with pytest.raises(VariableSetError):
+        f.vanishes_at(ExactPoint(values))
+
+
+def test_chart_equality_and_hash():
+    a, b = VariableSet(("x", "y")), VariableSet(("x", "y"))
+    assert a is not b and a == b and not (a != b)
+    assert a == a and a.cotangent() == b.cotangent()
+    assert a != a.cotangent() and a != VariableSet(("y", "x"))
+    assert a != ("x", "y")
+    assert hash(a) == hash(b) == hash((("x", "y"), ()))
+    assert hash(a.cotangent()) == hash((("x", "y"), ("p_x", "p_y")))
 
 
 def test_fiber_grading_decomposition():
