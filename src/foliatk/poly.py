@@ -424,16 +424,6 @@ class Polynomial:
         if len(a) != width:
             _check_length(self.varset, a)
         total = 0
-        if d == 1:
-            for c, powers, _ in terms:
-                for i, _ in powers:
-                    if not a[i]:
-                        break
-                else:
-                    for i, k in powers:
-                        c *= a[i] ** k
-                    total += c
-            return total, den
         for c, powers, deg in terms:
             for i, _ in powers:
                 if not a[i]:
@@ -441,8 +431,8 @@ class Polynomial:
             else:
                 for i, k in powers:
                     c *= a[i] ** k
-                total += c * d ** (degree - deg)
-        return total, den * d ** degree
+                total += c if d == 1 else c * d ** (degree - deg)
+        return total, den if d == 1 else den * d ** degree
 
     def _evaluate_float(self, values: Sequence) -> float:
         _check_length(self.varset, values)
