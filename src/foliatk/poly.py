@@ -199,7 +199,6 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
-        object.__setattr__(self, "_int", None)
 
     @classmethod
     def _trusted(cls, varset: VariableSet, terms: dict[Exponents, Fraction]) -> "Polynomial":
@@ -214,7 +213,6 @@ class Polynomial:
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "_hash", None)
         object.__setattr__(p, "_lead", None)
-        object.__setattr__(p, "_int", None)
         return p
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
@@ -403,18 +401,23 @@ class Polynomial:
     def _integer_form(self) -> tuple[int, int, tuple, int]:
         """``(D, deg, terms, width)``, built once: ``terms`` holds, per term,
         its numerator over ``D``, its nonzero ``(variable, exponent)`` pairs
-        and its degree; ``width`` is the chart's variable count."""
-        form = self._int
-        if form is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            terms = tuple(
-                (c.numerator * (den // c.denominator),
-                 tuple((i, k) for i, k in enumerate(e) if k),
-                 sum(e))
-                for e, c in self.terms.items()
-            )
-            form = (den, max((t[2] for t in terms), default=0), terms, self.varset.n_vars)
-            object.__setattr__(self, "_int", form)
+        and its degree; ``width`` is the chart's variable count.
+
+        The slot stays unset until then, so polynomials that are never
+        evaluated exactly pay nothing for it."""
+        try:
+            return self._int
+        except AttributeError:
+            pass
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        terms = tuple(
+            (c.numerator * (den // c.denominator),
+             tuple((i, k) for i, k in enumerate(e) if k),
+             sum(e))
+            for e, c in self.terms.items()
+        )
+        form = (den, max((t[2] for t in terms), default=0), terms, self.varset.n_vars)
+        object.__setattr__(self, "_int", form)
         return form
 
     def _integer_value(self, point: ExactPoint) -> tuple[int, int]:
