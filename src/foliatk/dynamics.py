@@ -3,21 +3,33 @@
 Symbolic partial derivatives are taken once and turned into straight-line
 Python source, compiled with ``exec`` under the file name
 ``<foliatk flow kernel>``.  A polynomial becomes ``acc = 0.0`` and then one
-``acc += c * v0 ** k * ...`` statement per term, in term order, with every
-nonzero exponent written as ``** k`` (C ``pow``, which raises
-``OverflowError`` on overflow).  One statement per term keeps a large
-polynomial within the parser's nesting limit.  The source holds only float
-constants, positional local names and integer exponents, never a name from
-the scene.
+``acc += c * v0 ** k * ...`` statement per term, in term order.  One statement
+per term keeps a large polynomial within the parser's nesting limit.  The
+source holds only float constants, positional local names and integer
+exponents, never a name from the scene.
 
-A flow compiles to one kernel: ``step(v0, ..., v{2n-1})`` returns the next
-state with the four rk4 stages inlined (or the leapfrog half-steps, for a
-separable Hamiltonian), and ``sample(...)`` returns the monitored generator
-values and the energy.  Integration is fixed-step, so monitor values are
-reproducible.  The monitors stream the trajectory: each state is sampled as
-soon as it is reached, the running maxima are updated and only a decimated
-trace is kept.  A flow of more than ``MAX_FLOW_STEPS`` steps is refused
+Only factors that are exact identities in IEEE arithmetic are left out of a
+term: a ``1.0 *`` coefficient and ``** 1``.  The negated value of a zero
+polynomial is written ``-0.0``, which is what ``0.0`` negated gives.  Every
+``** k`` with ``k >= 2`` stays, because C ``pow`` raises ``OverflowError``
+where a product would silently give ``inf``; the ``acc = 0.0`` start stays,
+because it turns a ``-0.0`` first term into ``0.0``.
+
+A flow run is one generated function, ``flow(v0, ..., v{2n-1}, steps,
+start_tol, store_every, append)``, holding the whole loop on positional
+locals: the four rk4 stages inlined (or the leapfrog half-steps, for a
+separable Hamiltonian), the finiteness check of the next state, the sample of
+the monitored generators and the energy, the running maxima and the
+decimated trace.  The step from a state is taken before the state is
+sampled, so a flow that diverges reports the step that diverged, as a stored
+trajectory would.  The function returns an exit code with the step index, and
+the errors are raised here; ``integrate_flow`` runs the same loop with the
+state itself as the sample.  Integration is fixed-step, so monitor values are
+reproducible.  A flow of more than ``MAX_FLOW_STEPS`` steps is refused
 before the first step.
+
+``kernel_source`` and ``compile_kernel`` give the step and the sample as two
+separate functions, built from the same statements as the loop.
 """
 
 from __future__ import annotations
@@ -34,6 +46,9 @@ from .poly import Polynomial
 MAX_FLOW_STEPS = 1_000_000
 
 _KERNEL_FILE = "<foliatk flow kernel>"
+
+# exit codes of the generated ``flow`` function
+_DONE, _OFF_START, _STEP_OVERFLOW, _NON_FINITE, _SAMPLE_OVERFLOW = range(5)
 
 
 @dataclass(frozen=True)
@@ -74,8 +89,10 @@ def _sum_lines(poly: Polynomial, target: str, names: Sequence[str]) -> list[str]
             coeff = float(c)
         except OverflowError:
             raise PreconditionError("a coefficient is too large for a float") from None
-        powers = "".join(f" * {names[i]} ** {k}" for i, k in enumerate(e) if k)
-        lines.append(f"{target} += {coeff!r}{powers}")
+        factors = [names[i] if k == 1 else f"{names[i]} ** {k}" for i, k in enumerate(e) if k]
+        if coeff != 1.0 or not factors:
+            factors.insert(0, repr(coeff))
+        lines.append(f"{target} += {' * '.join(factors)}")
     return lines
 
 
@@ -93,8 +110,11 @@ def _rhs_lines(dh_dp, dh_dq, names: Sequence[str], out: str) -> list[str]:
     for i, f in enumerate(dh_dp):
         lines += _sum_lines(f, f"{out}{i}", names)
     for i, f in enumerate(dh_dq, len(dh_dp)):
-        lines += _sum_lines(f, f"{out}{i}", names)
-        lines.append(f"{out}{i} = -{out}{i}")
+        if f.terms:
+            lines += _sum_lines(f, f"{out}{i}", names)
+            lines.append(f"{out}{i} = -{out}{i}")
+        else:
+            lines.append(f"{out}{i} = -0.0")
     return lines
 
 
@@ -106,14 +126,15 @@ def _rk4_lines(dh_dp, dh_dq, dt: float) -> list[str]:
     for prev, stage, scale in (("a", "b", half), ("b", "c", half), ("c", "d", repr(dt))):
         lines += [f"w{i} = v{i} + {scale} * {prev}{i}" for i in range(width)]
         lines += _rhs_lines(dh_dp, dh_dq, w, stage)
-    update = [f"v{i} + {dt!r} * (a{i} + 2 * b{i} + 2 * c{i} + d{i}) / 6.0" for i in range(width)]
-    return lines + [f"return {_tuple(update)}"]
+    return lines + [
+        f"n{i} = v{i} + {dt!r} * (a{i} + 2 * b{i} + 2 * c{i} + d{i}) / 6.0" for i in range(width)
+    ]
 
 
 def _leapfrog_lines(dh_dp, dh_dq, dt: float) -> list[str]:
     n = len(dh_dp)
     q, p = _names("v", n), _names("v", n, n)
-    p_half, q_new, p_new = _names("ph", n), _names("qn", n), _names("pn", n)
+    p_half, q_new, p_new = _names("ph", n), _names("n", n), _names("n", n, n)
     half = repr(0.5 * dt)
     lines = []
     for i, f in enumerate(dh_dq):
@@ -124,16 +145,40 @@ def _leapfrog_lines(dh_dp, dh_dq, dt: float) -> list[str]:
     lines += [f"{q_new[i]} = {q[i]} + {dt!r} * s{i}" for i in range(n)]
     for i, f in enumerate(dh_dq):
         lines += _sum_lines(f, f"s{i}", q_new + p_half)
-    lines += [f"{p_new[i]} = {p_half[i]} - {half} * s{i}" for i in range(n)]
-    return lines + [f"return {_tuple(q_new + p_new)}"]
+    return lines + [f"{p_new[i]} = {p_half[i]} - {half} * s{i}" for i in range(n)]
+
+
+def _step_lines(h: Polynomial, dt: float, method: str) -> list[str]:
+    """Statements leaving the state ``dt`` after ``v0, v1...`` in ``n0, n1...``."""
+    dh_dp, dh_dq = _partials(h)
+    if method == "rk4":
+        return _rk4_lines(dh_dp, dh_dq, dt)
+    if method == "leapfrog":
+        if not _is_separable(h):
+            raise PreconditionError("leapfrog needs a separable Hamiltonian T(p) + V(q)")
+        return _leapfrog_lines(dh_dp, dh_dq, dt)
+    raise PreconditionError(f"unknown integration method {method!r}")
+
+
+def _sample_lines(h: Polynomial, generators: Sequence[Polynomial]) -> list[str]:
+    """Statements leaving the generator values in ``g0, g1...`` and ``h`` in ``e``."""
+    v = _names("v", h.varset.n_vars)
+    lines = []
+    for j, g in enumerate(generators):
+        lines += _sum_lines(g, f"g{j}", v)
+    return lines + _sum_lines(h, "e", v)
+
+
+def _block(head: str, body: Sequence[str]) -> list[str]:
+    return [head] + [f"    {s}" for s in body]
 
 
 def _def(name: str, params: Sequence[str], body: Sequence[str]) -> str:
-    return "".join([f"def {name}({', '.join(params)}):\n"] + [f"    {s}\n" for s in body])
+    return "".join(f"{s}\n" for s in _block(f"def {name}({', '.join(params)}):", body))
 
 
 def _load(source: str, *names: str) -> tuple[Callable, ...]:
-    namespace: dict = {}
+    namespace: dict = {"isfinite": math.isfinite}
     exec(compile(source, _KERNEL_FILE, "exec"), namespace)
     return tuple(namespace[name] for name in names)
 
@@ -145,20 +190,10 @@ def kernel_source(h: Polynomial, generators: Sequence[Polynomial], dt: float,
     ``sample`` returns the values of ``generators`` and of ``h``; both
     functions take the state as positional floats ``q`` then ``p``.
     """
-    dh_dp, dh_dq = _partials(h)
-    if method == "rk4":
-        step = _rk4_lines(dh_dp, dh_dq, dt)
-    elif method == "leapfrog":
-        if not _is_separable(h):
-            raise PreconditionError("leapfrog needs a separable Hamiltonian T(p) + V(q)")
-        step = _leapfrog_lines(dh_dp, dh_dq, dt)
-    else:
-        raise PreconditionError(f"unknown integration method {method!r}")
-    v = _names("v", h.varset.n_vars)
-    sample = []
-    for j, g in enumerate(generators):
-        sample += _sum_lines(g, f"g{j}", v)
-    sample += _sum_lines(h, "e", v)
+    width = h.varset.n_vars
+    v = _names("v", width)
+    step = _step_lines(h, dt, method) + [f"return {_tuple(_names('n', width))}"]
+    sample = _sample_lines(h, generators)
     sample.append(f"return {_tuple(_names('g', len(generators)))}, e")
     return _def("step", v, step) + _def("sample", v, sample)
 
@@ -167,6 +202,64 @@ def compile_kernel(h: Polynomial, generators: Sequence[Polynomial], dt: float,
                    method: str = "rk4") -> tuple[Callable, Callable]:
     """``(step, sample)`` compiled from :func:`kernel_source`."""
     return _load(kernel_source(h, generators, dt, method), "step", "sample")
+
+
+def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: float,
+                method: str = "rk4") -> str:
+    """Source of ``flow``, the whole monitored run over steps of ``dt``.
+
+    ``flow(v0, ..., steps, start_tol, store_every, append)`` samples the
+    start, returns ``(_OFF_START, 0, values)`` if a generator value exceeds
+    ``start_tol`` in absolute value, and otherwise takes ``steps`` steps.
+    State ``i`` is sampled after the step from it, and ``(t, values,
+    energy)`` goes to ``append`` when ``store_every`` divides ``i`` and at
+    the last state.  The result is ``(_DONE, steps, (max_gen, drift))``, the
+    running maxima as builtin ``max`` takes them, or the exit code of the
+    first failure with its step index: ``_STEP_OVERFLOW``, ``_NON_FINITE``
+    (with the next state as a list) or ``_SAMPLE_OVERFLOW``.  With
+    ``generators`` None the sample is the state itself, energy ``0.0``.
+    """
+    width = h.varset.n_vars
+    v, n = _names("v", width), _names("n", width)
+    step = _step_lines(h, dt, method)
+    if generators is None:
+        sample, values = ["e = 0.0"], v
+    else:
+        sample, values = _sample_lines(h, generators), _names("g", len(generators))
+    sampled = _block("try:", sample) + _block("except OverflowError:", [
+        f"return {_SAMPLE_OVERFLOW}, i, ()",
+    ])
+    body = ["i = 0", *sampled]
+    maxima = []
+    if values:
+        off_start = " or ".join(f"abs({name}) > start_tol" for name in values)
+        body += _block(f"if {off_start}:", [f"return {_OFF_START}, 0, {_tuple(values)}"])
+        maxima.append(f"m = abs({values[0]})")
+        for name in values[1:]:
+            maxima += [f"t = abs({name})", *_block("if t > m:", ["m = t"])]
+        maxima += _block("if m > max_gen:", ["max_gen = m"])
+    body += ["e0 = e", "max_gen = 0.0", "drift = 0.0"]
+    # bound for a run of no steps, where the start takes no step but is handed on
+    body += [f"{a} = {b}" for a, b in zip(n, v)]
+    body += _block("for i in range(steps + 1):", [
+        *_block("if i < steps:", [
+            *_block("try:", step),
+            *_block("except OverflowError:", [f"return {_STEP_OVERFLOW}, i, ()"]),
+            *_block(f"if not ({' and '.join(f'isfinite({x})' for x in n)}):", [
+                f"return {_NON_FINITE}, i, [{', '.join(n)}]",
+            ]),
+        ]),
+        *sampled,
+        *maxima,
+        "t = abs(e - e0)",
+        *_block("if t > drift:", ["drift = t"]),
+        *_block("if i % store_every == 0 or i == steps:", [
+            f"append((i * {dt!r}, {_tuple(values)}, e))",
+        ]),
+        *(f"{a} = {b}" for a, b in zip(v, n)),
+    ])
+    body.append(f"return {_DONE}, steps, (max_gen, drift)")
+    return _def("flow", [*v, "steps", "start_tol", "store_every", "append"], body)
 
 
 def _vals_lines(width: int) -> list[str]:
@@ -224,58 +317,32 @@ def _steps(h: Polynomial, start: FlowState, t_end: float, dt: float) -> tuple[in
     return steps, t_end / steps
 
 
-def _stream(
-    step: Callable,
-    sample: Callable,
+def _monitor(
+    generators: Sequence[Polynomial] | None,
+    h: Polynomial,
     start: FlowState,
-    steps: int,
+    t_end: float,
     dt: float,
     start_tol: float,
     store_every: int,
     precondition_label: str,
+    method: str = "rk4",
 ) -> MonitorReport:
-    """Sample each state as soon as ``step`` reaches it; aborts on non-finite state.
-
-    The start must sample within ``start_tol`` of zero.  Only every
-    ``store_every``-th sample and the last one are kept.  The step from a
-    state is taken before the state is sampled, so a flow that diverges
-    reports the step that diverged, as a stored trajectory would.
-    """
-    isfinite = math.isfinite
-    vec = tuple(start.q) + tuple(start.p)
-    max_gen = 0.0
-    drift = 0.0
+    """Compile the ``flow`` loop, run it from ``start`` and raise its failure."""
+    steps, dt = _steps(h, start, t_end, dt)
+    (flow,) = _load(flow_source(h, generators, dt, method), "flow")
     samples = []
-    i = 0
-    try:
-        values, e0 = sample(*vec)
-        initial = [abs(v) for v in values]
-        if any(v > start_tol for v in initial):
-            raise PreconditionError(
-                f"{precondition_label}: generator values at start are {initial}"
-            )
-        nxt = vec
-        for i in range(steps + 1):
-            if i < steps:
-                try:
-                    nxt = step(*vec)
-                except OverflowError:
-                    raise FlowDivergedError(
-                        f"state overflowed near t={(i + 1) * dt:.6g}"
-                    ) from None
-                if not all(map(isfinite, nxt)):
-                    raise FlowDivergedError(
-                        f"non-finite state at t={(i + 1) * dt:.6g}: {list(nxt)}"
-                    )
-            values, energy = sample(*vec)
-            max_gen = max(max_gen, max(map(abs, values), default=0.0))
-            drift = max(drift, abs(energy - e0))
-            if i % store_every == 0 or i == steps:
-                samples.append((i * dt, values, energy))
-            vec = nxt
-    except OverflowError:
-        raise FlowDivergedError(f"monitored value overflowed at t={i * dt:.6g}") from None
-    return MonitorReport(tuple(samples), max_gen, drift)
+    code, i, data = flow(*start.q, *start.p, steps, start_tol, store_every, samples.append)
+    if code == _OFF_START:
+        initial = [abs(v) for v in data]
+        raise PreconditionError(f"{precondition_label}: generator values at start are {initial}")
+    if code == _STEP_OVERFLOW:
+        raise FlowDivergedError(f"state overflowed near t={(i + 1) * dt:.6g}")
+    if code == _NON_FINITE:
+        raise FlowDivergedError(f"non-finite state at t={(i + 1) * dt:.6g}: {data}")
+    if code == _SAMPLE_OVERFLOW:
+        raise FlowDivergedError(f"monitored value overflowed at t={i * dt:.6g}")
+    return MonitorReport(tuple(samples), *data)
 
 
 def integrate_flow(
@@ -287,29 +354,12 @@ def integrate_flow(
 ) -> list[FlowState]:
     """Fixed-step trajectory of the Hamiltonian flow; aborts on non-finite state.
 
-    The trajectory is the stream of a monitor whose sample is the state
+    The trajectory is the run of the ``flow`` loop whose sample is the state
     itself, with every sample kept.
     """
-    steps, dt = _steps(h, start, t_end, dt)
-    step, _ = compile_kernel(h, (), dt, method)
-    report = _stream(step, lambda *vec: (vec, 0.0), start, steps, dt, math.inf, 1, "")
+    report = _monitor(None, h, start, t_end, dt, math.inf, 1, "", method)
     n = h.varset.dimension
     return [FlowState(vec[:n], vec[n:], t) for t, vec, _ in report.samples]
-
-
-def _monitor(
-    generators: Sequence[Polynomial],
-    h: Polynomial,
-    start: FlowState,
-    t_end: float,
-    dt: float,
-    start_tol: float,
-    store_every: int,
-    precondition_label: str,
-) -> MonitorReport:
-    steps, dt = _steps(h, start, t_end, dt)
-    step, sample = compile_kernel(h, generators, dt)
-    return _stream(step, sample, start, steps, dt, start_tol, store_every, precondition_label)
 
 
 def monitor_ideal_preservation(

@@ -114,16 +114,22 @@ def _parse_foliation(rows, chart: VariableSet, context: str) -> FoliationModule:
     return FoliationModule(chart, gens)
 
 
-def _parse_metric_data(data: Mapping, chart: VariableSet, context: str) -> MetricData:
-    cometric = _parse_matrix(_require(data, "cometric", context), chart,
-                             "contravariant", f"{context}.cometric")
+def _parse_metric_data(data: Mapping, chart: VariableSet, context: str,
+                       prefix: str = "") -> MetricData:
+    """The metric from the keys ``{prefix}cometric``, ``{prefix}metric`` and
+    ``{prefix}sample_points`` of ``data``; errors name them ``{context}.{key}``."""
+    cometric_key, metric_key, samples_key = (
+        f"{prefix}{key}" for key in ("cometric", "metric", "sample_points")
+    )
+    cometric = _parse_matrix(_require(data, cometric_key, context), chart,
+                             "contravariant", f"{context}.{cometric_key}")
     metric = None
-    if data.get("metric") is not None:
-        metric = _parse_matrix(data["metric"], chart, "covariant", f"{context}.metric")
+    if data.get(metric_key) is not None:
+        metric = _parse_matrix(data[metric_key], chart, "covariant", f"{context}.{metric_key}")
     samples = []
-    for idx, coords in enumerate(_array(data.get("sample_points", []),
-                                        f"{context}.sample_points")):
-        where = f"{context}.sample_points[{idx}]"
+    for idx, coords in enumerate(_array(data.get(samples_key, []),
+                                        f"{context}.{samples_key}")):
+        where = f"{context}.{samples_key}[{idx}]"
         pt = _point(coords, where)
         if len(pt) != chart.dimension:
             raise SceneError(f"{where} has {len(pt)} coordinates, chart has {chart.dimension}")
@@ -131,7 +137,7 @@ def _parse_metric_data(data: Mapping, chart: VariableSet, context: str) -> Metri
     try:
         return MetricData(cometric, metric, tuple(samples))
     except FoliatkError as exc:
-        raise SceneError(f"{context}: {exc}") from exc
+        raise SceneError(f"{context}.{cometric_key}: {exc}") from exc
 
 
 def _parse_submersion(data: Mapping, chart: VariableSet, metric: MetricData,
@@ -140,12 +146,7 @@ def _parse_submersion(data: Mapping, chart: VariableSet, metric: MetricData,
                                       f"{context}.target_coordinates")))
     indices = tuple(int(i) for i in _array(_require(data, "base_indices", context),
                                            f"{context}.base_indices"))
-    target_metric = _parse_metric_data(
-        {"cometric": _require(data, "target_cometric", context),
-         "metric": data.get("target_metric"),
-         "sample_points": data.get("target_sample_points", [])},
-        target, f"{context}.target",
-    )
+    target_metric = _parse_metric_data(data, target, context, "target_")
     try:
         sub = SubmersionData(chart, target, indices, metric, target_metric)
     except FoliatkError as exc:

@@ -132,13 +132,14 @@ def reference_rhs(h: Polynomial) -> Callable[[Sequence[float]], list[float]]:
     return rhs
 
 
-def reference_flow(h: Polynomial, start: FlowState, t_end: float, dt: float,
-                   method: str = "rk4") -> list[FlowState]:
+def _reference_states(h: Polynomial, start: FlowState, t_end: float, dt: float,
+                      method: str = "rk4"):
+    """The stored trajectory's states, yielded as reached; raises on divergence."""
     varset = h.varset
     n = varset.dimension
     steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     dt = t_end / steps if steps else dt
-    states = [FlowState(tuple(start.q), tuple(start.p), 0.0)]
+    yield FlowState(tuple(start.q), tuple(start.p), 0.0)
 
     if method == "rk4":
         rhs = reference_rhs(h)
@@ -166,7 +167,7 @@ def reference_flow(h: Polynomial, start: FlowState, t_end: float, dt: float,
             p_new = [pi - 0.5 * dt * f(state_new) for pi, f in zip(p_half, dV)]
             return q_new + p_new
 
-    vec = states[0].vector()
+    vec = list(start.q) + list(start.p)
     for i in range(steps):
         try:
             vec = step(vec)
@@ -178,31 +179,54 @@ def reference_flow(h: Polynomial, start: FlowState, t_end: float, dt: float,
             raise FlowDivergedError(
                 f"non-finite state at t={(i + 1) * dt:.6g}: {vec}"
             )
-        states.append(FlowState(tuple(vec[:n]), tuple(vec[n:]), (i + 1) * dt))
-    return states
+        yield FlowState(tuple(vec[:n]), tuple(vec[n:]), (i + 1) * dt)
+
+
+def reference_flow(h: Polynomial, start: FlowState, t_end: float, dt: float,
+                   method: str = "rk4") -> list[FlowState]:
+    return list(_reference_states(h, start, t_end, dt, method))
 
 
 def reference_monitor(generators: Sequence[Polynomial], h: Polynomial, start: FlowState,
                       t_end: float, dt: float, start_tol: float = 1e-12,
-                      store_every: int = 10) -> MonitorReport:
+                      store_every: int = 10, precondition_label: str = "") -> MonitorReport:
+    """The stored trajectory, sampled afterwards.
+
+    The failure reported is the first one a streaming monitor meets: the
+    start sample, then for each state the step from it before its own sample.
+    """
     gen_evals = [reference_evaluator(g) for g in generators]
     h_eval = reference_evaluator(h)
-    vec0 = start.vector()
-    initial = [abs(f(vec0)) for f in gen_evals]
+
+    def sample(state: FlowState) -> tuple[tuple[float, ...], float]:
+        vec = state.vector()
+        try:
+            return tuple(f(vec) for f in gen_evals), h_eval(vec)
+        except OverflowError:
+            raise FlowDivergedError(f"monitored value overflowed at t={state.t:.6g}") from None
+
+    values, e0 = sample(FlowState(tuple(start.q), tuple(start.p), 0.0))
+    initial = [abs(v) for v in values]
     if any(v > start_tol for v in initial):
-        raise PreconditionError(f"generator values at start are {initial}")
-    trajectory = reference_flow(h, start, t_end, dt)
-    e0 = h_eval(vec0)
+        raise PreconditionError(f"{precondition_label}: generator values at start are {initial}")
+    trajectory = []
+    failure = None
+    try:
+        for state in _reference_states(h, start, t_end, dt):
+            trajectory.append(state)
+    except FlowDivergedError as exc:
+        failure = exc
     max_gen = 0.0
     drift = 0.0
     samples = []
     last = len(trajectory) - 1
-    for idx, state in enumerate(trajectory):
-        vec = state.vector()
-        values = tuple(f(vec) for f in gen_evals)
-        energy = h_eval(vec)
+    # a failed step from the last state reached ends the run before that state is sampled
+    for idx, state in enumerate(trajectory[:-1] if failure else trajectory):
+        values, energy = sample(state)
         max_gen = max(max_gen, max((abs(v) for v in values), default=0.0))
         drift = max(drift, abs(energy - e0))
         if idx % store_every == 0 or idx == last:
             samples.append((state.t, values, energy))
+    if failure:
+        raise failure
     return MonitorReport(tuple(samples), max_gen, drift)

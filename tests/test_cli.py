@@ -334,13 +334,15 @@ def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     assert "scene.json" in report["detail"]["message"]
 
 
-@pytest.mark.parametrize("scene, path, entry", [
-    ("rotation_srf_r2", ("sample_points",), ["1", "2", "3"]),
-    ("rotation_srf_r2", ("sample_points",), ["1"]),
-    ("submersion_r3_to_r2", ("submersion", "target_sample_points"), ["1", "2", "3"]),
-    ("submersion_r3_to_r2", ("submersion", "target_sample_points"), ["1"]),
+@pytest.mark.parametrize("scene, path, entry, where", [
+    ("rotation_srf_r2", ("sample_points",), ["1", "2", "3"], "scene.sample_points[1]"),
+    ("rotation_srf_r2", ("sample_points",), ["1"], "scene.sample_points[1]"),
+    ("submersion_r3_to_r2", ("submersion", "target_sample_points"), ["1", "2", "3"],
+     "submersion.target_sample_points[1]"),
+    ("submersion_r3_to_r2", ("submersion", "target_sample_points"), ["1"],
+     "submersion.target_sample_points[1]"),
 ], ids=["too-long", "too-short", "target-too-long", "target-too-short"])
-def test_sample_point_of_the_wrong_dimension_is_a_scene_error(scene, path, entry):
+def test_sample_point_of_the_wrong_dimension_is_a_scene_error(scene, path, entry, where):
     data = json.loads((SCENES / f"{scene}.json").read_text(encoding="utf-8"))
     target = data
     for key in path[:-1]:
@@ -349,7 +351,21 @@ def test_sample_point_of_the_wrong_dimension_is_a_scene_error(scene, path, entry
     report, code = run_command("check-srf", data)
     assert code == 2 and report["verdict"] == "error"
     assert report["detail"]["error_type"] == "SceneError"
-    assert "sample_points[1]" in report["detail"]["message"]
+    assert report["detail"]["message"].startswith(f"{where} has ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("target_cometric", [["1", "0"]]),
+    ("target_metric", [["1", "0"]]),
+    ("target_cometric", [["-1", "0"], ["0", "1"]]),
+])
+def test_submersion_target_metric_errors_name_the_scene_key(key, value):
+    data = json.loads((SCENES / "submersion_r3_to_r2.json").read_text(encoding="utf-8"))
+    data["submersion"][key] = value
+    data["submersion"]["target_sample_points"] = [["0", "0"]]
+    report, code = run_command("check-srf", data)
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert report["detail"]["message"].startswith(f"submersion.{key}: ")
 
 
 @pytest.mark.parametrize("path, value", [

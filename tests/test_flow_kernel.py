@@ -6,6 +6,7 @@ close; ``repr`` equality also tells -0.0 from 0.0.
 """
 
 import io
+import math
 import random
 import re
 import tokenize
@@ -16,6 +17,7 @@ import pytest
 from foliatk import (
     FlowDivergedError,
     FlowState,
+    MonitorReport,
     PreconditionError,
     Polynomial,
     VariableSet,
@@ -25,7 +27,7 @@ from foliatk import (
 )
 from foliatk import dynamics
 from foliatk.cli import _working_ideal
-from foliatk.dynamics import compile_evaluator, compile_kernel, kernel_source
+from foliatk.dynamics import compile_evaluator, compile_kernel, flow_source, kernel_source
 from foliatk.geometry import cotangent_lift
 from foliatk.ipoisson import IdealPresentation
 from foliatk.poly import MonomialOrder
@@ -35,6 +37,30 @@ from conftest import P, SCENES
 from oracle import reference_evaluator, reference_flow, reference_monitor
 
 FLOW_SCENES = ("so3_moment", "rotation_r3", "rotation_srf_r2", "rotation_nonmodule_r2")
+INF = float("inf")
+
+# name: (coordinates, H, generators, q, p, t_end, dt, start_tol, store_every,
+#        the monitor's error message as a pattern, None for a completed run)
+FLOW_EXITS = {
+    "off-start": (("q",), "1/2*p_q^2", ["q"], (1.0,), (0.0,), 1.0, 1e-2, 1e-12, 10,
+                  r"start: generator values at start are \[1\.0\]"),
+    # x^200 overflows in C pow once |x| > 34.6, while the state stays finite
+    "start-sample-overflow": (("x",), "1/2*p_x^2", ["x^200"], (40.0,), (10.0,), 1.0, 1e-2, INF,
+                              10, r"monitored value overflowed at t=0"),
+    "sample-overflow": (("x",), "1/2*p_x^2", ["x^200"], (30.0,), (10.0,), 1.0, 1e-2, INF, 10,
+                        r"monitored value overflowed at t=0\.\d+"),
+    # dq/dt = q^3 blows up at t = 1/2; the stage value q^3 overflows in C pow
+    "step-overflow": (("q",), "q^3*p_q", ["p_q"], (1.0,), (1.0,), 1.0, 1e-2, INF, 10,
+                      r"state overflowed near t=0\.\d+"),
+    # dx/dt = dy/dt = x*y: products only, so the state reaches inf without OverflowError
+    "non-finite": (("x", "y"), "x*y*p_x + x*y*p_y", ["x - y"], (1.0, 1.0), (0.0, 0.0), 2.0,
+                   1e-2, INF, 10, r"non-finite state at t=[\d.]+: \[.*\]"),
+    "negative-zero-start": (("q",), "1/2*p_q^2", ["p_q"], (-0.0,), (-0.0,), 0.1, 1e-2, INF, 3,
+                            None),
+    # 50 steps: the last state is stored though 7 does not divide 50
+    "store-every-not-dividing": (("q",), "1/2*p_q^2 + 1/2*q^2", ["q*p_q"], (1.0,), (0.0,), 0.5,
+                                 1e-2, INF, 7, None),
+}
 
 
 def outcome(fn, *args, **kwargs):
@@ -128,6 +154,45 @@ def test_divergence_message_matches_the_reference():
     assert got == outcome(reference_monitor, gens, h, start, 2.0, 1e-2)
 
 
+@pytest.mark.parametrize("name", FLOW_EXITS)
+def test_every_exit_of_the_flow_loop_matches_the_reference(name):
+    coords, h, gens, q, p, t_end, dt, start_tol, store_every, message = FLOW_EXITS[name]
+    chart = VariableSet(coords).cotangent()
+    h, gens = P(h, chart), [P(g, chart) for g in gens]
+    start = FlowState(q, p, 0.0)
+    got = outcome(dynamics._monitor, gens, h, start, t_end, dt, start_tol, store_every, "start")
+    assert_identical(got, outcome(reference_monitor, gens, h, start, t_end, dt, start_tol,
+                                  store_every, "start"))
+    if message is None:
+        assert isinstance(got, MonitorReport)
+        assert got.samples[-1][0] == t_end
+    else:
+        assert re.fullmatch(message, got[1]), got
+    assert_identical(outcome(integrate_flow, h, start, t_end, dt),
+                     outcome(reference_flow, h, start, t_end, dt))
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0)],
+                         ids=["nan-first", "inf-first", "finite-first"])
+def test_running_maximum_follows_builtin_max_through_nan_and_inf(order):
+    # x*y and x*z overflow to inf once x > 1.797: x*y - x*z, and the energy
+    # with it, turn from finite to nan while the state stays finite
+    chart = VariableSet(("x", "y", "z")).cotangent()
+    h = P("p_x + x*y - x*z", chart)
+    pool = [P("x*y - x*z", chart), P("x*y", chart), P("x", chart)]
+    gens = [pool[k] for k in order]
+    start = FlowState((1.5, 1e308, 1e308), (1.0, 0.0, 0.0), 0.0)
+    got = dynamics._monitor(gens, h, start, 1.0, 0.1, INF, 3, "")
+    # nan != nan, so the reports can only be compared by repr
+    assert repr(got) == repr(reference_monitor(gens, h, start, 1.0, 0.1, INF, 3))
+    values = [v for _, vals, _ in got.samples for v in vals]
+    assert any(math.isnan(v) for v in values) and INF in values
+    assert math.isnan(got.samples[-1][2])
+    # builtin max keeps a nan met first and skips one met later
+    assert (got.max_abs_generator == INF) == (order[0] != 0)
+    assert math.isfinite(got.energy_drift)
+
+
 def test_large_hamiltonian_compiles_and_matches():
     # one nested expression per polynomial would exceed the parser's nesting
     # limit at a few hundred terms; the kernel is one statement per term
@@ -157,17 +222,26 @@ def test_kernel_source_holds_no_scene_text():
     lifts = [cotangent_lift(g, cot) for g in scene.foliation.generators]
     names = set(cot.names)
     assert {"lambda_", "p_q"} <= names
+    # the flow loop adds its keywords, builtins, parameters and running maxima
+    loop_names = ("flow|steps|start_tol|store_every|append|i|m|t|max_gen|drift|isfinite|abs|range"
+                  "|try|except|OverflowError|if|or|and|not|for|in")
     for h in (hamiltonian(scene.metric, cot), scene.candidates["H"]):
-        source = kernel_source(h, lifts, 1e-3)
-        for name in names:
-            assert not re.search(rf"\b{re.escape(name)}\b", source), name
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.NAME:
-                assert re.fullmatch(r"def|return|step|sample|e|[a-z]{1,2}\d+", tok.string)
-            elif tok.type == tokenize.NUMBER:
-                assert tok.string.isdigit() or repr(float(tok.string)) == tok.string
-    leapfrog = kernel_source(P("1/2*p_q^2 + lambda_^4", cot), [], 1e-3, "leapfrog")
-    assert not any(re.search(rf"\b{re.escape(name)}\b", leapfrog) for name in names)
+        for source in (kernel_source(h, lifts, 1e-3), flow_source(h, lifts, 1e-3),
+                       flow_source(h, None, 1e-3)):
+            for name in names:
+                assert not re.search(rf"\b{re.escape(name)}\b", source), name
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                if tok.type == tokenize.NAME:
+                    assert re.fullmatch(rf"def|return|step|sample|e|[a-z]{{1,2}}\d+|{loop_names}",
+                                        tok.string), tok.string
+                elif tok.type == tokenize.NUMBER:
+                    assert tok.string.isdigit() or repr(float(tok.string)) == tok.string
+                else:
+                    assert tok.type != tokenize.STRING
+    separable = P("1/2*p_q^2 + lambda_^4", cot)
+    for leapfrog in (kernel_source(separable, [], 1e-3, "leapfrog"),
+                     flow_source(separable, lifts, 1e-3, "leapfrog")):
+        assert not any(re.search(rf"\b{re.escape(name)}\b", leapfrog) for name in names)
 
 
 def test_step_cap_is_checked_before_the_first_step(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,23 @@ def test_regular_point_has_trivial_isotropy(so3_foliation):
     rep = isotropy_algebra(so3_foliation, (1, 0, 0))
     assert rep.isotropy_dim == 0
     assert rep.tangent_dim == rep.fiber_dim == 2
+
+
+@pytest.mark.parametrize("name", ["order_2_n3", "order_3_n2", "so3_moment"])
+def test_point_reports_depend_only_on_the_syzygy_module(name):
+    # any generating set of the syzygy module spans the same evaluated rows,
+    # so a different syzygy construction leaves the point reports unchanged
+    scene = load_scene(SCENES / f"{name}.json")
+    fol = scene.foliation
+    syzygies = list(fol.syzygies)
+    random.Random(name).shuffle(syzygies)
+    other = FoliationModule(fol.chart, fol.generators)
+    pairs = zip(syzygies, syzygies[1:] + syzygies[:1])
+    other.syzygies = tuple(syzygies + [a + b for a, b in pairs])
+    assert len(other.syzygies) == 2 * len(fol.syzygies) > 0
+    for point in scene.points.values():
+        assert isotropy_algebra(other, point) == isotropy_algebra(fol, point)
+        assert fiber_dim(other, point) == fiber_dim(fol, point)
 
 
 # -- module equality ---------------------------------------------------------------
