@@ -9,6 +9,10 @@ Rational literals are an integer or a/b; implicit multiplication is not
 allowed, and '/' appears only inside a literal.  ``format_polynomial`` in the
 polynomial module emits strings in this grammar, so print-then-parse is the
 identity on canonical forms.
+
+Parentheses nest at most ``MAX_NESTING`` deep.  The parser recurses once
+per level, so deeper input is a parse error rather than an exhausted
+interpreter stack.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .poly import Polynomial, VariableSet
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.varset = varset
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -146,8 +153,12 @@ class _Parser:
                 raise ParseError(f"undeclared variable {tok.text!r}", tok.pos)
             return Polynomial.variable(self.varset, tok.text)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 

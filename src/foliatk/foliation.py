@@ -1,14 +1,20 @@
 """Singular foliations as finitely generated modules of polynomial vector fields.
 
-A :class:`FoliationModule` is a chart plus generators.  The module Groebner
-basis and the full syzygy basis are computed on first use and cached, so
-commands that read neither (the cotangent-lift ideal and the checks built on
-it) never pay for them; every point query is pure.  Fibers and isotropy are
-computed for the presented module (generators plus computed syzygies), which
-realizes the quotient ``F / I_q F`` concretely: the fiber dimension at ``q``
-is the generator count minus the rank of the evaluated syzygies, and the
-isotropy algebra is the kernel of evaluation inside that quotient with the
-bracket induced by cofactor-tracked division.
+A :class:`FoliationModule` is a chart plus generators.  Its module Groebner
+basis ``G``, with representation rows ``R`` (``G_k = sum_i R_ki g_i``), is
+computed on first use and cached, so commands that never read it (the
+cotangent-lift ideal and the checks built on it) never pay for it; every
+point query is pure.  ``G`` and ``R`` are the one source of the point
+layer:
+
+* the syzygies are Schreyer's relations over ``G``, lifted through ``R``
+  (:func:`~foliatk.groebner.syzygy_basis`);
+* the fiber ``F / I_q F`` is the presented module (generators plus those
+  syzygies) at ``q``: its dimension is the generator count minus the rank of
+  the evaluated syzygies;
+* the isotropy algebra is the kernel of evaluation inside the fiber, with
+  the bracket class of two representatives read off their division by ``G``
+  as ``sum_k c_k(q) R_k(q)``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .groebner import (
     CheckResult,
     ModuleElement,
     ModuleGroebnerBasis,
+    module_divide,
     module_groebner,
     module_membership,
     syzygy_basis,
@@ -89,7 +96,7 @@ class FoliationModule:
 
     @cached_property
     def syzygies(self) -> tuple[ModuleElement, ...]:
-        return tuple(syzygy_basis(self._elements, BLOCK))
+        return tuple(syzygy_basis(self.module_gb))
 
     @property
     def n_generators(self) -> int:
@@ -198,18 +205,33 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     zero = Fraction(0)
     consts = [[[Fraction(0)] * idim for _ in range(idim)] for _ in range(idim)]
     reps = [_combine(fol, b) for b in basis]
+    gb = fol.module_gb
+    # a bracket is sum_k c_k G_k with G_k = sum_i R_ki g_i, and evaluation is
+    # a ring map, so its class at q is sum_k c_k(q) R_k(q); each row R_k is
+    # evaluated once, when a bracket first needs it
+    row_values: dict[int, list[tuple[int, Fraction]]] = {}
     for u in range(idim):
         for v in range(u + 1, idim):
             bracket = lie_bracket(reps[u], reps[v])
-            cert = module_membership(
-                ModuleElement(fol.chart, bracket.components), fol.module_gb
+            cofactors, remainder = module_divide(
+                ModuleElement(fol.chart, bracket.components), gb.generators, gb.order
             )
-            if not cert.claim_holds:
+            if not remainder.is_zero():
                 raise PreconditionError(
                     "bracket of isotropy representatives leaves the module; "
                     "the foliation is not involutive"
                 )
-            w = [c.evaluate_seq(exact) if c.terms else zero for c in cert.cofactors]
+            w = [zero] * big_n
+            for k, c in cofactors.items():
+                ck = c.evaluate_seq(exact)
+                if not ck:
+                    continue
+                row = row_values.get(k)
+                if row is None:
+                    row = row_values[k] = [(i, t.evaluate_seq(exact))
+                                           for i, t in gb.rows[k].items()]
+                for i, t in row:
+                    w[i] += ck * t
             coords = solve_coordinates(frame, w)
             if coords is None:
                 raise AmbiguousQuotientError(

@@ -28,8 +28,10 @@ under the order's key function (one function object per order and chart
 dimension), and tries a term only against the divisors leading at that
 term's position.
 
-Module bases power involutivity checks, module equality, and syzygy
-computation via the standard tagged construction.
+Module bases power involutivity checks, module equality and syzygies.  A
+basis remembers how it sits over its inputs (``rows``), so the relations
+among the inputs come from Schreyer's construction over the basis itself
+(:func:`syzygy_basis`): no second Groebner computation in a larger rank.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Sequence
 
-from .errors import VariableSetError
+from .errors import InternalCheckError, VariableSetError
 from .poly import BLOCK, Exponents, MonomialOrder, Polynomial, VariableSet
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,7 @@ class ModuleElement:
         return cls(varset, (z,) * rank)
 
     # where the result equals a component as it is, that component is reused:
-    # most components of a tagged syzygy element are zero
+    # most components of a syzygy row are zero
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
@@ -482,30 +484,76 @@ def module_membership(
 
 
 def syzygy_basis(
-    gens: Sequence[ModuleElement], order: MonomialOrder = BLOCK
+    gens: Sequence[ModuleElement] | GroebnerBasis, order: MonomialOrder = BLOCK
 ) -> list[ModuleElement]:
-    """Generators of the full relation module {(f_1..f_N) : sum f_i gens_i = 0}.
+    """Generators of the relation module {(f_1..f_N) : sum f_i g_i = 0} of the inputs g.
 
-    Tagged construction: a module Groebner basis of the generators augmented
-    with unit tags is computed under an order where original positions
-    dominate; elements reducing the original part to zero carry syzygies in
-    their tags.
+    Schreyer's construction over the reduced basis ``G`` of the inputs, with
+    ``G_k = sum_i R_ki g_i`` (``R`` is ``rows``).  Accepts the inputs or their
+    :class:`GroebnerBasis`.  The relations are, in this order:
+
+    * for each input ``i``, ``e_i - sum_k A_ik R_k`` where ``g_i = sum_k A_ik G_k``
+      is its division by ``G``; skipped when zero (an input that is a basis
+      element);
+    * for each pair ``k < l`` of basis elements leading at the same position
+      and kept by the chain rule, the lift ``sum_j s_j R_j`` of the syzygy
+      ``s = m_k e_k - m_l e_l - a`` of ``G``, where ``a`` is the division of
+      the S-vector ``m_k G_k - m_l G_l`` by ``G``; skipped when zero.
+
+    The pair syzygies generate Syz(G) (Schreyer 1980), so with the input
+    relations they generate Syz(g).  The chain rule is static and strict: it
+    drops ``(k, l)`` with ``L = lcm(lead_k, lead_l)`` when a third element
+    ``j`` at the same position has ``lead_j | L`` and both ``lcm(lead_k,
+    lead_j)`` and ``lcm(lead_l, lead_j)`` differ from ``L``.  Then the leading
+    syzygy of ``(k, l)`` is a combination of those of ``(k, j)`` and ``(j, l)``,
+    whose lcms are proper divisors of ``L``, so by induction on ``L`` the
+    kept pairs still generate the leading syzygies (Gebauer & Moeller 1988).
+    There is no product criterion: a rank-1 pair with coprime leads gives its
+    Koszul syzygy through the same division.  A nonzero remainder in either
+    division would mean ``G`` is not a Groebner basis of the inputs, and
+    raises :class:`InternalCheckError`.
     """
-    gens = tuple(gens)
-    if not gens:
+    gb = gens if isinstance(gens, GroebnerBasis) else module_groebner(gens, order)
+    inputs, basis, rows = gb.input_generators, gb.generators, gb.rows
+    n = len(inputs)
+    if not n:
         return []
-    varset = gens[0].varset
-    rank = gens[0].rank
-    n = len(gens)
-    zero = Polynomial.zero(varset)
+    varset = inputs[0].varset
+    keyf = gb.order.key_function(varset)
+    out: list[ModuleElement] = []
+
+    def standard(v: ModuleElement) -> Row:
+        cofactors, r = module_divide(v, basis, gb.order)
+        if not r.is_zero():
+            raise InternalCheckError("a module element left a remainder on its own Groebner basis")
+        return cofactors
+
+    def emit(acc: Row, cofactors: Row) -> None:
+        for j, a in cofactors.items():
+            _sub_scaled(acc, a, rows[j])
+        if acc:
+            out.append(ModuleElement(varset, _dense(acc, n, varset)))
+
     one = Polynomial.constant(varset, 1)
-    augmented = []
-    for i, g in enumerate(gens):
-        tag = tuple(one if j == i else zero for j in range(n))
-        augmented.append(ModuleElement(varset, g.components + tag))
-    gb = module_groebner(augmented, order)
-    rows: list[ModuleElement] = []
-    for g in gb.generators:
-        if all(c.is_zero() for c in g.components[:rank]):
-            rows.append(ModuleElement(varset, g.components[rank:]))
-    return rows
+    for i, g in enumerate(inputs):
+        emit({i: one}, standard(g))
+
+    # pairs form only within a lead position
+    by_pos: dict[int, list[tuple[int, Exponents, Fraction]]] = {}
+    for k, b in enumerate(basis):
+        (pos, expo), coeff = b.leading(keyf)
+        by_pos.setdefault(pos, []).append((k, expo, coeff))
+    for group in by_pos.values():
+        for a, (k, lk, ck) in enumerate(group):
+            for l, ll, cl in group[a + 1:]:
+                lcm_kl = _lcm(lk, ll)
+                if any(j != k and j != l and _divides(lj, lcm_kl)
+                       and _lcm(lk, lj) != lcm_kl and _lcm(ll, lj) != lcm_kl
+                       for j, lj, _ in group):
+                    continue
+                mk = Polynomial.monomial(varset, _sub(lcm_kl, lk), Fraction(1) / ck)
+                ml = Polynomial.monomial(varset, _sub(lcm_kl, ll), Fraction(1) / cl)
+                acc = {i: mk * t for i, t in rows[k].items()}
+                _sub_scaled(acc, ml, rows[l])
+                emit(acc, standard(basis[k].scale_by(mk) - basis[l].scale_by(ml)))
+    return out

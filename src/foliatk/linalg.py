@@ -25,10 +25,12 @@ class EchelonSpan:
 
     def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
         for row, piv in zip(self.rows, self.pivots):
-            if vec[piv]:
-                f = vec[piv]
+            f = vec[piv]
+            if f:
                 for k in range(piv, self.width):
-                    vec[k] -= f * row[k]
+                    r = row[k]
+                    if r:
+                        vec[k] -= f * r
         return vec
 
     def insert(self, vec: Sequence[Fraction]) -> bool:

@@ -6,6 +6,11 @@ echelonized by leading monomial (grevlex) with exact rational arithmetic, so
 the verdict is exact and shares no code with Buchberger or the division
 routine.
 
+Syzygies: the tagged construction that Schreyer's construction in
+``groebner.py`` replaced.  It computes a second module Groebner basis, of the
+generators augmented with unit tags, so it shares no pair loop with the
+package's syzygy code.
+
 Exact evaluation: the ``Fraction`` loop that the integer evaluator in
 ``poly.py`` replaced, one coordinate power at a time.
 
@@ -24,7 +29,8 @@ from typing import Callable, Sequence
 
 from foliatk.dynamics import FlowState, MonitorReport
 from foliatk.errors import FlowDivergedError, PreconditionError
-from foliatk.poly import GREVLEX, Polynomial
+from foliatk.groebner import ModuleElement, module_groebner
+from foliatk.poly import BLOCK, GREVLEX, Polynomial
 
 
 def monomials_up_to(n_vars: int, degree: int):
@@ -82,6 +88,36 @@ def bounded_membership(f: Polynomial, gens: list[Polynomial], degree_bound: int)
         for g in gens:
             span.insert((mono * g).terms)
     return span.contains(f.terms)
+
+
+# -- syzygy reference ----------------------------------------------------------
+
+
+def reference_syzygies(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
+    """Generators of {(f_1..f_N) : sum f_i gens_i = 0}, by the tagged construction.
+
+    A module Groebner basis of the generators augmented with unit tags is
+    computed under the position-over-term order, where the original
+    positions dominate; the basis elements whose original part is zero carry
+    the syzygies in their tags.
+    """
+    gens = tuple(gens)
+    if not gens:
+        return []
+    varset = gens[0].varset
+    rank = gens[0].rank
+    n = len(gens)
+    zero = Polynomial.zero(varset)
+    one = Polynomial.constant(varset, 1)
+    augmented = [
+        ModuleElement(varset, g.components + tuple(one if j == i else zero for j in range(n)))
+        for i, g in enumerate(gens)
+    ]
+    return [
+        ModuleElement(varset, g.components[rank:])
+        for g in module_groebner(augmented, BLOCK).generators
+        if all(c.is_zero() for c in g.components[:rank])
+    ]
 
 
 # -- exact evaluation reference ------------------------------------------------

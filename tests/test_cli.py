@@ -309,6 +309,33 @@ def test_coefficient_with_too_many_digits_is_an_error_report(tmp_path, capsys, c
     assert "digits" in report["detail"]["message"]
 
 
+def _normalizer_check_of(candidate):
+    scene = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
+    scene["candidates"]["deep"] = candidate
+    return run_command("normalizer-check", json.dumps(scene), ns(candidate=["deep"]))
+
+
+def test_parentheses_nested_to_the_limit_parse():
+    depth = foliatk.expressions.MAX_NESTING
+    report, code = _normalizer_check_of("(" * depth + "p_q1" + ")" * depth)
+    assert code in (0, 1) and report["verdict"] in ("pass", "fail")
+
+
+def test_parentheses_nested_past_the_limit_are_an_error_report():
+    # one level more used to exhaust the interpreter stack near 250 levels
+    for depth in (foliatk.expressions.MAX_NESTING + 1, 250, 5000):
+        report, code = _normalizer_check_of("(" * depth + "p_q1" + ")" * depth)
+        assert code == 2 and report["verdict"] == "error"
+        # the scene loader names the key whose expression failed to parse
+        assert report["detail"]["error_type"] == "SceneError"
+        assert report["detail"]["message"].startswith("candidates.deep: parentheses nest")
+
+
+def test_a_long_run_of_unary_minus_signs_parses():
+    report, code = _normalizer_check_of("-" * 5001 + "p_q1")
+    assert code in (0, 1) and report["verdict"] in ("pass", "fail")
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(foliatk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliatk import ParseError, Polynomial, VariableSet, parse_expression
+from foliatk.expressions import MAX_NESTING
 from foliatk.poly import format_polynomial, random_polynomial
 
 COT2 = VariableSet(("x", "y")).cotangent()
@@ -79,3 +80,18 @@ def test_round_trip_with_large_coefficients():
     terms = {(3, 0, 2, 0): 10**30, (0, 0, 0, 0): -7}
     p = Polynomial(COT2, terms)
     assert parse_expression(format_polynomial(p), COT2) == p
+
+
+def test_nesting_depth_is_bounded():
+    x = parse_expression("x", COT2)
+    assert parse_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, COT2) == x
+    with pytest.raises(ParseError) as err:
+        parse_expression("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), COT2)
+    assert err.value.position == MAX_NESTING
+
+
+def test_nesting_counts_depth_not_parentheses():
+    # siblings and closed groups do not add to the depth
+    text = "+".join(["(x)"] * 1000) + "+" + "(" * MAX_NESTING + "y" + ")" * MAX_NESTING
+    assert parse_expression(text, COT2) == parse_expression("1000*x + y", COT2)
+    assert parse_expression("-" * 5001 + "x", COT2) == parse_expression("-x", COT2)
