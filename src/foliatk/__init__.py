@@ -19,7 +19,6 @@ from .groebner import (
     CheckResult,
     GroebnerBasis,
     ModuleElement,
-    ModuleGroebnerBasis,
     buchberger,
     ideal_membership,
     module_groebner,

@@ -22,7 +22,7 @@ from .dynamics import FlowState, geodesic_orthogonality_check, monitor_ideal_pre
 from .errors import FoliatkError, SceneError
 from .foliation import involutivity_check, isotropy_algebra, module_equal
 from .geometry import OneForm
-from .groebner import Certificate, ModuleElement
+from .groebner import Certificate, CheckResult, ModuleElement
 from .ipoisson import (
     IdealPresentation,
     killing_connection,
@@ -88,20 +88,6 @@ def _point_str(pt) -> list[str] | None:
     if pt is None:
         return None
     return [str(Fraction(x)) for x in pt]
-
-
-def _refutation_level(obstruction) -> str:
-    if obstruction is None:
-        return "polynomial: no polynomial certificate exists"
-    return "smooth: remainder nonzero at a common zero of the generators"
-
-
-def _add_failure(detail: dict, certs: list, claim: str, cert: Certificate,
-                 obstruction_point, **witness) -> None:
-    """Append the failing claim's certificate and say how strongly it refutes."""
-    certs.append((claim, cert))
-    detail.update(witness, obstruction_point=_point_str(obstruction_point),
-                  refutation_level=_refutation_level(obstruction_point))
 
 
 def _need(scene: Scene, attr: str, command: str):
@@ -170,47 +156,57 @@ def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
     return FlowState(scene.flow.q, scene.flow.p, 0.0), t_end, dt, tol
 
 
+def _check_detail(res: CheckResult, claim, fields, **detail) -> tuple[dict, list]:
+    """Detail and certificates of a pass/witness check.
+
+    ``res.certificates`` holds ``(key, Certificate)`` pairs, ``claim(key)``
+    names a membership and ``fields(key)`` gives the detail fields naming the
+    failing one.  A fail adds the failing certificate, the obstruction point
+    and the level at which the remainder refutes the claim.
+    """
+    certs = [(claim(key), c) for key, c in res.certificates]
+    detail["passed"] = res.passed
+    if not res.passed:
+        # module_equal spreads its (side, index) key through the witness
+        *key, cert = res.witness
+        key = key[0] if len(key) == 1 else tuple(key)
+        certs.append((claim(key), cert))
+        point = res.obstruction_point
+        detail.update(
+            fields(key),
+            obstruction_point=_point_str(point),
+            refutation_level="polynomial: no polynomial certificate exists" if point is None
+            else "smooth: remainder nonzero at a common zero of the generators",
+        )
+    return detail, certs
+
+
 # ---------------------------------------------------------------------------
-# handlers: each returns (verdict, detail, certificates, monitor, tolerances),
-# with the certificates as (claim, Certificate) pairs
+# handlers: each returns (detail, certificates), with the certificates as
+# (claim, Certificate) pairs; the flow handlers add the monitor and the
+# tolerances.  The verdict is detail["passed"], a pass where it is absent.
 
 
 def _cmd_check_involutive(scene: Scene, args, order):
     fol = _need(scene, "foliation", "check-involutive")
-    res = involutivity_check(fol)
-    certs = [(f"[X_{a}, X_{b}] in module", c) for (a, b), c in res.certificates]
-    detail = {"passed": res.passed}
-    if not res.passed:
-        (a, b), cert = res.witness
-        _add_failure(detail, certs, f"[X_{a}, X_{b}] in module", cert,
-                     res.obstruction_point, witness_pair=[a, b])
-    return ("pass" if res.passed else "fail", detail, certs, None, {})
+    return _check_detail(involutivity_check(fol),
+                         lambda ab: f"[X_{ab[0]}, X_{ab[1]}] in module",
+                         lambda ab: {"witness_pair": list(ab)})
 
 
 def _cmd_check_srf(scene: Scene, args, order):
     fol = _need(scene, "foliation", "check-srf")
     out = srf_check(fol, scene.metric)
     if out.passed:
-        detail = {
-            "passed": True,
-            "hamiltonian": str(out.hamiltonian),
-            "lambda": [[str(l) for l in row] for row in out.lam],
-        }
-        certs = [
-            (f"{{lift(X_{a}), H_g}} in I_F", c)
-            for a, c in enumerate(out.certificates)
-        ]
-        return ("pass", detail, certs, None, {})
-    detail = {
-        "passed": False,
-        "hamiltonian": str(out.hamiltonian),
-        "generator_index": out.generator_index,
-        "bracket": str(out.bracket),
-    }
-    certs = []
-    _add_failure(detail, certs, f"{{lift(X_{out.generator_index}), H_g}} in I_F",
-                 out.certificate, out.obstruction_point)
-    return ("fail", detail, certs, None, {})
+        res = CheckResult(True, tuple(enumerate(out.certificates)))
+        extra = {"lambda": [[str(l) for l in row] for row in out.lam]}
+    else:
+        res = CheckResult(False, witness=(out.generator_index, out.certificate),
+                          obstruction_point=out.obstruction_point)
+        extra = {"bracket": str(out.bracket)}
+    return _check_detail(res, lambda a: f"{{lift(X_{a}), H_g}} in I_F",
+                         lambda a: {"generator_index": a},
+                         hamiltonian=str(out.hamiltonian), **extra)
 
 
 def _cmd_killing_connection(scene: Scene, args, order):
@@ -225,7 +221,7 @@ def _cmd_killing_connection(scene: Scene, args, order):
     certs = [
         (f"{{lift(X_{a}), H_g}} in I_F", c) for a, c in enumerate(kc.certificates)
     ]
-    return ("pass", detail, certs, None, {})
+    return detail, certs
 
 
 def _cmd_lift_ideal(scene: Scene, args, order):
@@ -233,40 +229,29 @@ def _cmd_lift_ideal(scene: Scene, args, order):
     ideal = fol.lift_presentation
     detail = {"generators": [str(g) for g in ideal.generators],
               "fiber_degree_one": ideal.fiber_graded_linear}
-    return ("pass", detail, [], None, {})
+    return detail, []
 
 
 def _cmd_closure_check(scene: Scene, args, order):
     ideal = _working_ideal(scene, order)
-    res = poisson_closure_check(ideal)
-    certs = [(f"{{g_{i}, g_{j}}} in ideal", c) for (i, j), c in res.certificates]
-    detail = {"passed": res.passed}
-    if not res.passed:
-        (i, j), cert = res.witness
-        _add_failure(detail, certs, f"{{g_{i}, g_{j}}} in ideal", cert,
-                     res.obstruction_point, witness_pair=[i, j])
-    return ("pass" if res.passed else "fail", detail, certs, None, {})
+    return _check_detail(poisson_closure_check(ideal),
+                         lambda ij: f"{{g_{ij[0]}, g_{ij[1]}}} in ideal",
+                         lambda ij: {"witness_pair": list(ij)})
 
 
 def _cmd_normalizer_check(scene: Scene, args, order):
     ideal = _working_ideal(scene, order)
     (cand,) = _resolve_candidates(scene.candidates, args.candidate, 1, "normalizer-check")
-    res = normalizer_check(ideal, cand)
-    certs = [(f"{{candidate, g_{i}}} in ideal", c) for i, c in res.certificates]
-    detail = {"passed": res.passed, "candidate": str(cand)}
-    if not res.passed:
-        i, cert = res.witness
-        _add_failure(detail, certs, f"{{candidate, g_{i}}} in ideal", cert,
-                     res.obstruction_point, witness_generator=i)
-    return ("pass" if res.passed else "fail", detail, certs, None, {})
+    return _check_detail(normalizer_check(ideal, cand),
+                         lambda i: f"{{candidate, g_{i}}} in ideal",
+                         lambda i: {"witness_generator": i}, candidate=str(cand))
 
 
 def _cmd_reduced_bracket(scene: Scene, args, order):
     ideal = _working_ideal(scene, order)
     f, g = _resolve_candidates(scene.candidates, args.candidate, 2, "reduced-bracket")
     rep = reduced_bracket(ideal, f, g)
-    detail = {"representative": str(rep), "first": str(f), "second": str(g)}
-    return ("pass", detail, [], None, {})
+    return {"representative": str(rep), "first": str(f), "second": str(g)}, []
 
 
 def _cmd_point_report(scene: Scene, args, order):
@@ -283,23 +268,15 @@ def _cmd_point_report(scene: Scene, args, order):
             [[str(c) for c in row] for row in plane] for plane in rep.structure_constants
         ],
     }
-    return ("pass", detail, [], None, {})
+    return detail, []
 
 
 def _cmd_module_equal(scene: Scene, args, order):
     f1 = _need(scene, "foliation", "module-equal")
     f2 = _need(scene, "foliation_b", "module-equal")
-    res = module_equal(f1, f2)
-    certs = [
-        (f"generator {idx} of {side} in the other module", c)
-        for (side, idx), c in res.certificates
-    ]
-    detail = {"passed": res.passed}
-    if not res.passed:
-        side, idx, cert = res.witness
-        _add_failure(detail, certs, f"generator {idx} of {side} in the other module", cert,
-                     res.obstruction_point, witness_side=side, witness_generator=idx)
-    return ("pass" if res.passed else "fail", detail, certs, None, {})
+    return _check_detail(module_equal(f1, f2),
+                         lambda key: f"generator {key[1]} of {key[0]} in the other module",
+                         lambda key: {"witness_side": key[0], "witness_generator": key[1]})
 
 
 def _cmd_check_riemannian(scene: Scene, args, order):
@@ -308,7 +285,7 @@ def _cmd_check_riemannian(scene: Scene, args, order):
     detail = {"passed": res.passed}
     if not res.passed:
         detail.update({"entry": list(res.entry), "defect": str(res.defect)})
-    return ("pass" if res.passed else "fail", detail, [], None, {})
+    return detail, []
 
 
 def _cmd_phi_pi(scene: Scene, args, order):
@@ -318,16 +295,13 @@ def _cmd_phi_pi(scene: Scene, args, order):
         "base_components": [str(c) for c in phi.base_components],
         "fiber_components": [str(c) for c in phi.fiber_components],
     }
-    return ("pass", detail, [], None, {})
+    return detail, []
 
 
 def _cmd_pullback(scene: Scene, args, order):
     sub = _need(scene, "submersion", "pullback")
     result = pullback_foliation(sub, scene.target_foliation)
-    detail = {
-        "generators": [[str(c) for c in g.components] for g in result.generators],
-    }
-    return ("pass", detail, [], None, {})
+    return {"generators": [[str(c) for c in g.components] for g in result.generators]}, []
 
 
 def _cmd_poisson_defect(scene: Scene, args, order):
@@ -335,14 +309,13 @@ def _cmd_poisson_defect(scene: Scene, args, order):
     f, g = _resolve_candidates(scene.target_candidates, args.candidate, 2, "poisson-defect")
     defect, cert = poisson_defect(sub, f, g)
     detail = {"defect": str(defect), "first": str(f), "second": str(g)}
-    return ("pass", detail, [("defect in <p_alpha>", cert)], None, {})
+    return detail, [("defect in <p_alpha>", cert)]
 
 
 def _cmd_metric_defect(scene: Scene, args, order):
     sub = _need(scene, "submersion", "metric-defect")
     defect, cert = metric_defect(sub)
-    detail = {"defect": str(defect)}
-    return ("pass", detail, [("H_h - H_g o phi in <p_alpha>", cert)], None, {})
+    return {"defect": str(defect)}, [("H_h - H_g o phi in <p_alpha>", cert)]
 
 
 def _cmd_integrability(scene: Scene, args, order):
@@ -355,7 +328,7 @@ def _cmd_integrability(scene: Scene, args, order):
             "witness_pair": [i, j],
             "curvature_witness": [str(c) for c in defect.components],
         })
-    return ("pass" if res.passed else "fail", detail, [], None, {})
+    return detail, []
 
 
 def _cmd_morita_span(scene: Scene, args, order):
@@ -376,11 +349,13 @@ def _cmd_morita_span(scene: Scene, args, order):
         side, idx, cert = res.comparison.witness
         certs.append((f"generator {idx} of {side} pullback in the other", cert))
         detail.update({"witness_side": side, "witness_generator": idx})
-    return ("pass" if res.passed else "fail", detail, certs, None, {})
+    return detail, certs
 
 
-def _monitor_dict(report) -> dict:
-    return {
+def _flow_detail(report, tol: float, dt: float, t_end: float, **detail):
+    """Detail, certificates, monitor and tolerances of a flow command."""
+    detail["passed"] = report.max_abs_generator <= tol
+    monitor = {
         "max_abs_generator": _f(report.max_abs_generator),
         "energy_drift": _f(report.energy_drift),
         "samples": [
@@ -388,6 +363,8 @@ def _monitor_dict(report) -> dict:
             for t, values, e in report.samples
         ],
     }
+    tolerances = {"tol": _f(tol), "dt": _f(dt), "t_end": _f(t_end), "start_tol": _f(_START_TOL)}
+    return detail, [], monitor, tolerances
 
 
 def _cmd_flow_monitor(scene: Scene, args, order):
@@ -396,10 +373,7 @@ def _cmd_flow_monitor(scene: Scene, args, order):
     (ham,) = _resolve_candidates(pool, args.candidate or ["H"], 1, "flow-monitor")
     start, t_end, dt, tol = _flow_params(scene, args)
     report = monitor_ideal_preservation(ideal, ham, start, t_end, dt, start_tol=_START_TOL)
-    passed = report.max_abs_generator <= tol
-    detail = {"passed": passed, "hamiltonian": str(ham)}
-    tolerances = {"tol": _f(tol), "dt": _f(dt), "t_end": _f(t_end), "start_tol": _f(_START_TOL)}
-    return ("pass" if passed else "fail", detail, [], _monitor_dict(report), tolerances)
+    return _flow_detail(report, tol, dt, t_end, hamiltonian=str(ham))
 
 
 def _cmd_geodesic_check(scene: Scene, args, order):
@@ -408,10 +382,7 @@ def _cmd_geodesic_check(scene: Scene, args, order):
     report = geodesic_orthogonality_check(
         fol, scene.metric, start, t_end, dt, start_tol=_START_TOL
     )
-    passed = report.max_abs_generator <= tol
-    detail = {"passed": passed}
-    tolerances = {"tol": _f(tol), "dt": _f(dt), "t_end": _f(t_end), "start_tol": _f(_START_TOL)}
-    return ("pass" if passed else "fail", detail, [], _monitor_dict(report), tolerances)
+    return _flow_detail(report, tol, dt, t_end)
 
 
 # commands whose working ideal honors --order; everything else pins the
@@ -452,15 +423,17 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
             raise SceneError(f"unknown command {command!r}")
         scene = load_scene(scene_source)
         notes = scene.notes
-        verdict, detail, certs, monitor, tolerances = _COMMANDS[command](scene, args, order)
+        detail, certs, *flow = _COMMANDS[command](scene, args, order)
     except FoliatkError as exc:
         report = _assemble(command, "error",
                            {"message": str(exc), "error_type": type(exc).__name__},
                            [], None, notes, effective_order, {})
         return report, 2
-    report = _assemble(command, verdict, detail, _cert_dicts(certs), monitor, notes,
-                       effective_order, tolerances)
-    return report, 0 if verdict == "pass" else 1
+    monitor, tolerances = flow or (None, {})
+    passed = detail.get("passed", True)
+    report = _assemble(command, "pass" if passed else "fail", detail, _cert_dicts(certs),
+                       monitor, notes, effective_order, tolerances)
+    return report, 0 if passed else 1
 
 
 def _assemble(command, verdict, detail, certs, monitor, notes, order_kind, tolerances) -> dict:

@@ -27,9 +27,6 @@ the errors are raised here; ``integrate_flow`` runs the same loop with the
 state itself as the sample.  Integration is fixed-step, so monitor values are
 reproducible.  A flow of more than ``MAX_FLOW_STEPS`` steps is refused
 before the first step.
-
-``kernel_source`` and ``compile_kernel`` give the step and the sample as two
-separate functions, built from the same statements as the loop.
 """
 
 from __future__ import annotations
@@ -181,27 +178,6 @@ def _load(source: str, *names: str) -> tuple[Callable, ...]:
     namespace: dict = {"isfinite": math.isfinite}
     exec(compile(source, _KERNEL_FILE, "exec"), namespace)
     return tuple(namespace[name] for name in names)
-
-
-def kernel_source(h: Polynomial, generators: Sequence[Polynomial], dt: float,
-                  method: str = "rk4") -> str:
-    """Source of the flow kernel: ``step`` over ``dt``, and ``sample``.
-
-    ``sample`` returns the values of ``generators`` and of ``h``; both
-    functions take the state as positional floats ``q`` then ``p``.
-    """
-    width = h.varset.n_vars
-    v = _names("v", width)
-    step = _step_lines(h, dt, method) + [f"return {_tuple(_names('n', width))}"]
-    sample = _sample_lines(h, generators)
-    sample.append(f"return {_tuple(_names('g', len(generators)))}, e")
-    return _def("step", v, step) + _def("sample", v, sample)
-
-
-def compile_kernel(h: Polynomial, generators: Sequence[Polynomial], dt: float,
-                   method: str = "rk4") -> tuple[Callable, Callable]:
-    """``(step, sample)`` compiled from :func:`kernel_source`."""
-    return _load(kernel_source(h, generators, dt, method), "step", "sample")
 
 
 def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: float,

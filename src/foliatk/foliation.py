@@ -1,6 +1,8 @@
 """Singular foliations as finitely generated modules of polynomial vector fields.
 
-A :class:`FoliationModule` is a chart plus generators.  Its module Groebner
+A :class:`FoliationModule` is a chart plus generators: vector fields, which
+are elements of the free module ``R[q]^n``, so the generators and their
+brackets enter the module engine as they are.  Its module Groebner
 basis ``G``, with representation rows ``R`` (``G_k = sum_i R_ki g_i``), is
 computed on first use and cached, so commands that never read it (the
 cotangent-lift ideal and the checks built on it) never pay for it; every
@@ -29,8 +31,8 @@ from .geometry import VectorField, cotangent_lift, lie_bracket
 from .groebner import (
     Certificate,
     CheckResult,
+    GroebnerBasis,
     ModuleElement,
-    ModuleGroebnerBasis,
     module_divide,
     module_groebner,
     module_membership,
@@ -86,13 +88,10 @@ class FoliationModule:
                 raise PreconditionError("zero vector field among generators")
         self.chart = chart
         self.generators = generators
-        self._elements = tuple(
-            ModuleElement(chart, g.components) for g in generators
-        )
 
     @cached_property
-    def module_gb(self) -> ModuleGroebnerBasis:
-        return module_groebner(self._elements, BLOCK)
+    def module_gb(self) -> GroebnerBasis:
+        return module_groebner(self.generators, BLOCK)
 
     @cached_property
     def syzygies(self) -> tuple[ModuleElement, ...]:
@@ -102,11 +101,11 @@ class FoliationModule:
     def n_generators(self) -> int:
         return len(self.generators)
 
-    def elements(self) -> tuple[ModuleElement, ...]:
-        return self._elements
+    def elements(self) -> tuple[VectorField, ...]:
+        return self.generators
 
     def contains(self, v: VectorField) -> Certificate:
-        return module_membership(ModuleElement(self.chart, v.components), self.module_gb)
+        return module_membership(v, self.module_gb)
 
     @cached_property
     def lift_presentation(self):
@@ -131,11 +130,9 @@ def involutivity_check(fol: FoliationModule) -> CheckResult:
     for a in range(fol.n_generators):
         for b in range(a + 1, fol.n_generators):
             bracket = lie_bracket(fol.generators[a], fol.generators[b])
-            cert = module_membership(
-                ModuleElement(fol.chart, bracket.components), fol.module_gb
-            )
+            cert = module_membership(bracket, fol.module_gb)
             if not cert.claim_holds:
-                point = find_module_obstruction(fol.elements(), cert.remainder)
+                point = find_module_obstruction(fol.generators, cert.remainder)
                 return CheckResult(
                     False,
                     certificates=tuple(certs),
@@ -213,9 +210,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     for u in range(idim):
         for v in range(u + 1, idim):
             bracket = lie_bracket(reps[u], reps[v])
-            cofactors, remainder = module_divide(
-                ModuleElement(fol.chart, bracket.components), gb.generators, gb.order
-            )
+            cofactors, remainder = module_divide(bracket, gb.generators, gb.order)
             if not remainder.is_zero():
                 raise PreconditionError(
                     "bracket of isotropy representatives leaves the module; "
@@ -272,7 +267,7 @@ def module_equal(f1: FoliationModule, f2: FoliationModule) -> CheckResult:
         for idx, gen in enumerate(src.generators):
             cert = dst.contains(gen)
             if not cert.claim_holds:
-                point = find_module_obstruction(dst.elements(), cert.remainder)
+                point = find_module_obstruction(dst.generators, cert.remainder)
                 return CheckResult(
                     False,
                     certificates=tuple(certs),

@@ -1,5 +1,9 @@
 """Differential-geometric operators on a polynomial chart.
 
+A vector field is an element of the free module ``R[q]^n`` of its base chart
+(a :class:`~foliatk.groebner.ModuleElement`), so brackets and lifts of
+vector fields go into divisions, certificates and syzygies as they are.
+
 Conventions fixed here and relied on everywhere else:
 
 * canonical bracket ``{f, g} = sum_i df/dp_i dg/dq^i - df/dq^i dg/dp_i``,
@@ -21,31 +25,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import ChartMismatchError, MetricError, VariableSetError
+from .groebner import ModuleElement
 from .linalg import poly_adjugate, poly_det, poly_mat_mul
 from .poly import ExactPoint, Polynomial, VariableSet
 from .ratfunc import RationalFunction
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """X = sum X^i d/dq^i with polynomial components on a base chart."""
+class VectorField(ModuleElement):
+    """X = sum X^i d/dq^i: an element of the free module R[q]^n of a base chart.
 
-    chart: VariableSet
-    components: tuple[Polynomial, ...]
+    Arithmetic, ``is_zero``, ``evaluate_seq`` and printing are the module's;
+    a vector field adds its chart checks and the derivation ``apply``.
+    """
 
     def __post_init__(self):
-        if self.chart.has_fiber:
+        chart = self.varset
+        if chart.has_fiber:
             raise VariableSetError("vector fields live on the base chart")
-        if len(self.components) != self.chart.dimension:
+        if len(self.components) != chart.dimension:
             raise VariableSetError("component count must equal the chart dimension")
         for c in self.components:
-            if c.varset != self.chart:
+            if c.varset != chart:
                 raise ChartMismatchError("component polynomial on a different chart")
+
+    @property
+    def chart(self) -> VariableSet:
+        return self.varset
 
     @classmethod
     def zero(cls, chart: VariableSet) -> "VectorField":
-        z = Polynomial.zero(chart)
-        return cls(chart, (z,) * chart.dimension)
+        return super().zero(chart, chart.dimension)
 
     @classmethod
     def coordinate(cls, chart: VariableSet, index: int) -> "VectorField":
@@ -53,44 +62,18 @@ class VectorField:
         comps[index] = Polynomial.constant(chart, 1)
         return cls(chart, tuple(comps))
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        self._check(other)
-        return VectorField(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        self._check(other)
-        return VectorField(self.chart, tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-a for a in self.components))
-
-    def scale_by(self, f: Polynomial) -> "VectorField":
-        return VectorField(self.chart, tuple(f * a for a in self.components))
-
-    def _check(self, other: "VectorField"):
-        if other.chart != self.chart:
-            raise ChartMismatchError("vector fields on different charts")
-
     def apply(self, f: Polynomial) -> Polynomial:
         """Derivation on chart functions: X(f) = sum X^i df/dq^i."""
-        if f.varset != self.chart:
+        chart = self.varset
+        if f.varset != chart:
             raise VariableSetError("variable-set mismatch")
-        acc = Polynomial.zero(self.chart)
-        for name, comp in zip(self.chart.base, self.components):
+        acc = Polynomial.zero(chart)
+        for name, comp in zip(chart.base, self.components):
             if comp.terms:
                 d = f.diff(name)
                 if d.terms:
                     acc = acc + comp * d
         return acc
-
-    def evaluate_seq(self, values) -> tuple[Fraction, ...]:
-        return tuple(c.evaluate_seq(values) for c in self.components)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
 @dataclass(frozen=True)
@@ -111,13 +94,6 @@ class OneForm:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.chart == other.chart and all(
-            a == b for a, b in zip(self.components, other.components)
-        )
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
@@ -126,14 +102,6 @@ class OneForm:
 class RationalVectorField:
     chart: VariableSet
     components: tuple[RationalFunction, ...]
-
-    def as_vector_field(self) -> VectorField:
-        comps = []
-        for c in self.components:
-            if not c.is_polynomial():
-                raise MetricError("component has a genuine denominator")
-            comps.append(c.num)
-        return VectorField(self.chart, tuple(comps))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, VectorField):
@@ -179,11 +147,6 @@ class SymTensor2:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymTensor2):
-            return NotImplemented
-        return (self.chart, self.kind, self.entries) == (other.chart, other.kind, other.entries)
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,14 @@ class CheckResult:
 # free-module elements (a polynomial is one of rank 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleElement:
-    """Element of a free module R^rank over the base polynomial ring."""
+    """Element of a free module R^rank over the base polynomial ring.
+
+    Equality and hashing go by chart and components, so elements of
+    subclasses (vector fields) compare equal to plain elements with the same
+    components; arithmetic keeps the class of the left operand.
+    """
 
     varset: VariableSet
     components: tuple[Polynomial, ...]
@@ -132,6 +137,14 @@ class ModuleElement:
         for c in self.components:
             if c.varset != self.varset:
                 raise VariableSetError("component on a different chart")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModuleElement):
+            return NotImplemented
+        return self.varset == other.varset and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.varset, self.components))
 
     @property
     def rank(self) -> int:
@@ -150,19 +163,19 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
-        return ModuleElement(self.varset, tuple(
+        return self.__class__(self.varset, tuple(
             a + b if b.terms else a for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
-        return ModuleElement(self.varset, tuple(
+        return self.__class__(self.varset, tuple(
             a - b if b.terms else a for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.varset, tuple(-a for a in self.components))
+        return self.__class__(self.varset, tuple(-a for a in self.components))
 
     def scale_by(self, p: Polynomial) -> "ModuleElement":
-        return ModuleElement(self.varset, tuple(p * a if a.terms else a for a in self.components))
+        return self.__class__(self.varset, tuple(p * a if a.terms else a for a in self.components))
 
     def _check(self, other: "ModuleElement"):
         if other.varset != self.varset or other.rank != self.rank:
@@ -321,9 +334,6 @@ class GroebnerBasis:
         """Remainder of ``f`` on division by an ideal basis."""
         _, r = divide_with_cofactors(f, self.generators, self.order)
         return r
-
-
-ModuleGroebnerBasis = GroebnerBasis
 
 
 def _buchberger(

@@ -107,9 +107,6 @@ class VariableSet:
             return self
         return VariableSet(self.base, tuple(prefix + b for b in self.base))
 
-    def base_only(self) -> "VariableSet":
-        return self if not self.fiber else VariableSet(self.base)
-
 
 def _check_length(varset: VariableSet, values: Sized) -> None:
     if len(values) != len(varset.base) + len(varset.fiber):

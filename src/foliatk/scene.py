@@ -48,10 +48,6 @@ class Scene:
     flow: FlowSpec | None = None
     notes: tuple[str, ...] = ()
 
-    @property
-    def cotangent_chart(self) -> VariableSet:
-        return self.chart.cotangent()
-
     def lift_or_explicit_ideal(self) -> IdealPresentation:
         """The scene's working ideal: the explicit one, else the foliation lift."""
         if self.ideal is not None:

@@ -247,22 +247,13 @@ def metric_defect(s: SubmersionData) -> tuple[Polynomial, Certificate]:
     return defect, cert
 
 
-@dataclass(frozen=True)
-class IntegrabilityResult:
-    passed: bool
-    witness: tuple[int, int, VectorField] | None = None
-
-    def __bool__(self):
-        return self.passed
-
-
-def integrability_check(s: SubmersionData) -> IntegrabilityResult:
+def integrability_check(s: SubmersionData) -> CheckResult:
     """Horizontal distribution integrability via brackets of coordinate lifts.
 
     The bracket defect of two horizontal lifts of commuting coordinate fields
     is always vertical (checked); the distribution is integrable iff every
     such defect vanishes identically.  The first nonzero defect is returned
-    as the curvature witness.
+    as the curvature witness ``(i, j, defect)``.
     """
     m = s.target.dimension
     lifts = [horizontal_lift(s, VectorField.coordinate(s.target, i)) for i in range(m)]
@@ -275,8 +266,8 @@ def integrability_check(s: SubmersionData) -> IntegrabilityResult:
                         "bracket of horizontal lifts has a horizontal part"
                     )
             if not defect.is_zero():
-                return IntegrabilityResult(False, (i, j, defect))
-    return IntegrabilityResult(True)
+                return CheckResult(False, witness=(i, j, defect))
+    return CheckResult(True)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from foliatk import (
 )
 from foliatk import dynamics
 from foliatk.cli import _working_ideal
-from foliatk.dynamics import compile_evaluator, compile_kernel, flow_source, kernel_source
+from foliatk.dynamics import compile_evaluator, flow_source
 from foliatk.geometry import cotangent_lift
 from foliatk.ipoisson import IdealPresentation
 from foliatk.poly import MonomialOrder
@@ -207,8 +207,10 @@ def test_large_hamiltonian_compiles_and_matches():
     start = random_state(rng, 3, scale=0.3)
     assert_identical(outcome(integrate_flow, h, start, 3e-3, 1e-3),
                      outcome(reference_flow, h, start, 3e-3, 1e-3))
-    _, sample = compile_kernel(h, [h], 1e-3)
-    assert sample(*start.vector()) == ((reference(start.vector()),), reference(start.vector()))
+    # a run of no steps samples the start once: h as the generator and as the energy
+    value = reference(start.vector())
+    report = dynamics._monitor([h], h, start, 0.0, 1e-3, INF, 1, "")
+    assert_identical(report.samples, ((0.0, (value,), value),))
 
 
 def test_kernel_source_holds_no_scene_text():
@@ -226,22 +228,20 @@ def test_kernel_source_holds_no_scene_text():
     loop_names = ("flow|steps|start_tol|store_every|append|i|m|t|max_gen|drift|isfinite|abs|range"
                   "|try|except|OverflowError|if|or|and|not|for|in")
     for h in (hamiltonian(scene.metric, cot), scene.candidates["H"]):
-        for source in (kernel_source(h, lifts, 1e-3), flow_source(h, lifts, 1e-3),
-                       flow_source(h, None, 1e-3)):
+        for source in (flow_source(h, lifts, 1e-3), flow_source(h, None, 1e-3)):
             for name in names:
                 assert not re.search(rf"\b{re.escape(name)}\b", source), name
             for tok in tokenize.generate_tokens(io.StringIO(source).readline):
                 if tok.type == tokenize.NAME:
-                    assert re.fullmatch(rf"def|return|step|sample|e|[a-z]{{1,2}}\d+|{loop_names}",
+                    assert re.fullmatch(rf"def|return|e|[a-z]{{1,2}}\d+|{loop_names}",
                                         tok.string), tok.string
                 elif tok.type == tokenize.NUMBER:
                     assert tok.string.isdigit() or repr(float(tok.string)) == tok.string
                 else:
                     assert tok.type != tokenize.STRING
     separable = P("1/2*p_q^2 + lambda_^4", cot)
-    for leapfrog in (kernel_source(separable, [], 1e-3, "leapfrog"),
-                     flow_source(separable, lifts, 1e-3, "leapfrog")):
-        assert not any(re.search(rf"\b{re.escape(name)}\b", leapfrog) for name in names)
+    leapfrog = flow_source(separable, lifts, 1e-3, "leapfrog")
+    assert not any(re.search(rf"\b{re.escape(name)}\b", leapfrog) for name in names)
 
 
 def test_step_cap_is_checked_before_the_first_step(monkeypatch):
