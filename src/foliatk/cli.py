@@ -1,6 +1,8 @@
 """Command-line surface: scene in, certificate-bearing JSON report out.
 
-Exit codes: 0 pass, 1 fail-with-certificate, 2 usage/parse/precondition error.
+Exit codes: 0 pass, 1 fail-with-certificate, 2 usage/parse/precondition error,
+3 internal fault (an ``InternalCheckError``, or any exception that is not a
+``FoliatkError``); 2 and 3 come with an ``error`` report.
 Reports are byte-deterministic for a fixed scene, command, and version:
 keys are sorted and every double is rendered at 17 significant digits.
 Certificates are always serialized, also for passes, so a third party can
@@ -11,15 +13,15 @@ Groebner computation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Mapping, Sequence
 
 from . import __version__
 from .dynamics import FlowState, geodesic_orthogonality_check, monitor_ideal_preservation
-from .errors import FoliatkError, SceneError
+from .errors import FoliatkError, InternalCheckError, SceneError
 from .foliation import involutivity_check, isotropy_algebra, module_equal
 from .geometry import OneForm
 from .groebner import Certificate, CheckResult, ModuleElement
@@ -48,7 +50,7 @@ _START_TOL = 1e-12
 
 
 def _f(x: float) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def _value_str(obj) -> object:
@@ -167,9 +169,7 @@ def _check_detail(res: CheckResult, claim, fields, **detail) -> tuple[dict, list
     certs = [(claim(key), c) for key, c in res.certificates]
     detail["passed"] = res.passed
     if not res.passed:
-        # module_equal spreads its (side, index) key through the witness
-        *key, cert = res.witness
-        key = key[0] if len(key) == 1 else tuple(key)
+        key, cert = res.witness
         certs.append((claim(key), cert))
         point = res.obstruction_point
         detail.update(
@@ -258,6 +258,7 @@ def _cmd_point_report(scene: Scene, args, order):
     fol = _need(scene, "foliation", "point-report")
     pt = _resolve_point(scene, args.point, "point-report")
     rep = isotropy_algebra(fol, pt)
+    zeros = ["0"] * rep.isotropy_dim  # one list for every zero row
     detail = {
         "point": _point_str(rep.point),
         "tangent_dim": rep.tangent_dim,
@@ -265,7 +266,8 @@ def _cmd_point_report(scene: Scene, args, order):
         "isotropy_dim": rep.isotropy_dim,
         "isotropy_basis": [[str(c) for c in vec] for vec in rep.isotropy_basis],
         "structure_constants": [
-            [[str(c) for c in row] for row in plane] for plane in rep.structure_constants
+            [[str(c) if c else "0" for c in row] if any(row) else zeros for row in plane]
+            for plane in rep.structure_constants
         ],
     }
     return detail, []
@@ -346,7 +348,7 @@ def _cmd_morita_span(scene: Scene, args, order):
         "structural_notes": list(res.notes),
     }
     if not res.passed:
-        side, idx, cert = res.comparison.witness
+        (side, idx), cert = res.comparison.witness
         certs.append((f"generator {idx} of {side} pullback in the other", cert))
         detail.update({"witness_side": side, "witness_generator": idx})
     return detail, certs
@@ -424,11 +426,14 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
         scene = load_scene(scene_source)
         notes = scene.notes
         detail, certs, *flow = _COMMANDS[command](scene, args, order)
-    except FoliatkError as exc:
+    except Exception as exc:
+        # a failed internal check, or an exception the package does not raise
+        # on purpose, is a fault of the program, not of the input
+        internal = isinstance(exc, InternalCheckError) or not isinstance(exc, FoliatkError)
         report = _assemble(command, "error",
                            {"message": str(exc), "error_type": type(exc).__name__},
                            [], None, notes, effective_order, {})
-        return report, 2
+        return report, 3 if internal else 2
     monitor, tolerances = flow or (None, {})
     passed = detail.get("passed", True)
     report = _assemble(command, "pass" if passed else "fail", detail, _cert_dicts(certs),
@@ -454,7 +459,49 @@ def _assemble(command, verdict, detail, certs, monitor, notes, order_kind, toler
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The report as JSON text: ``json.dumps(report, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``, byte for byte.
+
+    Reports hold only dicts with str keys, lists, str, int, bool and None;
+    anything else raises ``TypeError``.  A list met again at the same depth,
+    such as the generator list that every certificate of one check shares,
+    is rendered once per call.
+    """
+    return _emit(report, 0, {}) + "\n"
+
+
+def _emit(obj, depth: int, memo: dict) -> str:
+    kind = obj.__class__
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        key = (id(obj), depth)  # the report keeps every list alive, so ids are not reused
+        text = memo.get(key)
+        if text is None:
+            pad = "\n" + "  " * (depth + 1)
+            try:  # most lists hold only strings
+                body = ("," + pad).join(map(encode_basestring, obj))
+            except TypeError:
+                body = ("," + pad).join([_emit(x, depth + 1, memo) for x in obj])
+            text = memo[key] = "[" + pad + body + "\n" + "  " * depth + "]"
+        return text
+    if kind is dict:
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        # encode_basestring raises TypeError on a key that is not a str
+        body = ("," + pad).join([encode_basestring(k) + ": " + _emit(obj[k], depth + 1, memo)
+                                 for k in sorted(obj)])
+        return "{" + pad + body + "\n" + "  " * depth + "}"
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    raise TypeError(f"a report cannot hold {kind.__name__}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

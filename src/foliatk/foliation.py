@@ -200,7 +200,10 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     # factored once; every bracket below is solved against the same frame
     frame = CoordinateFrame(syz_span.rows + basis, big_n)
     zero = Fraction(0)
-    consts = [[[Fraction(0)] * idim for _ in range(idim)] for _ in range(idim)]
+    # a zero bracket class has zero coordinates, so its rows share one zero
+    # row and only nonzero classes are solved, stored and negated
+    zero_row = (zero,) * idim
+    consts = [[zero_row] * idim for _ in range(idim)]
     reps = [_combine(fol, b) for b in basis]
     gb = fol.module_gb
     # a bracket is sum_k c_k G_k with G_k = sum_i R_ki g_i, and evaluation is
@@ -227,22 +230,23 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                                            for i, t in gb.rows[k].items()]
                 for i, t in row:
                     w[i] += ck * t
+            if not any(w):
+                continue
             coords = solve_coordinates(frame, w)
             if coords is None:
                 raise AmbiguousQuotientError(
                     f"bracket class at {pt} not expressible in the computed presentation"
                 )
             tail = coords[frame.size - idim:]
-            for w_idx in range(idim):
-                consts[u][v][w_idx] = tail[w_idx]
-                consts[v][u][w_idx] = -tail[w_idx]
+            consts[u][v] = tuple(c if c else zero for c in tail)
+            consts[v][u] = tuple(-c if c else zero for c in tail)
 
     return PointReport(
         point=pt,
         tangent_dim=tdim,
         fiber_dim=fdim,
         isotropy_dim=idim,
-        structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in consts),
+        structure_constants=tuple(tuple(plane) for plane in consts),
         isotropy_basis=tuple(basis),
     )
 
@@ -259,22 +263,27 @@ def _combine(fol: FoliationModule, coeffs: Sequence[Fraction]) -> VectorField:
 
 
 def module_equal(f1: FoliationModule, f2: FoliationModule) -> CheckResult:
-    """Mutual membership of generators; witness is the first failing certificate."""
+    """Mutual membership of generators, keyed ``(side, index)``.
+
+    On failure the witness is ``((side, index), certificate)`` for the first
+    generator of one side outside the other module.
+    """
     if f1.chart != f2.chart:
         raise ChartMismatchError("foliations on different charts")
     certs = []
     for side, (src, dst) in enumerate(((f1, f2), (f2, f1))):
         for idx, gen in enumerate(src.generators):
+            key = (("left", "right")[side], idx)
             cert = dst.contains(gen)
             if not cert.claim_holds:
                 point = find_module_obstruction(dst.generators, cert.remainder)
                 return CheckResult(
                     False,
                     certificates=tuple(certs),
-                    witness=(("left", "right")[side], idx, cert),
+                    witness=(key, cert),
                     obstruction_point=point,
                 )
-            certs.append(((("left", "right")[side], idx), cert))
+            certs.append((key, cert))
     return CheckResult(True, certificates=tuple(certs))
 
 

@@ -45,6 +45,8 @@ from typing import Sequence
 from .errors import InternalCheckError, VariableSetError
 from .poly import BLOCK, Exponents, MonomialOrder, Polynomial, VariableSet
 
+_ZERO = Fraction(0)
+
 # ---------------------------------------------------------------------------
 # monomial helpers
 
@@ -182,7 +184,8 @@ class ModuleElement:
             raise VariableSetError("module rank or chart mismatch")
 
     def evaluate_seq(self, values) -> tuple[Fraction, ...]:
-        return tuple(c.evaluate_seq(values) for c in self.components)
+        """Component values; a zero component is the shared ``_ZERO``, not evaluated."""
+        return tuple(c.evaluate_seq(values) if c.terms else _ZERO for c in self.components)
 
     def leading(self, keyf) -> tuple[tuple[int, Exponents], Fraction]:
         """Position over term: the leading term of the first nonzero component."""

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -13,6 +14,14 @@ from foliatk import (
 )
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+# (scene, key) of every foliation a shipped scene declares
+FOLIATIONS = [
+    (path.stem, key)
+    for path in sorted(SCENES.glob("*.json"))
+    for key in ("foliation", "foliation_b", "target_foliation", "target_foliation_b")
+    if json.loads(path.read_text(encoding="utf-8")).get(key) is not None
+]
 
 
 def P(expr, varset):

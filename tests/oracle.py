@@ -14,6 +14,10 @@ package's syzygy code.
 Exact evaluation: the ``Fraction`` loop that the integer evaluator in
 ``poly.py`` replaced, one coordinate power at a time.
 
+Isotropy: the dense point layer that the sparse one in ``foliation.py``
+replaced.  It evaluates every component, zero or not, and solves every
+bracket class against the frame, zero or not.
+
 Flows: the closure interpreter and the stored-trajectory rk4, leapfrog and
 monitor loops that the generated flow kernels replaced.  They perform the
 same float operations in the same order, so the kernels must agree with them
@@ -28,9 +32,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from foliatk.dynamics import FlowState, MonitorReport
-from foliatk.errors import FlowDivergedError, PreconditionError
-from foliatk.groebner import ModuleElement, module_groebner
-from foliatk.poly import BLOCK, GREVLEX, Polynomial
+from foliatk.errors import AmbiguousQuotientError, FlowDivergedError, PreconditionError
+from foliatk.foliation import FoliationModule, PointReport, _as_point, _combine
+from foliatk.geometry import lie_bracket
+from foliatk.groebner import ModuleElement, module_divide, module_groebner
+from foliatk.linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates
+from foliatk.poly import BLOCK, GREVLEX, ExactPoint, Polynomial
 
 
 def monomials_up_to(n_vars: int, degree: int):
@@ -118,6 +125,85 @@ def reference_syzygies(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
         for g in module_groebner(augmented, BLOCK).generators
         if all(c.is_zero() for c in g.components[:rank])
     ]
+
+
+# -- isotropy reference --------------------------------------------------------
+
+
+def _dense_values(element: ModuleElement, exact: ExactPoint) -> tuple[Fraction, ...]:
+    return tuple(c.evaluate_seq(exact) for c in element.components)
+
+
+def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
+    """Kernel of evaluation inside the fiber, with every bracket class solved."""
+    pt = _as_point(fol.chart, point)
+    exact = ExactPoint(pt)
+    big_n = fol.n_generators
+
+    syz_span = EchelonSpan(big_n)
+    for s in fol.syzygies:
+        syz_span.insert(_dense_values(s, exact))
+    fdim = big_n - syz_span.rank
+
+    values = [_dense_values(g, exact) for g in fol.generators]
+    kernel = nullspace(list(zip(*values)), big_n)
+    tdim = big_n - len(kernel)
+
+    selection = EchelonSpan(big_n)
+    for row in syz_span.rows:
+        selection.insert(row)
+    basis: list[tuple[Fraction, ...]] = []
+    unit_candidates = []
+    for a in range(big_n):
+        if not any(values[a]):
+            e = [Fraction(0)] * big_n
+            e[a] = Fraction(1)
+            unit_candidates.append(tuple(e))
+    for cand in unit_candidates + kernel:
+        if selection.insert(cand):
+            basis.append(tuple(cand))
+    idim = len(basis)
+    if tdim + idim != fdim:
+        raise AmbiguousQuotientError(
+            f"exactness failed at {pt}: tangent {tdim} + isotropy {idim} != fiber {fdim}"
+        )
+
+    frame = CoordinateFrame(syz_span.rows + basis, big_n)
+    consts = [[[Fraction(0)] * idim for _ in range(idim)] for _ in range(idim)]
+    reps = [_combine(fol, b) for b in basis]
+    gb = fol.module_gb
+    for u in range(idim):
+        for v in range(u + 1, idim):
+            bracket = lie_bracket(reps[u], reps[v])
+            cofactors, remainder = module_divide(bracket, gb.generators, gb.order)
+            if not remainder.is_zero():
+                raise PreconditionError(
+                    "bracket of isotropy representatives leaves the module; "
+                    "the foliation is not involutive"
+                )
+            w = [Fraction(0)] * big_n
+            for k, c in cofactors.items():
+                ck = c.evaluate_seq(exact)
+                for i, t in gb.rows[k].items():
+                    w[i] += ck * t.evaluate_seq(exact)
+            coords = solve_coordinates(frame, w)
+            if coords is None:
+                raise AmbiguousQuotientError(
+                    f"bracket class at {pt} not expressible in the computed presentation"
+                )
+            tail = coords[frame.size - idim:]
+            for w_idx in range(idim):
+                consts[u][v][w_idx] = tail[w_idx]
+                consts[v][u][w_idx] = -tail[w_idx]
+
+    return PointReport(
+        point=pt,
+        tangent_dim=tdim,
+        fiber_dim=fdim,
+        isotropy_dim=idim,
+        structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in consts),
+        isotropy_basis=tuple(basis),
+    )
 
 
 # -- exact evaluation reference ------------------------------------------------

@@ -312,7 +312,7 @@ def test_criterion_8_morita_spans():
 
         mismatch = morita_span_check(s1, s2, None, None)
         assert not mismatch.passed
-        _, _, witness_cert = mismatch.comparison.witness
+        _, witness_cert = mismatch.comparison.witness
         assert not witness_cert.remainder.is_zero()
 
         big = VariableSet(("x", "y", "z", "w"))

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import foliatk
-from foliatk import VariableSet, parse_expression
+from foliatk import VariableSet, cli, parse_expression
 from foliatk.cli import main, render_report, run_command
+from foliatk.errors import InternalCheckError
 
 from conftest import SCENES
 
@@ -61,6 +62,20 @@ def test_exit_code_2_on_missing_section():
 def test_unknown_command_is_a_usage_error():
     report, code = run_command("frobnicate", SCENES / "rotation_srf_r2.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("fault", [InternalCheckError("a guaranteed identity failed"),
+                                   ZeroDivisionError("division by zero")])
+def test_internal_faults_are_error_reports_with_exit_3(monkeypatch, capsys, fault):
+    def broken(scene, args, order):
+        raise fault
+
+    monkeypatch.setitem(cli._COMMANDS, "lift-ideal", broken)
+    report, code = run_command("lift-ideal", SCENES / "so3_moment.json")
+    assert code == 3 and report["verdict"] == "error"
+    assert report["detail"] == {"message": str(fault), "error_type": type(fault).__name__}
+    assert main(["lift-ideal", "--scene", str(SCENES / "so3_moment.json")]) == 3
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_deterministic_bytes():

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliatk import (
     FoliationModule,
+    Polynomial,
     PreconditionError,
     VariableSet,
+    VectorField,
     fiber_dim,
     involutivity_check,
     isotropy_algebra,
@@ -18,9 +22,11 @@ from foliatk import (
 )
 from foliatk.ipoisson import poisson_closure_check, srf_check
 from foliatk.linalg import EchelonSpan
+from foliatk.poly import random_polynomial
 from foliatk.scene import load_scene
 
-from conftest import P, SCENES, VF
+from conftest import FOLIATIONS, P, SCENES, VF
+from oracle import reference_isotropy_algebra
 
 R1 = VariableSet(("x",))
 R2 = VariableSet(("x", "y"))
@@ -159,6 +165,72 @@ def test_point_reports_depend_only_on_the_syzygy_module(name):
         assert fiber_dim(other, point) == fiber_dim(fol, point)
 
 
+# -- the sparse point layer against the dense reference ---------------------------
+#
+# isotropy_algebra skips the solve of a zero bracket class and shares one zero;
+# oracle.reference_isotropy_algebra evaluates and solves everything.
+
+def _assert_matches_reference(fol, points):
+    for point in points:
+        assert isotropy_algebra(fol, point) == reference_isotropy_algebra(fol, point)
+
+
+@pytest.mark.parametrize("name,key", FOLIATIONS)
+def test_point_layer_matches_the_dense_reference_on_scenes(name, key):
+    scene = load_scene(SCENES / f"{name}.json")
+    fol = getattr(scene, key)
+    n = fol.chart.dimension
+    points = [(0,) * n, tuple(Fraction(i + 1, 2) for i in range(n))]
+    if key in ("foliation", "foliation_b"):
+        points += list(scene.points.values())
+    _assert_matches_reference(fol, points)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (3, 3)])
+def test_point_layer_matches_the_dense_reference_on_the_ladder(n, k):
+    chart = VariableSet(("x", "y", "z")[:n])
+    regular = tuple(Fraction(v) for v in ("-2", "1/2", "3/2")[:n])
+    _assert_matches_reference(order_k_module(k, chart), [(0,) * n, regular])
+
+
+def _random_involutive_module(rnd):
+    """``I * M`` for a random ideal ``I`` vanishing at the origin and an involutive ``M``.
+
+    ``[f X, g Y] = f X(g) Y - g Y(f) X + f g [X, Y]`` lies in ``I * M`` when
+    ``f, g`` lie in ``I`` and ``M`` is closed under brackets; ``M`` is all
+    vector fields or the multiples of one field.
+    """
+    chart = rnd.choice((R2, VariableSet(("x", "y", "z"))))
+    n = chart.dimension
+    ideal = []
+    while len(ideal) < rnd.choice((1, 2)):
+        f = random_polynomial(rnd, chart, max_base_degree=2, terms=rnd.choice((1, 2, 3)))
+        f = f - Polynomial.constant(chart, f.terms.get((0,) * n, 0))
+        if not f.is_zero():
+            ideal.append(f)
+    if rnd.random() < 0.5:
+        fields = [VectorField.coordinate(chart, d) for d in range(n)]
+    else:
+        fields = [VectorField(chart, tuple(
+            random_polynomial(rnd, chart, max_base_degree=1, terms=2) for _ in range(n)))]
+    gens = [x.scale_by(f) for f in ideal for x in fields]
+    return FoliationModule(chart, [g for g in gens if not g.is_zero()])
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_point_layer_matches_the_dense_reference_on_random_modules(seed):
+    rnd = random.Random(seed)
+    fol = _random_involutive_module(rnd)
+    assert involutivity_check(fol).passed
+    n = fol.chart.dimension
+    points = [(0,) * n] + [
+        tuple(Fraction(rnd.randint(-3, 3), rnd.choice((1, 2))) for _ in range(n))
+        for _ in range(2)
+    ]
+    _assert_matches_reference(fol, points)
+
+
 # -- module equality ---------------------------------------------------------------
 
 
@@ -167,7 +239,7 @@ def test_order_one_vs_order_two_differ():
     f2 = FoliationModule(R1, (VF(R1, "x^2"),))
     res = module_equal(f1, f2)
     assert not res.passed
-    side, idx, cert = res.witness
+    (side, idx), cert = res.witness
     assert side == "left" and idx == 0
     assert not cert.remainder.is_zero()
 

@@ -7,7 +7,6 @@ it.  The two generating sets differ; the modules, and every point report read
 from them, must not.
 """
 
-import json
 import random
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ from foliatk.groebner import GroebnerBasis
 from foliatk.poly import BLOCK, random_polynomial
 from foliatk.scene import load_scene
 
-from conftest import P, SCENES
+from conftest import FOLIATIONS, P, SCENES
 from oracle import reference_syzygies
 from test_foliation import order_k_module
 
@@ -85,14 +84,6 @@ def _check_against_reference(fol, points):
 
 
 # -- the oracle on every shipped foliation and on the ladder ---------------------
-
-FOLIATIONS = [
-    (path.stem, key)
-    for path in sorted(SCENES.glob("*.json"))
-    for key in ("foliation", "foliation_b", "target_foliation", "target_foliation_b")
-    if json.loads(path.read_text(encoding="utf-8")).get(key) is not None
-]
-
 
 @pytest.mark.parametrize("name,key", FOLIATIONS)
 def test_schreyer_matches_the_tagged_construction_on_scenes(name, key):

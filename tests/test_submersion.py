@@ -262,7 +262,7 @@ def test_mismatched_fibers_fail():
     s2 = SubmersionData(SRC, LINE, (0,), euclidean(SRC), euclidean(LINE))
     res = morita_span_check(s1, s2, None, None)
     assert not res.passed
-    side, idx, cert = res.comparison.witness
+    (side, idx), cert = res.comparison.witness
     assert not cert.remainder.is_zero()
 
 
