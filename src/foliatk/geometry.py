@@ -16,8 +16,10 @@ Conventions fixed here and relied on everywhere else:
 
 The cometric is the primary metric input; a covariant polynomial metric is
 optional because polynomial cometrics rarely have polynomial inverses.  Where
-covariant data is unavoidable it is derived exactly as adjugate/determinant
-with rational-function entries.
+covariant data is unavoidable it is derived exactly as A/D over one common
+denominator (:meth:`MetricData.covariant_over_det`): the explicit metric over
+D = 1, else the cometric's adjugate over its determinant.  Callers keep A and
+D as polynomials and build rational functions only for what they print.
 """
 
 from __future__ import annotations
@@ -194,17 +196,24 @@ class MetricData:
     def chart(self) -> VariableSet:
         return self.cometric.chart
 
-    def rational_metric(self) -> list[list[RationalFunction]]:
-        """Covariant metric, exactly: the polynomial one, else adjugate/det."""
-        chart = self.chart
+    def covariant_over_det(self) -> tuple[tuple[tuple[Polynomial, ...], ...], Polynomial]:
+        """(A, D) with the covariant metric g = A/D, polynomial A and D.
+
+        The explicit metric gives D = 1; otherwise A is the cometric's
+        adjugate and D its determinant, refused when zero.  Every covariant
+        quantity derived here shares D as its one denominator.
+        """
         if self.metric is not None:
-            return [[RationalFunction(e) for e in row] for row in self.metric.entries]
+            return self.metric.entries, Polynomial.constant(self.chart, 1)
         det = poly_det(self.cometric.entries)
         if det.is_zero():
             raise MetricError("cometric is degenerate: no covariant metric available")
-        adj = poly_adjugate(self.cometric.entries)
-        return [[RationalFunction(adj[i][j], det) for j in range(chart.dimension)]
-                for i in range(chart.dimension)]
+        return tuple(map(tuple, poly_adjugate(self.cometric.entries))), det
+
+    def rational_metric(self) -> list[list[RationalFunction]]:
+        """Covariant metric, exactly, as rational functions A_ij/D."""
+        a, d = self.covariant_over_det()
+        return [[RationalFunction(e, d) for e in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +281,20 @@ def lie_derivative(x: VectorField, t: SymTensor2) -> SymTensor2:
     if x.chart != t.chart:
         raise ChartMismatchError("tensor and field on different charts")
     n = x.chart.dimension
-    base = x.chart.base
-    entries = []
+    # jac[k][i] = dX^k/dq^i, shared by every entry
+    jac = [[c.diff(q) for q in x.chart.base] for c in x.components]
+    covariant = t.kind == "covariant"
+    entries = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
+        for j in range(i, n):
             acc = x.apply(t.entries[i][j])
             for k in range(n):
-                if t.kind == "contravariant":
-                    acc = acc - t.entries[k][j] * x.components[i].diff(base[k])
-                    acc = acc - t.entries[i][k] * x.components[j].diff(base[k])
+                if covariant:
+                    acc = acc + t.entries[k][j] * jac[k][i] + t.entries[i][k] * jac[k][j]
                 else:
-                    acc = acc + t.entries[k][j] * x.components[k].diff(base[i])
-                    acc = acc + t.entries[i][k] * x.components[k].diff(base[j])
-            row.append(acc)
-        entries.append(tuple(row))
-    return SymTensor2(x.chart, t.kind, tuple(entries))
+                    acc = acc - t.entries[k][j] * jac[i][k] - t.entries[i][k] * jac[j][k]
+            entries[i][j] = entries[j][i] = acc
+    return SymTensor2(x.chart, t.kind, tuple(map(tuple, entries)))
 
 
 def musical_flat(v: VectorField, m: MetricData) -> OneForm:

@@ -6,7 +6,10 @@ of every lifted generator with the metric Hamiltonian re-expresses over the
 lifted generators; the fiber-degree-1 cofactor matrix (lambda) is the
 certificate.  :func:`killing_connection` converts lambda into connection
 one-forms omega and verifies the metric-compatibility identity of the
-induced connection exactly, clearing denominators.
+induced connection exactly: the covariant metric is A/D over the one
+denominator D (1 for an explicit metric, else det of the cometric), so after
+multiplying by D^2 every entry of the identity is a polynomial equality.
+Rational functions appear only in the returned omega, as W/D.
 
 Non-membership answers distinguish two strengths: "no polynomial certificate
 exists" (always available) and, when the search finds one, a rational point
@@ -25,11 +28,14 @@ from .errors import InternalCheckError, PreconditionError, VariableSetError
 from .geometry import (
     MetricData,
     OneForm,
+    SymTensor2,
     VectorField,
     canonical_poisson,
     hamiltonian,
+    lie_derivative,
 )
 from .groebner import Certificate, CheckResult, GroebnerBasis, buchberger, ideal_membership
+from .linalg import poly_mat_mul
 from .poly import BLOCK, ExactPoint, MonomialOrder, Polynomial, VariableSet
 from .ratfunc import RationalFunction
 from .sampling import candidate_points
@@ -231,27 +237,6 @@ def _fiber_linear_to_field(lam: Polynomial, base: VariableSet) -> VectorField:
     return VectorField(base, tuple(comps))
 
 
-def _rational_lie_derivative_metric(
-    x: VectorField, g: list[list[RationalFunction]]
-) -> list[list[RationalFunction]]:
-    """(L_X g)_ij for a covariant tensor with rational entries."""
-    chart = x.chart
-    n = chart.dimension
-    base = chart.base
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = RationalFunction.zero(chart)
-            for k in range(n):
-                acc = acc + RationalFunction(x.components[k]) * g[i][j].diff(base[k])
-                acc = acc + g[k][j] * RationalFunction(x.components[k].diff(base[i]))
-                acc = acc + g[i][k] * RationalFunction(x.components[k].diff(base[j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def killing_connection(fol: "FoliationModule", metric: MetricData) -> SRFCertificate:
     """omega_a^b = -g_flat(lambda_a^b read as a vector field), verified exactly.
 
@@ -261,9 +246,16 @@ def killing_connection(fol: "FoliationModule", metric: MetricData) -> SRFCertifi
         (L_{X_a} g)(d_i, d_j) = sum_b omega_a^b(d_i) g(X_b, d_j)
                               + omega_a^b(d_j) g(d_i, X_b)
 
-    checked as exact rational-function equalities (denominators cleared by
-    cross-multiplication).  Failure is an internal-error class: it would mean
-    the omega/lambda conventions disagree, never bad input.
+    With g = A/D over one denominator (:meth:`MetricData.covariant_over_det`),
+    W_ab = -A lambda_ab gives omega_a^b = W_ab/D, and F_b = A X_b gives
+    g(X_b, .) = F_b/D.  Multiplied by D^2, each entry i <= j is one
+    polynomial equality
+
+        D (L_{X_a} A)_ij - X_a(D) A_ij = sum_b W_ab,i F_b,j + W_ab,j F_b,i
+
+    and no rational function enters the check; the printed omega components
+    are W_ab,i/D.  Failure is an internal-error class: it would mean the
+    omega/lambda conventions disagree, never bad input.
     """
     result = srf_check(fol, metric)
     if not result.passed:
@@ -273,54 +265,44 @@ def killing_connection(fol: "FoliationModule", metric: MetricData) -> SRFCertifi
         )
     chart = fol.chart
     n = chart.dimension
-    g_rat = metric.rational_metric()
-    n_gen = fol.n_generators
-    omega: list[list[OneForm]] = []
-    for a in range(n_gen):
-        row = []
-        for b in range(n_gen):
-            lam = result.lam[a][b]
-            if lam.is_zero():
-                row.append(OneForm.zero(chart))
-                continue
-            field = _fiber_linear_to_field(lam, chart)
-            comps = []
-            for i in range(n):
-                acc = RationalFunction.zero(chart)
-                for j in range(n):
-                    acc = acc + g_rat[i][j] * RationalFunction(field.components[j])
-                comps.append(-acc)
-            row.append(OneForm(chart, tuple(comps)))
-        omega.append(row)
+    a_mat, d = metric.covariant_over_det()
+    gens = fol.generators
 
-    flat_gens = []
-    for b in range(n_gen):
-        comps = []
-        for j in range(n):
-            acc = RationalFunction.zero(chart)
-            for k in range(n):
-                acc = acc + g_rat[j][k] * RationalFunction(fol.generators[b].components[k])
-            comps.append(acc)
-        flat_gens.append(comps)
+    def times_a(v: VectorField) -> list[Polynomial]:
+        return [row[0] for row in poly_mat_mul(a_mat, [[c] for c in v.components])]
 
-    for a in range(n_gen):
-        lhs = _rational_lie_derivative_metric(fol.generators[a], g_rat)
+    flat = [times_a(x) for x in gens]
+    cov = SymTensor2(chart, "covariant", a_mat)
+    zero_form = OneForm.zero(chart)
+    omega: list[tuple[OneForm, ...]] = []
+    for a, x in enumerate(gens):
+        # W_ab for each nonzero lambda_ab; a zero lambda contributes nothing
+        w_row = [None if lam.is_zero()
+                 else [-c for c in times_a(_fiber_linear_to_field(lam, chart))]
+                 for lam in result.lam[a]]
+        lie = lie_derivative(x, cov).entries
+        xd = x.apply(d)
         for i in range(n):
             for j in range(i, n):
-                rhs = RationalFunction.zero(chart)
-                for b in range(n_gen):
-                    rhs = rhs + omega[a][b].components[i] * flat_gens[b][j]
-                    rhs = rhs + omega[a][b].components[j] * flat_gens[b][i]
-                if lhs[i][j] != rhs:
+                rhs = Polynomial.zero(chart)
+                for w, f in zip(w_row, flat):
+                    if w is not None:
+                        rhs = rhs + w[i] * f[j] + w[j] * f[i]
+                if d * lie[i][j] - xd * a_mat[i][j] != rhs:
                     raise InternalCheckError(
                         f"connection identity failed at generator {a}, entry ({i},{j})"
                     )
+        omega.append(tuple(
+            zero_form if w is None
+            else OneForm(chart, tuple(RationalFunction(c, d) for c in w))
+            for w in w_row
+        ))
 
     return SRFCertificate(
         result.hamiltonian,
         result.lam,
         result.certificates,
-        omega=tuple(tuple(r) for r in omega),
+        omega=tuple(omega),
         verified_identity=True,
     )
 

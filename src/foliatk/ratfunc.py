@@ -2,8 +2,10 @@
 
 No multivariate gcd is attempted: a quotient is stored with a monic
 denominator, simplified only when the denominator divides the numerator
-exactly.  Equality is decided by cross-multiplication, so chains of
-arithmetic stay exact even when unreduced.
+exactly.  Equality is decided by cross-multiplication, so sums and products
+stay exact even when unreduced.  The exact checks themselves run on
+polynomials over a common denominator; a rational function is built for a
+value that is returned or printed, such as a connection form W/D.
 """
 
 from __future__ import annotations
@@ -66,34 +68,9 @@ class RationalFunction:
         o = self._coerce(other)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "RationalFunction":
         o = self._coerce(other)
         return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def diff(self, name: str) -> "RationalFunction":
-        return RationalFunction(
-            self.num.diff(name) * self.den - self.num * self.den.diff(name),
-            self.den * self.den,
-        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Polynomial)):

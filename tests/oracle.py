@@ -14,6 +14,11 @@ package's syzygy code.
 Exact evaluation: the ``Fraction`` loop that the integer evaluator in
 ``poly.py`` replaced, one coordinate power at a time.
 
+Killing connection: the rational-function computation of omega and of the
+metric-compatibility identity that the common-denominator check in
+``ipoisson.py`` replaced.  Every sum runs in ``RationalFunction``, entry by
+entry, with the covariant metric as adjugate/determinant.
+
 Isotropy: the dense point layer that the sparse one in ``foliation.py``
 replaced.  It evaluates every component, zero or not, and solves every
 bracket class against the frame, zero or not.
@@ -34,10 +39,13 @@ from typing import Callable, Sequence
 from foliatk.dynamics import FlowState, MonitorReport
 from foliatk.errors import AmbiguousQuotientError, FlowDivergedError, PreconditionError
 from foliatk.foliation import FoliationModule, PointReport, _as_point, _combine
-from foliatk.geometry import lie_bracket
+from foliatk.geometry import MetricData, VectorField, lie_bracket
 from foliatk.groebner import ModuleElement, module_divide, module_groebner
-from foliatk.linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates
+from foliatk.ipoisson import _fiber_linear_to_field, srf_check
+from foliatk.linalg import (CoordinateFrame, EchelonSpan, nullspace, poly_adjugate,
+                            poly_det, solve_coordinates)
 from foliatk.poly import BLOCK, GREVLEX, ExactPoint, Polynomial
+from foliatk.ratfunc import RationalFunction
 
 
 def monomials_up_to(n_vars: int, degree: int):
@@ -204,6 +212,93 @@ def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointRe
         structure_constants=tuple(tuple(tuple(row) for row in plane) for plane in consts),
         isotropy_basis=tuple(basis),
     )
+
+
+# -- killing connection reference ----------------------------------------------
+
+
+def _rf_neg(r: RationalFunction) -> RationalFunction:
+    return RationalFunction(-r.num, r.den)
+
+
+def _rf_diff(r: RationalFunction, name: str) -> RationalFunction:
+    return RationalFunction(
+        r.num.diff(name) * r.den - r.num * r.den.diff(name), r.den * r.den
+    )
+
+
+def _rational_lie_derivative_metric(
+    x: VectorField, g: list[list[RationalFunction]]
+) -> list[list[RationalFunction]]:
+    """(L_X g)_ij for a covariant tensor with rational entries."""
+    chart = x.chart
+    n = chart.dimension
+    base = chart.base
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = RationalFunction.zero(chart)
+            for k in range(n):
+                acc = acc + RationalFunction(x.components[k]) * _rf_diff(g[i][j], base[k])
+                acc = acc + g[k][j] * RationalFunction(x.components[k].diff(base[i]))
+                acc = acc + g[i][k] * RationalFunction(x.components[k].diff(base[j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def reference_killing_connection(
+    fol: FoliationModule, metric: MetricData
+) -> tuple[list[list[tuple[RationalFunction, ...]]], bool]:
+    """omega_a^b components and whether every identity entry (i <= j) holds."""
+    result = srf_check(fol, metric)
+    if not result.passed:
+        raise PreconditionError("the foliation is not an SRF for this metric")
+    chart = fol.chart
+    n = chart.dimension
+    if metric.metric is not None:
+        g_rat = [[RationalFunction(e) for e in row] for row in metric.metric.entries]
+    else:
+        det = poly_det(metric.cometric.entries)
+        adj = poly_adjugate(metric.cometric.entries)
+        g_rat = [[RationalFunction(adj[i][j], det) for j in range(n)] for i in range(n)]
+    n_gen = fol.n_generators
+    omega = []
+    for a in range(n_gen):
+        row = []
+        for b in range(n_gen):
+            field = _fiber_linear_to_field(result.lam[a][b], chart)
+            comps = []
+            for i in range(n):
+                acc = RationalFunction.zero(chart)
+                for j in range(n):
+                    acc = acc + g_rat[i][j] * RationalFunction(field.components[j])
+                comps.append(_rf_neg(acc))
+            row.append(tuple(comps))
+        omega.append(row)
+
+    flat_gens = []
+    for b in range(n_gen):
+        comps = []
+        for j in range(n):
+            acc = RationalFunction.zero(chart)
+            for k in range(n):
+                acc = acc + g_rat[j][k] * RationalFunction(fol.generators[b].components[k])
+            comps.append(acc)
+        flat_gens.append(comps)
+
+    verified = True
+    for a in range(n_gen):
+        lhs = _rational_lie_derivative_metric(fol.generators[a], g_rat)
+        for i in range(n):
+            for j in range(i, n):
+                rhs = RationalFunction.zero(chart)
+                for b in range(n_gen):
+                    rhs = rhs + omega[a][b][i] * flat_gens[b][j]
+                    rhs = rhs + omega[a][b][j] * flat_gens[b][i]
+                verified = verified and lhs[i][j] == rhs
+    return omega, verified
 
 
 # -- exact evaluation reference ------------------------------------------------

@@ -1,8 +1,12 @@
+import dataclasses
+import json
+
 import pytest
 
 from foliatk import (
     FoliationModule,
     IdealPresentation,
+    InternalCheckError,
     MetricData,
     PolyMap,
     Polynomial,
@@ -12,6 +16,7 @@ from foliatk import (
     SRFRefutation,
     SymTensor2,
     VariableSet,
+    VectorField,
     canonical_poisson,
     hamiltonian,
     killing_connection,
@@ -23,7 +28,13 @@ from foliatk import (
     srf_check,
 )
 
-from conftest import P, VF, euclidean, matrix
+from foliatk import ipoisson
+from foliatk.cli import run_command
+from foliatk.linalg import poly_det
+from foliatk.scene import load_scene
+
+from conftest import SCENES, P, VF, euclidean, matrix
+from oracle import reference_killing_connection
 
 R2 = VariableSet(("x", "y"))
 R3 = VariableSet(("q1", "q2", "q3"))
@@ -228,6 +239,91 @@ def test_killing_connection_with_explicit_metric(so3_foliation):
     kc = killing_connection(so3_foliation, euclidean(so3_foliation.chart))
     assert kc.verified_identity
     assert all(w.is_zero() for row in kc.omega for w in row)
+
+
+def _tamper_lambda(monkeypatch):
+    """Make srf_check add p_<first coordinate> to lambda[0][0]."""
+    original = ipoisson.srf_check
+
+    def tampered(fol, metric):
+        out = original(fol, metric)
+        cot = out.hamiltonian.varset
+        lam = [list(row) for row in out.lam]
+        lam[0][0] = lam[0][0] + Polynomial.variable(cot, cot.fiber[0])
+        return dataclasses.replace(out, lam=tuple(map(tuple, lam)))
+
+    monkeypatch.setattr(ipoisson, "srf_check", tampered)
+
+
+@pytest.mark.parametrize("path", ["adjugate", "explicit"])
+def test_tampered_lambda_fails_the_identity(monkeypatch, so3_foliation, path):
+    if path == "adjugate":
+        scene = load_scene(SCENES / "killing_band_r2.json")
+        fol, metric = scene.foliation, scene.metric
+        assert metric.metric is None
+    else:
+        fol, metric = so3_foliation, euclidean(so3_foliation.chart, with_metric=True)
+    assert killing_connection(fol, metric).verified_identity
+    _tamper_lambda(monkeypatch)
+    with pytest.raises(InternalCheckError, match="generator 0"):
+        killing_connection(fol, metric)
+
+
+# shipped scenes on which killing-connection passes
+KILLING_SCENES = ["killing_band_r2", "rotation_r3", "rotation_srf_r2", "so3_moment",
+                  "submersion_r3_to_r2"]
+
+
+def _random_cometric(rnd):
+    """Degree-1 cometric on R^2, positive-definite at the origin."""
+    def entry(const):
+        return P(f"{const} + {rnd.randint(-3, 3)}*x + {rnd.randint(-3, 3)}*y", R2)
+
+    a0, d0 = rnd.randint(1, 4), rnd.randint(1, 4)
+    b0 = rnd.choice([k for k in range(-3, 4) if k * k < a0 * d0])
+    a, b, d = entry(a0), entry(b0), entry(d0)
+    return MetricData(SymTensor2(R2, "contravariant", ((a, b), (b, d))))
+
+
+def _assert_matches_reference(fol, metric):
+    kc = killing_connection(fol, metric)
+    ref, verified = reference_killing_connection(fol, metric)
+    assert kc.verified_identity and verified
+    for row, ref_row in zip(kc.omega, ref):
+        for w, ref_w in zip(row, ref_row):
+            assert all(c == r for c, r in zip(w.components, ref_w, strict=True))
+    return kc
+
+
+@pytest.mark.parametrize("name", KILLING_SCENES)
+def test_killing_connection_matches_reference_on_scenes(name):
+    scene = load_scene(SCENES / f"{name}.json")
+    _assert_matches_reference(scene.foliation, scene.metric)
+
+
+def test_killing_connection_matches_reference_on_random_cometrics(rng):
+    fol = FoliationModule(R2, (VectorField.coordinate(R2, 0), VectorField.coordinate(R2, 1)))
+    for _ in range(3):
+        kc = _assert_matches_reference(fol, _random_cometric(rng))
+        assert any(not c.is_polynomial() for row in kc.omega for w in row
+                   for c in w.components)
+
+
+def test_printed_omega_is_over_the_monic_determinant(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "chart": {"dimension": 2, "coordinates": ["x", "y"]},
+        "cometric": [["2 - 3*x", "3*x"], ["3*x", "1 + 2*y"]],
+        "foliation": [["1", "0"], ["0", "1"]],
+    }), encoding="utf-8")
+    report, code = run_command("killing-connection", scene)
+    assert code == 0 and report["detail"]["verified_identity"]
+    det = poly_det(matrix(R2, [["2 - 3*x", "3*x"], ["3*x", "1 + 2*y"]]))
+    monic = P("x^2 + 2/3*x*y + 1/3*x - 4/9*y - 2/9", R2)
+    assert det == monic.scale(-9)
+    omega_00 = report["detail"]["omega"][0][0]
+    assert omega_00 == [{"num": "-x - 1/3*y - 1/6", "den": str(monic)},
+                        {"num": "-1/2*x + 2/3", "den": str(monic)}]
 
 
 # -- morphisms ------------------------------------------------------------------------
