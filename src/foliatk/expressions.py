@@ -10,6 +10,9 @@ allowed, and '/' appears only inside a literal.  ``format_polynomial`` in the
 polynomial module emits strings in this grammar, so print-then-parse is the
 identity on canonical forms.
 
+Lexing is one regular expression and linear in the input.  A literal with a
+zero denominator or more digits than ``int()`` accepts is a parse error.
+
 Parentheses nest at most ``MAX_NESTING`` deep.  The parser recurses once
 per level, so deeper input is a parse error rather than an exhausted
 interpreter stack.
@@ -17,8 +20,8 @@ interpreter stack.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
@@ -26,141 +29,102 @@ from .poly import Polynomial, VariableSet
 
 MAX_NESTING = 100
 
+# Whitespace is an alternative of its own: a \s* prefix on every token would
+# backtrack over a trailing run of spaces and make lexing quadratic.
+_TOKEN = re.compile(
+    r"(?P<number>\d+(?:/\d+)?)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()])|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | name | op | end
-    text: str
-    pos: int
 
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) tokens, last first, so the parser pops the next one."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                tokens.append(_Token("number", text[i:k], i))
-                i = k
-            else:
-                tokens.append(_Token("number", text[i:j], i))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    tokens.reverse()
     return tokens
 
 
+def _fraction(text: str, pos: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than int() accepts
+        raise ParseError(str(exc), pos) from None
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", pos) from None
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], varset: VariableSet):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, varset: VariableSet):
+        self.tokens = _tokenize(text)
         self.varset = varset
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str):
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
+    def next_op(self, ops: str) -> str | None:
+        """If the next token is one of the operators ``ops``, consume it and return it."""
+        kind, text, _ = self.tokens[-1]
+        if kind == "op" and text in ops:
+            self.tokens.pop()
+            return text
+        return None
 
     def parse(self) -> Polynomial:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[-1]
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", pos)
         return value
 
     def expr(self) -> Polynomial:
         value = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+        while op := self.next_op("+-"):
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def term(self) -> Polynomial:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                value = value * self.factor()
-            else:
-                return value
+        while self.next_op("*"):
+            value = value * self.factor()
+        return value
 
     def factor(self) -> Polynomial:
         sign = 1
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                if tok.text == "-":
-                    sign = -sign
-            else:
-                break
+        while op := self.next_op("+-"):
+            if op == "-":
+                sign = -sign
         value = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exp_tok = self.advance()
-            if exp_tok.kind != "number" or "/" in exp_tok.text:
-                raise ParseError("exponent must be a nonnegative integer", exp_tok.pos)
-            value = value ** int(exp_tok.text)
+        if self.next_op("^"):
+            kind, text, pos = self.tokens.pop()
+            if kind != "number" or "/" in text:
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            value = value ** _fraction(text, pos).numerator
         return value if sign == 1 else -value
 
     def atom(self) -> Polynomial:
-        tok = self.advance()
-        if tok.kind == "number":
-            try:
-                return Polynomial.constant(self.varset, Fraction(tok.text))
-            except ValueError as exc:  # more digits than int() accepts
-                raise ParseError(str(exc), tok.pos) from None
-        if tok.kind == "name":
-            if tok.text not in self.varset.names:
-                raise ParseError(f"undeclared variable {tok.text!r}", tok.pos)
-            return Polynomial.variable(self.varset, tok.text)
-        if tok.kind == "op" and tok.text == "(":
+        kind, text, pos = self.tokens.pop()
+        if kind == "number":
+            return Polynomial.constant(self.varset, _fraction(text, pos))
+        if kind == "name":
+            if text not in self.varset.names:
+                raise ParseError(f"undeclared variable {text!r}", pos)
+            return Polynomial.variable(self.varset, text)
+        if text == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
             self.depth += 1
             value = self.expr()
-            self.expect_op(")")
+            if not self.next_op(")"):
+                _, found, at = self.tokens[-1]
+                raise ParseError(f"expected ')', found {found or 'end of input'!r}", at)
             self.depth -= 1
             return value
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
 def parse_expression(text: str, varset: VariableSet) -> Polynomial:
@@ -169,7 +133,7 @@ def parse_expression(text: str, varset: VariableSet) -> Polynomial:
     A coefficient with more digits than ``sys.get_int_max_str_digits()``
     allows could not be printed in a report, so it is a parse error.
     """
-    value = _Parser(_tokenize(text), varset).parse()
+    value = _Parser(text, varset).parse()
     # 0 means no limit, as on interpreters older than the limit itself
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:

@@ -334,13 +334,14 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.varset, 1)
+        result = Polynomial.constant(self.varset, 1) if k == 0 else None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def scale(self, c: Scalar) -> "Polynomial":

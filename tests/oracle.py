@@ -23,6 +23,12 @@ Isotropy: the dense point layer that the sparse one in ``foliation.py``
 replaced.  It evaluates every component, zero or not, and solves every
 bracket class against the frame, zero or not.
 
+Expressions: the character-loop lexer and token-object parser that the
+one-regex lexer in ``expressions.py`` replaced.  A zero denominator or an
+oversized exponent escapes it as ``ZeroDivisionError`` or ``ValueError``;
+everywhere else the package must give the same polynomial, or the same
+message and position.
+
 Flows: the closure interpreter and the stored-trajectory rk4, leapfrog and
 monitor loops that the generated flow kernels replaced.  They perform the
 same float operations in the same order, so the kernels must agree with them
@@ -33,18 +39,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from foliatk.dynamics import FlowState, MonitorReport
-from foliatk.errors import AmbiguousQuotientError, FlowDivergedError, PreconditionError
+from foliatk.errors import (AmbiguousQuotientError, FlowDivergedError, ParseError,
+                            PreconditionError)
+from foliatk.expressions import MAX_NESTING
 from foliatk.foliation import FoliationModule, PointReport, _as_point, _combine
 from foliatk.geometry import MetricData, VectorField, lie_bracket
 from foliatk.groebner import ModuleElement, module_divide, module_groebner
 from foliatk.ipoisson import _fiber_linear_to_field, srf_check
 from foliatk.linalg import (CoordinateFrame, EchelonSpan, nullspace, poly_adjugate,
                             poly_det, solve_coordinates)
-from foliatk.poly import BLOCK, GREVLEX, ExactPoint, Polynomial
+from foliatk.poly import BLOCK, GREVLEX, ExactPoint, Polynomial, VariableSet
 from foliatk.ratfunc import RationalFunction
 
 
@@ -315,6 +325,156 @@ def reference_evaluate(poly: Polynomial, values: Sequence) -> Fraction:
                 term *= v ** k
         total += term
     return total
+
+
+# -- expression reference ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # number | name | op | end
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                tokens.append(_Token("number", text[i:k], i))
+                i = k
+            else:
+                tokens.append(_Token("number", text[i:j], i))
+                i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*^()":
+            tokens.append(_Token("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token], varset: VariableSet):
+        self.tokens = tokens
+        self.pos = 0
+        self.varset = varset
+        self.depth = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, text: str):
+        tok = self.advance()
+        if tok.kind != "op" or tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
+
+    def parse(self) -> Polynomial:
+        value = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        return value
+
+    def expr(self) -> Polynomial:
+        value = self.term()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.text in "+-":
+                self.advance()
+                rhs = self.term()
+                value = value + rhs if tok.text == "+" else value - rhs
+            else:
+                return value
+
+    def term(self) -> Polynomial:
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.text == "*":
+                self.advance()
+                value = value * self.factor()
+            else:
+                return value
+
+    def factor(self) -> Polynomial:
+        sign = 1
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.text in "+-":
+                self.advance()
+                if tok.text == "-":
+                    sign = -sign
+            else:
+                break
+        value = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            exp_tok = self.advance()
+            if exp_tok.kind != "number" or "/" in exp_tok.text:
+                raise ParseError("exponent must be a nonnegative integer", exp_tok.pos)
+            value = value ** int(exp_tok.text)
+        return value if sign == 1 else -value
+
+    def atom(self) -> Polynomial:
+        tok = self.advance()
+        if tok.kind == "number":
+            try:
+                return Polynomial.constant(self.varset, Fraction(tok.text))
+            except ValueError as exc:  # more digits than int() accepts
+                raise ParseError(str(exc), tok.pos) from None
+        if tok.kind == "name":
+            if tok.text not in self.varset.names:
+                raise ParseError(f"undeclared variable {tok.text!r}", tok.pos)
+            return Polynomial.variable(self.varset, tok.text)
+        if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
+            value = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return value
+        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+
+
+def reference_parse_expression(text: str, varset: VariableSet) -> Polynomial:
+    value = _Parser(_tokenize(text), varset).parse()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        for c in value.terms.values():
+            for n in (abs(c.numerator), c.denominator):
+                if n.bit_length() > 3 * limit and n >= 10 ** limit:
+                    raise ParseError(f"a coefficient has more than {limit} digits", 0)
+    return value
 
 
 # -- flow reference ------------------------------------------------------------

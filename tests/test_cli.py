@@ -346,6 +346,25 @@ def test_parentheses_nested_past_the_limit_are_an_error_report():
         assert report["detail"]["message"].startswith("candidates.deep: parentheses nest")
 
 
+@pytest.mark.parametrize("candidate, message", [
+    ("p_q1 + 1/0", "candidates.deep: zero denominator in '1/0' (at position 7)"),
+    ("p_q1^" + "9" * 5000, "candidates.deep: Exceeds the limit"),
+], ids=["zero-denominator", "oversized-exponent"])
+def test_malformed_literals_are_scene_errors_naming_the_key(candidate, message):
+    # both used to escape the parser as ZeroDivisionError or ValueError
+    report, code = _normalizer_check_of(candidate)
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert report["detail"]["message"].startswith(message)
+
+
+def test_zero_denominator_in_a_generator_names_the_generator():
+    scene = json.loads((SCENES / "rotation_srf_r2.json").read_text(encoding="utf-8"))
+    scene["foliation"][0][0] = "1/0"
+    report, code = run_command("check-srf", json.dumps(scene))
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert report["detail"]["message"].startswith("foliation[0]: zero denominator")
+
+
 def test_a_long_run_of_unary_minus_signs_parses():
     report, code = _normalizer_check_of("-" * 5001 + "p_q1")
     assert code in (0, 1) and report["verdict"] in ("pass", "fail")

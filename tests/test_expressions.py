@@ -1,12 +1,16 @@
 import random
+import re
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foliatk import ParseError, Polynomial, VariableSet, parse_expression
 from foliatk.expressions import MAX_NESTING
 from foliatk.poly import format_polynomial, random_polynomial
+
+from oracle import reference_parse_expression
 
 COT2 = VariableSet(("x", "y")).cotangent()
 
@@ -95,3 +99,61 @@ def test_nesting_counts_depth_not_parentheses():
     text = "+".join(["(x)"] * 1000) + "+" + "(" * MAX_NESTING + "y" + ")" * MAX_NESTING
     assert parse_expression(text, COT2) == parse_expression("1000*x + y", COT2)
     assert parse_expression("-" * 5001 + "x", COT2) == parse_expression("-x", COT2)
+
+
+def test_zero_denominator_is_a_parse_error_at_the_literal():
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_expression("x + 1/0", COT2)
+    assert err.value.position == 4
+
+
+def test_exponent_with_too_many_digits_is_a_parse_error_at_the_exponent():
+    with pytest.raises(ParseError, match="digits") as err:
+        parse_expression("x^" + "9" * 5000, COT2)
+    assert err.value.position == 2
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "x^\u00b2", "1/\u00b2", "\u00bd", "2*\u00bd"])
+def test_numerals_that_are_not_decimal_digits_are_rejected(text):
+    # superscript two and one half are numeric but not category Nd
+    with pytest.raises(ParseError):
+        parse_expression(text, COT2)
+
+
+# grammar characters plus whitespace and non-ASCII digits and letters that
+# the lexer must classify as the reference does
+_PIECES = list("0123456789xyp_+-*^()/ ") + ["\t", "\u00a0", "\u0663", "\u00e9", "p_x", "p_y"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, COT2)
+    except ParseError as exc:
+        return str(exc), exc.position
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_lexer_and_parser_agree_with_the_reference(text):
+    # a two-digit exponent of a sum costs seconds in polynomial arithmetic
+    # that this property does not test; single digits keep every case fast
+    assume(not re.search(r"\^\s*\d\d", text))
+    expected = _outcome(reference_parse_expression, text)
+    got = _outcome(parse_expression, text)
+    if expected in (ZeroDivisionError, ValueError):
+        assert isinstance(got, tuple), (text, got)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("text", [
+    "x" + " " * 200_000,
+    "+".join(["x"] * 100_000),
+], ids=["trailing-spaces", "long-sum"])
+def test_parsing_is_linear_in_the_input(text):
+    # a backtracking lexer takes minutes on the trailing spaces
+    start = time.monotonic()
+    parse_expression(text, COT2)
+    assert time.monotonic() - start < 20.0

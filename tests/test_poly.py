@@ -199,3 +199,26 @@ def test_block_order_puts_fiber_first():
     p_x = (0, 0, 1, 0)
     x_sq = (2, 0, 0, 0)
     assert key(p_x) > key(x_sq)
+
+
+def test_power_by_squaring_matches_repeated_multiplication(monkeypatch):
+    chart = VariableSet(("x", "y")).cotangent()
+    base = P("x - 1/3*p_y", chart)
+    expected = Polynomial.constant(chart, 1)
+    calls = 0
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    for k in range(41):
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        calls = 0
+        power = base ** k
+        monkeypatch.setattr(Polynomial, "__mul__", mul)
+        assert power == expected, k
+        # floor(log2 k) squarings and one product per further set bit
+        assert calls <= 2 * (k.bit_length() - 1) if k else calls == 0, (k, calls)
+        expected = expected * base
