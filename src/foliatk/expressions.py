@@ -11,7 +11,9 @@ polynomial module emits strings in this grammar, so print-then-parse is the
 identity on canonical forms.
 
 Lexing is one regular expression and linear in the input.  A literal with a
-zero denominator or more digits than ``int()`` accepts is a parse error.
+zero denominator or more digits than ``int()`` accepts is a parse error, and
+so is a power whose coefficients certainly would be: it is refused at the
+exponent before it is computed, so ``3^99999999`` costs nothing.
 
 Parentheses nest at most ``MAX_NESTING`` deep.  The parser recurses once
 per level, so deeper input is a parse error rather than an exhausted
@@ -64,6 +66,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.varset = varset
         self.depth = 0
+        # 0 means no limit, as on interpreters older than the limit itself
+        self.digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
     def next_op(self, ops: str) -> str | None:
         """If the next token is one of the operators ``ops``, consume it and return it."""
@@ -103,8 +107,24 @@ class _Parser:
             kind, text, pos = self.tokens.pop()
             if kind != "number" or "/" in text:
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            value = value ** _fraction(text, pos).numerator
+            k = _fraction(text, pos).numerator
+            self.refuse_huge_power(value, k, pos)
+            value = value ** k
         return value if sign == 1 else -value
+
+    def refuse_huge_power(self, base: Polynomial, k: int, pos: int) -> None:
+        """Refuse ``base ** k`` uncomputed if a coefficient certainly passes the limit.
+
+        The lex-first and lex-last terms of the base are vertices of its Newton
+        polytope, so their coefficients c reappear as c^k.  An integer of b bits
+        is at least 2^(b-1), so its k-th power reaches 10^limit once
+        3k(b-1) >= 10*limit (log2(10) < 10/3).
+        """
+        limit = self.digit_limit
+        for e in (max(base.terms), min(base.terms)) if limit and base.terms else ():
+            c = base.terms[e]
+            if 3 * k * (max(abs(c.numerator), c.denominator).bit_length() - 1) >= 10 * limit:
+                raise ParseError(f"a coefficient has more than {limit} digits", pos)
 
     def atom(self) -> Polynomial:
         kind, text, pos = self.tokens.pop()
@@ -133,9 +153,9 @@ def parse_expression(text: str, varset: VariableSet) -> Polynomial:
     A coefficient with more digits than ``sys.get_int_max_str_digits()``
     allows could not be printed in a report, so it is a parse error.
     """
-    value = _Parser(text, varset).parse()
-    # 0 means no limit, as on interpreters older than the limit itself
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    parser = _Parser(text, varset)
+    value = parser.parse()
+    limit = parser.digit_limit
     if limit:
         for c in value.terms.values():
             for n in (abs(c.numerator), c.denominator):

@@ -21,9 +21,10 @@ layer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 from .errors import AmbiguousQuotientError, ChartMismatchError, PreconditionError
@@ -33,6 +34,7 @@ from .groebner import (
     CheckResult,
     GroebnerBasis,
     ModuleElement,
+    check_claims,
     module_divide,
     module_groebner,
     module_membership,
@@ -126,21 +128,11 @@ def involutivity_check(fol: FoliationModule) -> CheckResult:
     On failure the witness is ``(pair, certificate)`` for the first offending
     bracket, with a point obstruction attached when one exists.
     """
-    certs = []
-    for a in range(fol.n_generators):
-        for b in range(a + 1, fol.n_generators):
-            bracket = lie_bracket(fol.generators[a], fol.generators[b])
-            cert = module_membership(bracket, fol.module_gb)
-            if not cert.claim_holds:
-                point = find_module_obstruction(fol.generators, cert.remainder)
-                return CheckResult(
-                    False,
-                    certificates=tuple(certs),
-                    witness=((a, b), cert),
-                    obstruction_point=point,
-                )
-            certs.append(((a, b), cert))
-    return CheckResult(True, certificates=tuple(certs))
+    gens = fol.generators
+    brackets = (((a, b), lie_bracket(gens[a], gens[b]))
+                for a, b in combinations(range(len(gens)), 2))
+    return check_claims(brackets, fol.contains,
+                        lambda residue: find_module_obstruction(gens, residue))
 
 
 def tangent_dim(fol: FoliationModule, point: Sequence) -> int:
@@ -270,21 +262,15 @@ def module_equal(f1: FoliationModule, f2: FoliationModule) -> CheckResult:
     """
     if f1.chart != f2.chart:
         raise ChartMismatchError("foliations on different charts")
-    certs = []
-    for side, (src, dst) in enumerate(((f1, f2), (f2, f1))):
-        for idx, gen in enumerate(src.generators):
-            key = (("left", "right")[side], idx)
-            cert = dst.contains(gen)
-            if not cert.claim_holds:
-                point = find_module_obstruction(dst.generators, cert.remainder)
-                return CheckResult(
-                    False,
-                    certificates=tuple(certs),
-                    witness=(key, cert),
-                    obstruction_point=point,
-                )
-            certs.append((key, cert))
-    return CheckResult(True, certificates=tuple(certs))
+    certs = ()
+    for side, src, dst in (("left", f1, f2), ("right", f2, f1)):
+        res = check_claims((((side, i), g) for i, g in enumerate(src.generators)),
+                           dst.contains,
+                           lambda residue: find_module_obstruction(dst.generators, residue))
+        certs += res.certificates
+        if not res.passed:
+            break
+    return replace(res, certificates=certs)
 
 
 def lift_ideal(fol: FoliationModule):

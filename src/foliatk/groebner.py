@@ -32,6 +32,9 @@ Module bases power involutivity checks, module equality and syzygies.  A
 basis remembers how it sits over its inputs (``rows``), so the relations
 among the inputs come from Schreyer's construction over the basis itself
 (:func:`syzygy_basis`): no second Groebner computation in a larger rank.
+
+Every pass/witness check (involutivity, module equality, Poisson closure,
+normalizer, SRF) runs the one claim loop, :func:`check_claims`.
 """
 
 from __future__ import annotations
@@ -117,6 +120,21 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def check_claims(claims, member, obstruct) -> CheckResult:
+    """Certify each ``(key, target)`` claim with ``member``, read lazily.
+
+    The loop stops at the first non-member, computing no later target; the
+    fail's witness is ``(key, cert)``, its point ``obstruct(cert.remainder)``.
+    """
+    certs = []
+    for key, target in claims:
+        cert = member(target)
+        if not cert.claim_holds:
+            return CheckResult(False, tuple(certs), (key, cert), obstruct(cert.remainder))
+        certs.append((key, cert))
+    return CheckResult(True, tuple(certs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Ideals on the cotangent chart: closure, normalizers, reduction, SRF decision.
 
 The central decision procedure is :func:`srf_check`: a foliation with a
-cometric is a module singular Riemannian foliation exactly when the bracket
-of every lifted generator with the metric Hamiltonian re-expresses over the
-lifted generators; the fiber-degree-1 cofactor matrix (lambda) is the
-certificate.  :func:`killing_connection` converts lambda into connection
+cometric is a module singular Riemannian foliation exactly when the metric
+Hamiltonian normalizes the lift ideal: the bracket of every lifted generator
+with it re-expresses over the lifted generators, and the fiber-degree-1
+cofactor matrix (lambda) is the certificate.  So the SRF decision is the
+normalizer-shaped claim loop (:func:`~foliatk.groebner.check_claims`), as
+are :func:`normalizer_check` and :func:`poisson_closure_check`.
+:func:`killing_connection` converts lambda into connection
 one-forms omega and verifies the metric-compatibility identity of the
 induced connection exactly: the covariant metric is A/D over the one
 denominator D (1 for an explicit metric, else det of the cometric), so after
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import InternalCheckError, PreconditionError, VariableSetError
@@ -34,7 +38,8 @@ from .geometry import (
     hamiltonian,
     lie_derivative,
 )
-from .groebner import Certificate, CheckResult, GroebnerBasis, buchberger, ideal_membership
+from .groebner import Certificate, CheckResult, GroebnerBasis, buchberger, check_claims
+from .groebner import ideal_membership
 from .linalg import poly_mat_mul
 from .poly import BLOCK, ExactPoint, MonomialOrder, Polynomial, VariableSet
 from .ratfunc import RationalFunction
@@ -114,32 +119,19 @@ def find_obstruction_point(
 
 def poisson_closure_check(ideal: IdealPresentation) -> CheckResult:
     """Pass iff the bracket of every generator pair stays in the ideal."""
-    certs = []
     gens = ideal.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = canonical_poisson(gens[i], gens[j])
-            cert = ideal.membership(br)
-            if not cert.claim_holds:
-                point = find_obstruction_point(gens, cert.remainder)
-                return CheckResult(
-                    False, tuple(certs), ((i, j), cert), point
-                )
-            certs.append(((i, j), cert))
-    return CheckResult(True, tuple(certs))
+    brackets = (((i, j), canonical_poisson(gens[i], gens[j]))
+                for i, j in combinations(range(len(gens)), 2))
+    return check_claims(brackets, ideal.membership,
+                        lambda residue: find_obstruction_point(gens, residue))
 
 
 def normalizer_check(ideal: IdealPresentation, f: Polynomial) -> CheckResult:
     """Pass iff {f, g} lies in the ideal for every generator g."""
-    certs = []
-    for i, g in enumerate(ideal.generators):
-        br = canonical_poisson(f, g)
-        cert = ideal.membership(br)
-        if not cert.claim_holds:
-            point = find_obstruction_point(ideal.generators, cert.remainder)
-            return CheckResult(False, tuple(certs), (i, cert), point)
-        certs.append((i, cert))
-    return CheckResult(True, tuple(certs))
+    gens = ideal.generators
+    return check_claims(((i, canonical_poisson(f, g)) for i, g in enumerate(gens)),
+                        ideal.membership,
+                        lambda residue: find_obstruction_point(gens, residue))
 
 
 def reduced_bracket(ideal: IdealPresentation, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -197,26 +189,19 @@ def srf_check(fol: "FoliationModule", metric: MetricData) -> SRFCertificate | SR
     if metric.chart != fol.chart:
         raise PreconditionError("metric and foliation on different charts")
     ideal = fol.lift_presentation
-    cot = ideal.chart
-    h = hamiltonian(metric, cot)
-    n_gen = len(ideal.generators)
-    lam_rows = []
-    certs = []
-    for a, lifted in enumerate(ideal.generators):
-        bracket = canonical_poisson(lifted, h)
-        cert = ideal.membership(bracket)
-        if not cert.claim_holds:
-            point = find_obstruction_point(ideal.generators, cert.remainder)
-            return SRFRefutation(h, a, bracket, cert, point)
-        for cof in cert.cofactors:
-            if not cof.is_fiber_homogeneous(1) and not cof.is_zero():
-                raise InternalCheckError(
-                    "lambda cofactor is not fiber-linear; grading bookkeeping broke"
-                )
-        lam_rows.append(tuple(cert.cofactors))
-        certs.append(cert)
-    assert len(lam_rows) == n_gen
-    return SRFCertificate(h, tuple(lam_rows), tuple(certs))
+    gens = ideal.generators
+    h = hamiltonian(metric, ideal.chart)
+    res = check_claims(((a, canonical_poisson(lifted, h)) for a, lifted in enumerate(gens)),
+                       ideal.membership,
+                       lambda residue: find_obstruction_point(gens, residue))
+    if not res.passed:
+        a, cert = res.witness
+        return SRFRefutation(h, a, cert.reexpand(), cert, res.obstruction_point)
+    certs = tuple(cert for _, cert in res.certificates)
+    if not all(cof.is_zero() or cof.is_fiber_homogeneous(1)
+               for cert in certs for cof in cert.cofactors):
+        raise InternalCheckError("lambda cofactor is not fiber-linear; grading bookkeeping broke")
+    return SRFCertificate(h, tuple(cert.cofactors for cert in certs), certs)
 
 
 def _restrict_to_base(p: Polynomial, base: VariableSet) -> Polynomial:

@@ -101,11 +101,11 @@ class VariableSet:
         except ValueError:
             raise VariableSetError(f"unknown variable {name!r}") from None
 
-    def cotangent(self, prefix: str = "p_") -> "VariableSet":
-        """The chart extended with one fiber variable per base variable."""
+    def cotangent(self) -> "VariableSet":
+        """The chart extended with one fiber variable ``p_<q>`` per base variable ``q``."""
         if self.fiber:
             return self
-        return VariableSet(self.base, tuple(prefix + b for b in self.base))
+        return VariableSet(self.base, tuple("p_" + b for b in self.base))
 
 
 def _check_length(varset: VariableSet, values: Sized) -> None:

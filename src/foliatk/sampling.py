@@ -11,17 +11,19 @@ import itertools
 import random
 from fractions import Fraction
 
+POOL_SIZE = 800  # the 3^n grid while it is no larger, else this many random points
 
-def candidate_points(n_vars: int, limit: int = 800) -> list[tuple[Fraction, ...]]:
+
+def candidate_points(n_vars: int) -> list[tuple[Fraction, ...]]:
     small = (Fraction(0), Fraction(1), Fraction(-1))
     points: list[tuple[Fraction, ...]] = []
-    if 3 ** n_vars <= limit:
+    if 3 ** n_vars <= POOL_SIZE:
         points.extend(itertools.product(small, repeat=n_vars))
     else:
         rng = random.Random(20240 + n_vars)
         pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
         seen = set()
-        while len(points) < limit:
+        while len(points) < POOL_SIZE:
             pt = tuple(rng.choice(pool) for _ in range(n_vars))
             if pt not in seen:
                 seen.add(pt)

@@ -100,35 +100,24 @@ def check_riemannian(s: SubmersionData) -> RiemannianCheck:
     return RiemannianCheck(True)
 
 
-@dataclass(frozen=True)
-class CotangentMap:
-    """Bundle map between cotangent charts: base components plus fiber-linear momenta."""
-
-    source: VariableSet
-    target: VariableSet
-    base_components: tuple[Polynomial, ...]
-    fiber_components: tuple[Polynomial, ...]
+class CotangentMap(PolyMap):
+    """Polynomial map between cotangent charts whose momenta images are fiber-linear."""
 
     def __post_init__(self):
         if not self.source.has_fiber or not self.target.has_fiber:
             raise VariableSetError("cotangent maps live on cotangent charts")
+        super().__post_init__()
         for c in self.fiber_components:
             if not (c.is_zero() or c.is_fiber_homogeneous(1)):
                 raise PreconditionError("fiber components must be fiber-linear")
 
-    def components(self) -> tuple[Polynomial, ...]:
-        return self.base_components + self.fiber_components
+    @property
+    def base_components(self) -> tuple[Polynomial, ...]:
+        return tuple(self.images[name] for name in self.target.base)
 
-    def as_poly_map(self) -> PolyMap:
-        images = {}
-        for name, comp in zip(self.target.base, self.base_components):
-            images[name] = comp
-        for name, comp in zip(self.target.fiber, self.fiber_components):
-            images[name] = comp
-        return PolyMap(self.source, self.target, images)
-
-    def pullback(self, f: Polynomial) -> Polynomial:
-        return self.as_poly_map().pullback(f)
+    @property
+    def fiber_components(self) -> tuple[Polynomial, ...]:
+        return tuple(self.images[name] for name in self.target.fiber)
 
 
 def phi_pi(s: SubmersionData) -> CotangentMap:
@@ -140,9 +129,8 @@ def phi_pi(s: SubmersionData) -> CotangentMap:
     m = s.target.dimension
     h_inv = s.source_metric.cometric.entries
 
-    base_comps = tuple(
-        Polynomial.variable(cot_src, s.source.base[s.base_indices[j]]) for j in range(m)
-    )
+    images = {cot_tgt.base[j]: Polynomial.variable(cot_src, s.source.base[s.base_indices[j]])
+              for j in range(m)}
     # (dpi h^{-1} p)^k = row base_indices[k] of h^{-1} contracted with p
     rows = []
     for k in range(m):
@@ -152,7 +140,6 @@ def phi_pi(s: SubmersionData) -> CotangentMap:
             if not entry.is_zero():
                 acc = acc + entry.rename(cot_src) * Polynomial.variable(cot_src, cot_src.fiber[b])
         rows.append(acc)
-    fiber_comps = []
     for j in range(m):
         acc = Polynomial.zero(cot_src)
         for k in range(m):
@@ -160,8 +147,8 @@ def phi_pi(s: SubmersionData) -> CotangentMap:
             if g_jk.is_zero():
                 continue
             acc = acc + s.rename_target_to_source(g_jk, cot_src) * rows[k]
-        fiber_comps.append(acc)
-    return CotangentMap(cot_src, cot_tgt, base_comps, tuple(fiber_comps))
+        images[cot_tgt.fiber[j]] = acc
+    return CotangentMap(cot_src, cot_tgt, images)
 
 
 def pullback_function(s: SubmersionData, f: Polynomial) -> Polynomial:
@@ -215,20 +202,24 @@ def pullback_foliation(s: SubmersionData, target_fol: FoliationModule | None) ->
     return result
 
 
+def _vertical_certificate(s: SubmersionData, defect: Polynomial, name: str) -> Certificate:
+    """Certify a defect in <p_alpha>; a miss is a fault unless the data are not Riemannian."""
+    cert = s.vertical_ideal().membership(defect)
+    if cert.claim_holds:
+        return cert
+    if check_riemannian(s).passed:
+        raise InternalCheckError(f"{name} defect escaped the vertical ideal")
+    raise PreconditionError("submersion is not Riemannian; the defect guarantee needs the isometry identity")
+
+
 def poisson_defect(
     s: SubmersionData, f: Polynomial, g: Polynomial
 ) -> tuple[Polynomial, Certificate]:
     """{phi*f, phi*g} - phi*{f,g}, certified inside the vertical-momentum ideal."""
     phi = phi_pi(s)
-    defect = canonical_poisson(phi.pullback(f), phi.pullback(g)) - phi.pullback(
-        canonical_poisson(f, g)
-    )
-    cert = s.vertical_ideal().membership(defect)
-    if not cert.claim_holds:
-        if check_riemannian(s).passed:
-            raise InternalCheckError("poisson defect escaped the vertical ideal")
-        raise PreconditionError("submersion is not Riemannian; the defect guarantee needs the isometry identity")
-    return defect, cert
+    defect = (canonical_poisson(phi.pullback(f), phi.pullback(g))
+              - phi.pullback(canonical_poisson(f, g)))
+    return defect, _vertical_certificate(s, defect, "poisson")
 
 
 def metric_defect(s: SubmersionData) -> tuple[Polynomial, Certificate]:
@@ -239,12 +230,7 @@ def metric_defect(s: SubmersionData) -> tuple[Polynomial, Certificate]:
     defect = h_src - phi.pullback(h_tgt)
     if not (defect.is_zero() or defect.is_fiber_homogeneous(2)):
         raise InternalCheckError("metric defect is not fiber-quadratic")
-    cert = s.vertical_ideal().membership(defect)
-    if not cert.claim_holds:
-        if check_riemannian(s).passed:
-            raise InternalCheckError("metric defect escaped the vertical ideal")
-        raise PreconditionError("submersion is not Riemannian; the defect guarantee needs the isometry identity")
-    return defect, cert
+    return defect, _vertical_certificate(s, defect, "metric")
 
 
 def integrability_check(s: SubmersionData) -> CheckResult:
@@ -317,6 +303,5 @@ def compose_cotangent_maps(inner: CotangentMap, outer: CotangentMap) -> Cotangen
     """outer o inner as a single cotangent map (pull outer's components through inner)."""
     if inner.target != outer.source:
         raise ChartMismatchError("cotangent maps are not composable")
-    base = tuple(inner.pullback(c) for c in outer.base_components)
-    fiber = tuple(inner.pullback(c) for c in outer.fiber_components)
-    return CotangentMap(inner.source, outer.target, base, fiber)
+    return CotangentMap(inner.source, outer.target,
+                        {name: inner.pullback(c) for name, c in outer.images.items()})

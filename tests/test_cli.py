@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import foliatk
-from foliatk import VariableSet, cli, parse_expression
+from foliatk import VariableSet, cli, foliation, ipoisson, parse_expression
 from foliatk.cli import main, render_report, run_command
 from foliatk.errors import InternalCheckError
 
@@ -463,3 +463,20 @@ def test_malformed_scene_values_are_scene_errors(tmp_path, capsys, path, value):
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["verdict"] == "error"
     assert report["detail"]["error_type"] == "SceneError"
+
+
+def test_obstruction_searches_are_looked_up_when_a_check_runs(monkeypatch):
+    # the bench's spans replace these module globals by name; a check that
+    # bound them earlier would bypass the replacement and go unmeasured
+    calls = []
+    for module, name in ((ipoisson, "find_obstruction_point"),
+                         (foliation, "find_module_obstruction")):
+        def counting(*args, _name=name, _search=getattr(module, name)):
+            calls.append(_name)
+            return _search(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    report, code = run_command("closure-check", SCENES / "nonclosed_ideal_r2.json")
+    assert code == 1 and calls == ["find_obstruction_point"]
+    report, code = run_command("morita-span", SCENES / "morita_mismatch_r3.json")
+    assert code == 1 and "find_module_obstruction" in calls

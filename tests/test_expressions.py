@@ -113,6 +113,27 @@ def test_exponent_with_too_many_digits_is_a_parse_error_at_the_exponent():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("text, position", [("3^99999999", 2), ("(1/3 + x)^99999", 10)])
+def test_oversized_power_is_refused_at_the_exponent_before_it_is_computed(text, position):
+    start = time.monotonic()
+    with pytest.raises(ParseError, match="more than .* digits") as err:
+        parse_expression(text, COT2)
+    assert time.monotonic() - start < 0.1
+    assert err.value.position == position
+
+
+def test_powers_below_the_digit_limit_parse():
+    assert parse_expression("3^100", COT2) == Polynomial.constant(COT2, 3 ** 100)
+    assert parse_expression("(2*x)^50", COT2) == parse_expression(f"{2 ** 50}*x^50", COT2)
+
+
+def test_an_oversized_power_is_refused_even_when_it_cancels():
+    # the power is refused before the subtraction that would cancel it
+    with pytest.raises(ParseError, match="digits") as err:
+        parse_expression("2^50000 - 2^50000", COT2)
+    assert err.value.position == 2
+
+
 @pytest.mark.parametrize("text", ["\u00b2", "x^\u00b2", "1/\u00b2", "\u00bd", "2*\u00bd"])
 def test_numerals_that_are_not_decimal_digits_are_rejected(text):
     # superscript two and one half are numeric but not category Nd

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliatk import (
+    CheckResult,
     ModuleElement,
     Polynomial,
     VariableSet,
@@ -14,6 +16,7 @@ from foliatk import (
     normal_form_with_cofactors,
     syzygy_basis,
 )
+from foliatk.groebner import check_claims
 from foliatk.poly import BLOCK, GREVLEX, LEX, random_polynomial
 
 from conftest import P
@@ -231,3 +234,36 @@ def test_representation_tracks_inputs():
 def test_syzygy_row_evaluation():
     row = _me(SO3, "q3", "-q2", "q1")
     assert row.evaluate_seq((1, 0, 0)) == (0, 0, 1)
+
+
+def _member_of_x():
+    gb = buchberger([P("x", COT2)], BLOCK)
+    return lambda f: ideal_membership(f, gb)
+
+
+def test_check_claims_stops_at_the_first_non_member():
+    def claims():
+        yield "a", P("x*y", COT2)
+        yield "b", P("y + x", COT2)
+        pytest.fail("the claims were read past the first non-member")
+
+    searched = []
+    res = check_claims(claims(), _member_of_x(), lambda r: searched.append(r) or "point")
+    assert not res.passed
+    ((key, cert),) = res.certificates
+    assert key == "a" and cert.claim_holds and cert.verify(P("x*y", COT2))
+    key, cert = res.witness
+    assert key == "b" and cert.remainder == P("y", COT2) and cert.verify(P("y + x", COT2))
+    assert searched == [P("y", COT2)] and res.obstruction_point == "point"
+
+
+def test_check_claims_passes_with_every_certificate_in_claim_order():
+    def no_search(residue):
+        pytest.fail("an obstruction search on a pass")
+
+    claims = iter([((0, 1), P("x*y", COT2)), ((0, 2), P("x*p_x", COT2))])
+    res = check_claims(claims, _member_of_x(), no_search)
+    assert res.passed and res.witness is None and res.obstruction_point is None
+    assert [key for key, _ in res.certificates] == [(0, 1), (0, 2)]
+    assert all(cert.claim_holds for _, cert in res.certificates)
+    assert check_claims(iter(()), _member_of_x(), no_search) == CheckResult(True)

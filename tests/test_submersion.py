@@ -24,7 +24,10 @@ from foliatk import (
     pullback_foliation,
     pullback_function,
 )
+from foliatk.errors import VariableSetError
+from foliatk.ipoisson import PolyMap
 from foliatk.poly import random_polynomial
+from foliatk.submersion import CotangentMap
 
 from conftest import P, VF, euclidean, matrix
 
@@ -315,6 +318,16 @@ def test_pullback_composes():
     through_composition = pullback_foliation(composed, fol)
     step_by_step = pullback_foliation(inner, pullback_foliation(outer, fol))
     assert module_equal(through_composition, step_by_step).passed
+
+
+def test_cotangent_map_is_a_checked_poly_map():
+    phi = phi_pi(euclidean_projection())
+    assert isinstance(phi, PolyMap) and phi.images["p_u"] == P("p_x", COT_SRC)
+    images = dict(phi.images, p_u=P("p_x^2", COT_SRC))
+    with pytest.raises(PreconditionError, match="fiber-linear"):
+        CotangentMap(COT_SRC, COT_TGT, images)
+    with pytest.raises(VariableSetError, match="cotangent charts"):
+        CotangentMap(COT_SRC, TGT, {"u": P("x", COT_SRC), "v": P("y", COT_SRC)})
 
 
 def test_compose_requires_matching_charts():
