@@ -13,7 +13,14 @@ identity on canonical forms.
 Lexing is one regular expression and linear in the input.  A literal with a
 zero denominator or more digits than ``int()`` accepts is a parse error, and
 so is a power whose coefficients certainly would be: it is refused at the
-exponent before it is computed, so ``3^99999999`` costs nothing.
+exponent before it is computed, so ``3^99999999`` costs nothing.  A
+coefficient made by a ``*`` or a power is checked there, and an error names
+that operator or exponent.
+
+Expansion is bounded too.  One parse makes at most ``MAX_TERM_PRODUCTS``
+products of two terms over all its ``*`` and ``^``, counted before each
+polynomial product, so ``(x+1)^3000`` is refused at its ``^`` instead of
+expanding for many seconds.
 
 Parentheses nest at most ``MAX_NESTING`` deep.  The parser recurses once
 per level, so deeper input is a parse error rather than an exhausted
@@ -27,9 +34,12 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial, VariableSet, power
 
 MAX_NESTING = 100
+# The most any shipped scene, ladder rung through (4,3), flow input or test
+# parse needs is 27; one expression may make this many (about 0.1 s of work).
+MAX_TERM_PRODUCTS = 100_000
 
 # Whitespace is an alternative of its own: a \s* prefix on every token would
 # backtrack over a trailing run of spaces and make lexing quadratic.
@@ -52,9 +62,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _fraction(text: str, pos: int) -> Fraction:
+def _literal(text: str, pos: int) -> int | Fraction:
+    """The literal's value in the polynomial module's normal form: ``int``
+    without a ``/``, else a ``Fraction`` that the constructor normalises."""
     try:
-        return Fraction(text)
+        return Fraction(text) if "/" in text else int(text)
     except ValueError as exc:  # more digits than int() accepts
         raise ParseError(str(exc), pos) from None
     except ZeroDivisionError:
@@ -66,6 +78,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.varset = varset
         self.depth = 0
+        self.products = 0  # term products made by ``*`` and ``^`` so far
         # 0 means no limit, as on interpreters older than the limit itself
         self.digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -93,9 +106,20 @@ class _Parser:
 
     def term(self) -> Polynomial:
         value = self.factor()
-        while self.next_op("*"):
-            value = value * self.factor()
-        return value
+        while True:
+            pos = self.tokens[-1][2]
+            if not self.next_op("*"):
+                return value
+            value = self.check_digits(self.multiply(value, self.factor(), pos), pos)
+
+    def multiply(self, a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+        """``a * b``, refused at ``pos`` before it is computed once this parse
+        would pass ``MAX_TERM_PRODUCTS`` products of two terms."""
+        self.products += len(a.terms) * len(b.terms)
+        if self.products > MAX_TERM_PRODUCTS:
+            raise ParseError(f"the expression needs more than {MAX_TERM_PRODUCTS} term products",
+                             pos)
+        return a * b
 
     def factor(self) -> Polynomial:
         sign = 1
@@ -103,13 +127,15 @@ class _Parser:
             if op == "-":
                 sign = -sign
         value = self.atom()
+        caret = self.tokens[-1][2]
         if self.next_op("^"):
             kind, text, pos = self.tokens.pop()
             if kind != "number" or "/" in text:
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            k = _fraction(text, pos).numerator
+            k = _literal(text, pos)
             self.refuse_huge_power(value, k, pos)
-            value = value ** k
+            value = power(value, k, lambda a, b: self.multiply(a, b, caret))
+            self.check_digits(value, pos)
         return value if sign == 1 else -value
 
     def refuse_huge_power(self, base: Polynomial, k: int, pos: int) -> None:
@@ -126,10 +152,23 @@ class _Parser:
             if 3 * k * (max(abs(c.numerator), c.denominator).bit_length() - 1) >= 10 * limit:
                 raise ParseError(f"a coefficient has more than {limit} digits", pos)
 
+    def check_digits(self, value: Polynomial, pos: int) -> Polynomial:
+        """``value``, or a parse error at ``pos`` if a coefficient has more
+        digits than ``sys.get_int_max_str_digits()`` allows: no report could
+        print it."""
+        limit = self.digit_limit
+        if limit:
+            for c in value.terms.values():
+                for n in (abs(c.numerator), c.denominator):
+                    # below 2^(3*limit) a number has at most ``limit`` digits
+                    if n.bit_length() > 3 * limit and n >= 10 ** limit:
+                        raise ParseError(f"a coefficient has more than {limit} digits", pos)
+        return value
+
     def atom(self) -> Polynomial:
         kind, text, pos = self.tokens.pop()
         if kind == "number":
-            return Polynomial.constant(self.varset, _fraction(text, pos))
+            return Polynomial.constant(self.varset, _literal(text, pos))
         if kind == "name":
             if text not in self.varset.names:
                 raise ParseError(f"undeclared variable {text!r}", pos)
@@ -151,15 +190,8 @@ def parse_expression(text: str, varset: VariableSet) -> Polynomial:
     """Parse an expression over the declared variables into canonical form.
 
     A coefficient with more digits than ``sys.get_int_max_str_digits()``
-    allows could not be printed in a report, so it is a parse error.
+    allows could not be printed in a report, so it is a parse error, at the
+    ``*`` or exponent that made it, or at 0 when only a sum did.
     """
     parser = _Parser(text, varset)
-    value = parser.parse()
-    limit = parser.digit_limit
-    if limit:
-        for c in value.terms.values():
-            for n in (abs(c.numerator), c.denominator):
-                # below 2^(3*limit) a number has at most ``limit`` digits
-                if n.bit_length() > 3 * limit and n >= 10 ** limit:
-                    raise ParseError(f"a coefficient has more than {limit} digits", 0)
-    return value
+    return parser.check_digits(parser.parse(), 0)

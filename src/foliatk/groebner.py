@@ -26,7 +26,9 @@ boundary: ``GroebnerBasis.representation`` and ``Certificate.cofactors``.
 A division looks up each divisor's leading term, which the polynomial caches
 under the order's key function (one function object per order and chart
 dimension), and tries a term only against the divisors leading at that
-term's position.
+term's position.  Coefficients stay in the polynomial module's normal form,
+an ``int`` when integral: every quotient is an ``exact_quotient``, and every
+sum written into a division's work map is normalised.
 
 Module bases power involutivity checks, module equality and syzygies.  A
 basis remembers how it sits over its inputs (``rows``), so the relations
@@ -46,7 +48,8 @@ from operator import add, le, sub
 from typing import Sequence
 
 from .errors import InternalCheckError, VariableSetError
-from .poly import BLOCK, Exponents, MonomialOrder, Polynomial, VariableSet
+from .poly import (BLOCK, Exponents, MonomialOrder, Polynomial, Scalar, VariableSet,
+                   exact_quotient, normal_coefficient)
 
 _ZERO = Fraction(0)
 
@@ -205,7 +208,7 @@ class ModuleElement:
         """Component values; a zero component is the shared ``_ZERO``, not evaluated."""
         return tuple(c.evaluate_seq(values) if c.terms else _ZERO for c in self.components)
 
-    def leading(self, keyf) -> tuple[tuple[int, Exponents], Fraction]:
+    def leading(self, keyf) -> tuple[tuple[int, Exponents], Scalar]:
         """Position over term: the leading term of the first nonzero component."""
         for pos, comp in enumerate(self.components):
             if comp.terms:
@@ -241,7 +244,7 @@ def module_divide(
     keyf = order.key_function(varset)
     # a term at position ``pos`` is divisible only by a divisor leading there;
     # each list keeps list order, so the first divisor that divides wins
-    by_pos: dict[int, list[tuple[int, Exponents, Fraction]]] = {}
+    by_pos: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
     for i, d in enumerate(divisors):
         if d.varset != varset or len(d.components) != rank:
             raise VariableSetError("module rank or chart mismatch")
@@ -250,9 +253,9 @@ def module_divide(
                 lexpo, lcoeff = comp.leading(keyf)
                 by_pos.setdefault(lpos, []).append((i, lexpo, lcoeff))
                 break
-    cofactors: dict[int, dict[Exponents, Fraction]] = {}
+    cofactors: dict[int, dict[Exponents, Scalar]] = {}
     work = [dict(c.terms) for c in v.components]
-    remainder: list[dict[Exponents, Fraction]] = [{} for _ in work]
+    remainder: list[dict[Exponents, Scalar]] = [{} for _ in work]
     # a divisor leading at position ``pos`` has no terms at earlier positions,
     # so each position is finished before the next one is touched
     for pos, terms in enumerate(work):
@@ -263,7 +266,7 @@ def module_divide(
             for i, lexpo, lcoeff in leads:
                 if _divides(lexpo, expo):
                     q_expo = _sub(expo, lexpo)
-                    q_coeff = coeff / lcoeff
+                    q_coeff = exact_quotient(coeff, lcoeff)
                     # each divisor reduces strictly decreasing terms of one
                     # position, so its quotient exponents never repeat
                     cofactors.setdefault(i, {})[q_expo] = q_coeff
@@ -274,15 +277,11 @@ def module_divide(
                             if dpos == pos and ge is lexpo:
                                 continue  # the leading term cancels ``coeff``
                             te = tuple(map(add, ge, q_expo))
-                            old = target.get(te)
-                            if old is None:
-                                target[te] = -gc * q_coeff
+                            s = target.get(te, 0) - gc * q_coeff
+                            if s:
+                                target[te] = s if s.__class__ is int else normal_coefficient(s)
                             else:
-                                s = old - gc * q_coeff
-                                if s:
-                                    target[te] = s
-                                else:
-                                    del target[te]
+                                del target[te]
                     break
             else:
                 remainder[pos][expo] = coeff
@@ -385,7 +384,7 @@ def _buchberger(
         return rep
 
     def monic(r: ModuleElement, rep: Row):
-        inv = Fraction(1) / r.leading(keyf)[1]
+        inv = exact_quotient(1, r.leading(keyf)[1])
         return (r.scale_by(Polynomial.constant(varset, inv)),
                 {j: p.scale(inv) for j, p in rep.items()})
 
@@ -422,8 +421,8 @@ def _buchberger(
         lcm_ij = _lcm(li, lj)
         if chain_skippable(i, j, pos, lcm_ij):
             continue
-        mi = Polynomial.monomial(varset, _sub(lcm_ij, li), Fraction(1) / ci)
-        mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), Fraction(1) / cj)
+        mi = Polynomial.monomial(varset, _sub(lcm_ij, li), exact_quotient(1, ci))
+        mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), exact_quotient(1, cj))
         cof, r = module_divide(basis[i].scale_by(mi) - basis[j].scale_by(mj), basis, order)
         if r.is_zero():
             continue
@@ -570,7 +569,7 @@ def syzygy_basis(
         emit({i: one}, standard(g))
 
     # pairs form only within a lead position
-    by_pos: dict[int, list[tuple[int, Exponents, Fraction]]] = {}
+    by_pos: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
     for k, b in enumerate(basis):
         (pos, expo), coeff = b.leading(keyf)
         by_pos.setdefault(pos, []).append((k, expo, coeff))
@@ -582,8 +581,8 @@ def syzygy_basis(
                        and _lcm(lk, lj) != lcm_kl and _lcm(ll, lj) != lcm_kl
                        for j, lj, _ in group):
                     continue
-                mk = Polynomial.monomial(varset, _sub(lcm_kl, lk), Fraction(1) / ck)
-                ml = Polynomial.monomial(varset, _sub(lcm_kl, ll), Fraction(1) / cl)
+                mk = Polynomial.monomial(varset, _sub(lcm_kl, lk), exact_quotient(1, ck))
+                ml = Polynomial.monomial(varset, _sub(lcm_kl, ll), exact_quotient(1, cl))
                 acc = {i: mk * t for i, t in rows[k].items()}
                 _sub_scaled(acc, ml, rows[l])
                 emit(acc, standard(basis[k].scale_by(mk) - basis[l].scale_by(ml)))

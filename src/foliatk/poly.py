@@ -1,9 +1,15 @@
 """Exact multivariate polynomials with an optional fiber grading.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``) and
-every value is immutable after construction, so polynomials can be shared and
-compared structurally: two polynomials over the same variable set are equal
-iff their term maps are equal.
+Coefficients are exact rationals in one normal form: a plain ``int`` when
+integral, otherwise a ``fractions.Fraction`` whose denominator is greater
+than 1.  Almost every coefficient the engine builds is an integer, and
+``int`` arithmetic is far cheaper than ``Fraction`` arithmetic; ``str``,
+``==`` and ``hash`` agree between the two, so the choice never shows in a
+report.  :func:`normal_coefficient` is the one normaliser, and
+:func:`exact_quotient` divides two coefficients (``/`` on two ints would
+give a float).  Every value is immutable after construction, so polynomials
+can be shared and compared structurally: two polynomials over the same
+variable set are equal iff their term maps are equal.
 
 A :class:`VariableSet` carries base variables ``q^1..q^n`` and, on a cotangent
 chart, exactly one fiber variable per base variable.  The fiber grading (total
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence, Sized, Union
 
 from .errors import VariableSetError
@@ -48,6 +54,24 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
+
+
+def normal_coefficient(value) -> Scalar:
+    """The normal form of a coefficient: an ``int`` when integral, else a
+    ``Fraction`` with denominator > 1.  Arithmetic loops call it only on a
+    result that is not already an ``int``."""
+    if value.__class__ is int:
+        return value
+    c = _as_fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """``a / b`` of two coefficients, in normal form and never a float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return normal_coefficient(a / b)
 
 
 @dataclass(frozen=True)
@@ -182,10 +206,10 @@ class Polynomial:
     __slots__ = ("varset", "terms", "_hash", "_lead", "_int")
 
     def __init__(self, varset: VariableSet, terms: Mapping[Exponents, Scalar] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Scalar] = {}
         width = varset.n_vars
         for expo, coeff in (terms or {}).items():
-            c = _as_fraction(coeff)
+            c = normal_coefficient(coeff)
             if not c:
                 continue
             e = tuple(expo)
@@ -198,11 +222,12 @@ class Polynomial:
         object.__setattr__(self, "_lead", None)
 
     @classmethod
-    def _trusted(cls, varset: VariableSet, terms: dict[Exponents, Fraction]) -> "Polynomial":
+    def _trusted(cls, varset: VariableSet, terms: dict[Exponents, Scalar]) -> "Polynomial":
         """Wrap a term map that is already clean, without checking it.
 
         Every key must be an exponent tuple of the chart's width and every
-        value a nonzero ``Fraction``.  The polynomial takes ownership of
+        value a nonzero coefficient in normal form: an ``int``, or a
+        ``Fraction`` with denominator > 1.  The polynomial takes ownership of
         ``terms``, which must not be changed afterwards.
         """
         p = object.__new__(cls)
@@ -223,17 +248,17 @@ class Polynomial:
 
     @classmethod
     def constant(cls, varset: VariableSet, value: Scalar) -> "Polynomial":
-        return cls(varset, {(0,) * varset.n_vars: _as_fraction(value)})
+        return cls(varset, {(0,) * varset.n_vars: normal_coefficient(value)})
 
     @classmethod
     def variable(cls, varset: VariableSet, name: str) -> "Polynomial":
         expo = [0] * varset.n_vars
         expo[varset.index(name)] = 1
-        return cls(varset, {tuple(expo): Fraction(1)})
+        return cls(varset, {tuple(expo): 1})
 
     @classmethod
     def monomial(cls, varset: VariableSet, expo: Exponents, coeff: Scalar = 1) -> "Polynomial":
-        return cls(varset, {tuple(expo): _as_fraction(coeff)})
+        return cls(varset, {tuple(expo): normal_coefficient(coeff)})
 
     # -- structure ---------------------------------------------------------
 
@@ -298,9 +323,9 @@ class Polynomial:
         other = self._coerce(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) + c
+            s = res.get(e, 0) + c
             if s:
-                res[e] = s
+                res[e] = s if s.__class__ is int else normal_coefficient(s)
             else:
                 res.pop(e, None)
         return Polynomial._trusted(self.varset, res)
@@ -318,13 +343,13 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        res: dict[Exponents, Fraction] = {}
+        res: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
+                s = res.get(e, 0) + c1 * c2
                 if s:
-                    res[e] = s
+                    res[e] = s if s.__class__ is int else normal_coefficient(s)
                 else:
                     res.pop(e, None)
         return Polynomial._trusted(self.varset, res)
@@ -332,20 +357,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.varset, 1) if k == 0 else None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = _as_fraction(c)
+        c = normal_coefficient(c)
         return Polynomial(self.varset, {e: c * v for e, v in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
@@ -353,13 +368,14 @@ class Polynomial:
     def diff(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to a chart variable."""
         i = self.varset.index(name)
-        res: dict[Exponents, Fraction] = {}
+        res: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             de = list(e)
             de[i] -= 1
-            res[tuple(de)] = c * e[i]
+            d = c * e[i]
+            res[tuple(de)] = d if d.__class__ is int else normal_coefficient(d)
         return Polynomial._trusted(self.varset, res)
 
     def evaluate(self, point: Mapping[str, object]):
@@ -479,13 +495,13 @@ class Polynomial:
         positions = []
         for name in self.varset.names:
             positions.append(varset_out.index(name_map.get(name, name)))
-        res: dict[Exponents, Fraction] = {}
+        res: dict[Exponents, Scalar] = {}
         width = varset_out.n_vars
         for e, c in self.terms.items():
             ne = [0] * width
             for pos, k in zip(positions, e):
                 ne[pos] += k
-            res[tuple(ne)] = res.get(tuple(ne), Fraction(0)) + c
+            res[tuple(ne)] = res.get(tuple(ne), 0) + c
         return Polynomial(varset_out, res)
 
     # -- fiber grading -----------------------------------------------------
@@ -494,14 +510,14 @@ class Polynomial:
         """Decompose into fiber-homogeneous pieces; the pieces sum back exactly."""
         if not self.varset.has_fiber:
             raise VariableSetError("chart has no fiber variables")
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
+        buckets: dict[int, dict[Exponents, Scalar]] = {}
         for e, c in self.terms.items():
             buckets.setdefault(self.fiber_degree_of(e), {})[e] = c
         return [(k, Polynomial(self.varset, buckets[k])) for k in sorted(buckets)]
 
     # -- division helpers --------------------------------------------------
 
-    def leading(self, keyf: Callable[[Exponents], object]) -> tuple[Exponents, Fraction]:
+    def leading(self, keyf: Callable[[Exponents], object]) -> tuple[Exponents, Scalar]:
         """Leading exponent and coefficient under ``keyf``, computed once per key."""
         lead = self._lead
         if lead is None or lead[0] is not keyf:
@@ -517,6 +533,25 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)})"
+
+
+def power(base: Polynomial, k: int,
+          mul: Callable[[Polynomial, Polynomial], Polynomial] = mul) -> Polynomial:
+    """``base ** k`` by repeated squaring, each product made by ``mul(a, b)``.
+
+    It starts from the base and stops squaring once the exponent is used up.
+    A caller that bounds its work passes a ``mul`` that counts the products.
+    """
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = Polynomial.constant(base.varset, 1) if k == 0 else None
+    while k:
+        if k & 1:
+            result = base if result is None else mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
 
 
 def format_polynomial(p: Polynomial) -> str:

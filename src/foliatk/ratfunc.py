@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import VariableSetError
 from .groebner import divide_with_cofactors
-from .poly import GREVLEX, Polynomial, VariableSet
+from .poly import GREVLEX, Polynomial, VariableSet, exact_quotient
 
 
 class RationalFunction:
@@ -35,7 +35,7 @@ class RationalFunction:
                 num, den = quotient[0], Polynomial.constant(num.varset, 1)
             lc = den.leading(GREVLEX.key_function(den.varset))[1]
             if lc != 1:
-                inv = Fraction(1) / lc
+                inv = exact_quotient(1, lc)
                 num, den = num.scale(inv), den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,19 @@ def _normalizer_check_of(candidate):
     scene = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
     scene["candidates"]["deep"] = candidate
     return run_command("normalizer-check", json.dumps(scene), ns(candidate=["deep"]))
+
+
+@pytest.mark.parametrize("candidate", [
+    "(q1+1)^3000", "(q1+q2+1)^5000", "(q1+q2+q3+p_q1)^60",
+])
+def test_a_short_power_that_expands_past_the_bound_exits_2_at_once(candidate):
+    # expanding the last one used to run for more than 30 s; each is refused
+    # at its ^ before the product that would pass MAX_TERM_PRODUCTS
+    start = time.monotonic()
+    report, code = _normalizer_check_of(candidate)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert "term products" in report["detail"]["message"]
 
 
 def test_parentheses_nested_to_the_limit_parse():

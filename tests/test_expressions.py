@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import time
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foliatk import ParseError, Polynomial, VariableSet, parse_expression
-from foliatk.expressions import MAX_NESTING
+from foliatk.expressions import MAX_NESTING, MAX_TERM_PRODUCTS
 from foliatk.poly import format_polynomial, random_polynomial
 
 from oracle import reference_parse_expression
@@ -132,6 +133,48 @@ def test_an_oversized_power_is_refused_even_when_it_cancels():
     with pytest.raises(ParseError, match="digits") as err:
         parse_expression("2^50000 - 2^50000", COT2)
     assert err.value.position == 2
+
+
+@pytest.mark.parametrize("text, position", [
+    # each factor has 4001 digits; the product made at the * has 8001
+    ("x + 10^4000*10^4000", 11),
+    # the first and last coefficients of the cube have 4300 digits, so the
+    # power is not refused before it is computed; the middle one, 6 times
+    # larger, has 4301
+    ("(2*10^1433*(x + y + p_x))^3", 26),
+])
+def test_a_product_past_the_digit_limit_is_refused_where_it_is_made(text, position):
+    with pytest.raises(ParseError, match="more than .* digits") as err:
+        parse_expression(text, COT2)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(x+1)^3000", 5),
+    ("(x+y+1)^5000", 7),
+    ("x*(x+y+p_x+p_y)^60", 15),
+    # the count runs over the whole expression: each power alone is allowed,
+    # the third one passes the bound
+    ("(x+1)^300 + (x+1)^300 + (x+1)^300", 29),
+])
+def test_expansion_past_the_term_product_bound_is_refused_at_its_operator(text, position):
+    start = time.monotonic()
+    with pytest.raises(ParseError, match=f"more than {MAX_TERM_PRODUCTS} term products") as err:
+        parse_expression(text, COT2)
+    assert time.monotonic() - start < 1.0
+    assert err.value.position == position
+
+
+def test_a_star_that_passes_the_term_product_bound_is_named():
+    square = "(" + " + ".join(f"x^{i}" for i in range(400)) + ")"
+    with pytest.raises(ParseError, match="term products") as err:
+        parse_expression(square + "*" + square, COT2)
+    assert err.value.position == len(square)
+
+
+def test_expansion_below_the_term_product_bound_parses():
+    p = parse_expression("(x+1)^300", COT2)
+    assert len(p.terms) == 301 and p.terms[(150, 0, 0, 0)] == math.comb(300, 150)
 
 
 @pytest.mark.parametrize("text", ["\u00b2", "x^\u00b2", "1/\u00b2", "\u00bd", "2*\u00bd"])

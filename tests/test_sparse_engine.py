@@ -67,7 +67,9 @@ def _assert_clean(p):
     assert p == Polynomial(p.varset, p.terms)
     width = p.varset.n_vars
     for expo, coeff in p.terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+        # normal form: an int when integral, else a Fraction with denominator > 1
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+        assert coeff != 0
         assert type(expo) is tuple and len(expo) == width
         assert all(type(e) is int and e >= 0 for e in expo)
 
