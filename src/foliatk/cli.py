@@ -63,20 +63,25 @@ def _cert_dicts(certs: Sequence[tuple[str, Certificate]]) -> list[dict]:
     """Serialize (claim, certificate) pairs; each generator list is formatted once.
 
     Lists are keyed by the identity of the generator tuple, which ``certs``
-    keeps alive for the whole call.
+    keeps alive for the whole call.  Cofactors start as one list of ``"0"``
+    per generator list; only the nonzero entries of a row are formatted.
     """
-    formatted: dict[int, list] = {}
+    formatted: dict[int, tuple[list, list]] = {}
     out = []
     for claim, cert in certs:
-        gens = formatted.get(id(cert.generators))
-        if gens is None:
-            gens = [_value_str(g) for g in cert.generators]
-            formatted[id(cert.generators)] = gens
+        known = formatted.get(id(cert.generators))
+        if known is None:
+            known = ([_value_str(g) for g in cert.generators], ["0"] * len(cert.generators))
+            formatted[id(cert.generators)] = known
+        gens, zeros = known
+        cofactors = zeros.copy()
+        for i, c in cert.row.items():
+            cofactors[i] = str(c)
         out.append({
             "claim": claim,
             "holds": cert.claim_holds,
             "generators": gens,
-            "cofactors": [str(c) for c in cert.cofactors],
+            "cofactors": cofactors,
             "remainder": _value_str(cert.remainder),
         })
     return out

@@ -35,7 +35,6 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     check_claims,
-    module_divide,
     module_groebner,
     module_membership,
     syzygy_basis,
@@ -205,7 +204,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     for u in range(idim):
         for v in range(u + 1, idim):
             bracket = lie_bracket(reps[u], reps[v])
-            cofactors, remainder = module_divide(bracket, gb.generators, gb.order)
+            cofactors, remainder = gb.divide(bracket)
             if not remainder.is_zero():
                 raise PreconditionError(
                     "bracket of isotropy representatives leaves the module; "

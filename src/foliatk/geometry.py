@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import ChartMismatchError, MetricError, VariableSetError
 from .groebner import ModuleElement
 from .linalg import poly_adjugate, poly_det, poly_mat_mul
-from .poly import ExactPoint, Polynomial, VariableSet
+from .poly import ExactPoint, Polynomial, VariableSet, sum_of_products
 from .ratfunc import RationalFunction
 
 
@@ -66,16 +66,9 @@ class VectorField(ModuleElement):
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Derivation on chart functions: X(f) = sum X^i df/dq^i."""
-        chart = self.varset
-        if f.varset != chart:
+        if f.varset != self.varset:
             raise VariableSetError("variable-set mismatch")
-        acc = Polynomial.zero(chart)
-        for name, comp in zip(chart.base, self.components):
-            if comp.terms:
-                d = f.diff(name)
-                if d.terms:
-                    acc = acc + comp * d
-        return acc
+        return sum_of_products(self.varset, zip(self.components, f.partials()))
 
 
 @dataclass(frozen=True)
@@ -224,8 +217,10 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^i = sum_j X^j dY^i/dq^j - Y^j dX^i/dq^j."""
     if x.chart != y.chart:
         raise ChartMismatchError("vector fields on different charts")
-    comps = tuple(x.apply(yc) - y.apply(xc) for xc, yc in zip(x.components, y.components))
-    return VectorField(x.chart, comps)
+    chart, xs, ys = x.chart, x.components, y.components
+    return VectorField(chart, tuple(
+        sum_of_products(chart, zip(xs, yc.partials()), zip(ys, xc.partials()))
+        for xc, yc in zip(xs, ys)))
 
 
 def cotangent_lift(x: VectorField, cot: VariableSet | None = None) -> Polynomial:
@@ -266,10 +261,9 @@ def canonical_poisson(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ChartMismatchError("bracket arguments on different charts")
     if not varset.has_fiber:
         raise VariableSetError("canonical bracket needs fiber variables")
-    acc = Polynomial.zero(varset)
-    for q_name, p_name in zip(varset.base, varset.fiber):
-        acc = acc + f.diff(p_name) * g.diff(q_name) - f.diff(q_name) * g.diff(p_name)
-    return acc
+    n = varset.dimension
+    fd, gd = f.partials(), g.partials()
+    return sum_of_products(varset, zip(fd[n:], gd[:n]), zip(fd[:n], gd[n:]))
 
 
 def lie_derivative(x: VectorField, t: SymTensor2) -> SymTensor2:

@@ -20,15 +20,21 @@ applied only in rank 1.
 
 The engine is sparse.  :func:`module_divide` returns only the nonzero
 cofactors, as ``{divisor index: cofactor}``; the representation rows of a
-basis over its input generators (``GroebnerBasis.rows``) and the composition
-of certificates use the same maps.  Dense tuples exist only at the public
-boundary: ``GroebnerBasis.representation`` and ``Certificate.cofactors``.
-A division looks up each divisor's leading term, which the polynomial caches
-under the order's key function (one function object per order and chart
-dimension), and tries a term only against the divisors leading at that
-term's position.  Coefficients stay in the polynomial module's normal form,
-an ``int`` when integral: every quotient is an ``exact_quotient``, and every
-sum written into a division's work map is normalised.
+basis over its input generators (``GroebnerBasis.rows``), the composition of
+certificates and the certificates themselves (``Certificate.row``) use the
+same maps.  Dense tuples exist only at the public boundary:
+``GroebnerBasis.representation`` and the lazy view ``Certificate.cofactors``.
+
+A division reads its divisors through a :class:`DivisorTable`: each
+divisor's leading term, read once when the divisor enters the table, grouped
+by lead position in list order, so a term is tried only against the divisors
+leading at its position and the first one that divides wins.  A basis owns its
+table (``GroebnerBasis.table``; an ideal basis's table also holds its
+rank-1 elements), and Buchberger extends one table as it appends to the
+basis, so no claim loop rebuilds a table per division.  Coefficients stay in
+the polynomial module's normal form, an ``int`` when integral: every
+quotient is an ``exact_quotient``, and every sum written into a division's
+work map is normalised.
 
 Module bases power involutivity checks, module equality and syzygies.  A
 basis remembers how it sits over its inputs (``rows``), so the relations
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Sequence
@@ -83,11 +90,17 @@ class Certificate:
 
     ``generators`` records the list the cofactors refer to, so the identity
     ``target == sum(cofactor*generator) + remainder`` is self-contained.
+    ``row`` holds the nonzero cofactors, keyed by generator index;
+    :attr:`cofactors` is the dense view, built when first read.
     """
 
     generators: tuple
-    cofactors: tuple[Polynomial, ...]
+    row: Row
     remainder: object
+
+    @cached_property
+    def cofactors(self) -> tuple[Polynomial, ...]:
+        return _dense(self.row, len(self.generators), self.remainder.varset)
 
     @property
     def claim_holds(self) -> bool:
@@ -96,7 +109,8 @@ class Certificate:
     def reexpand(self):
         """sum(cofactor_i * generator_i) + remainder, in the target's type."""
         acc = None
-        for c, g in zip(self.cofactors, self.generators):
+        for i, c in self.row.items():
+            g = self.generators[i]
             part = g.scale_by(c) if isinstance(g, ModuleElement) else c * g
             acc = part if acc is None else acc + part
         if acc is None:
@@ -228,31 +242,67 @@ def _rank_one(f: Polynomial) -> ModuleElement:
 # division
 
 
+class DivisorTable:
+    """Divisors with their leading terms, read once, grouped by lead position.
+
+    ``leads[i]`` is ``(position, exponent, coefficient)`` of divisor ``i``'s
+    position-over-term leading term, or ``None`` for a zero divisor, which
+    divides nothing.  ``by_pos[pos]`` lists ``(i, exponent, coefficient)``
+    for the divisors leading at ``pos``, in list order.  Every divisor shares
+    one chart and rank; :meth:`append` extends the table in place.
+    """
+
+    __slots__ = ("order", "elements", "leads", "by_pos", "varset", "rank")
+
+    def __init__(self, divisors: Sequence[ModuleElement], order: MonomialOrder):
+        self.order = order
+        self.elements: list[ModuleElement] = []
+        self.leads: list[tuple[int, Exponents, Scalar] | None] = []
+        self.by_pos: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
+        self.varset: VariableSet | None = None
+        self.rank = 0
+        for d in divisors:
+            self.append(d)
+
+    def append(self, d: ModuleElement) -> None:
+        if self.varset is None:
+            self.varset, self.rank = d.varset, len(d.components)
+        elif d.varset != self.varset or len(d.components) != self.rank:
+            raise VariableSetError("module rank or chart mismatch")
+        i = len(self.elements)
+        self.elements.append(d)
+        lead = None
+        for pos, comp in enumerate(d.components):
+            if comp.terms:
+                lexpo, lcoeff = comp.leading(self.order.key_function(d.varset))
+                lead = (pos, lexpo, lcoeff)
+                self.by_pos.setdefault(pos, []).append((i, lexpo, lcoeff))
+                break
+        self.leads.append(lead)
+
+
 def module_divide(
-    v: ModuleElement, divisors: Sequence[ModuleElement], order: MonomialOrder
+    v: ModuleElement, divisors: Sequence[ModuleElement] | DivisorTable, order: MonomialOrder
 ) -> tuple[dict[int, Polynomial], ModuleElement]:
     """Division in R^rank under the position-over-term extension of ``order``.
 
-    Returns the nonzero cofactors as ``{divisor index: cofactor}`` in index
-    order, and the remainder.  Ties in divisor selection go to the first
-    divisor in list order whose leading term divides, which makes
-    certificates reproducible.  The remainder has no term divisible by any
-    divisor leading term.
+    ``divisors`` is a :class:`DivisorTable` built for ``order``, or a plain
+    list, for which one is built.  Returns the nonzero cofactors as
+    ``{divisor index: cofactor}`` in index order, and the remainder.  Ties in
+    divisor selection go to the first divisor in list order whose leading
+    term divides, which makes certificates reproducible.  The remainder has
+    no term divisible by any divisor leading term.
     """
+    if not isinstance(divisors, DivisorTable):
+        divisors = DivisorTable(divisors, order)
+    elif divisors.order != order:
+        raise ValueError("a divisor table divides under the order it was built for")
     varset = v.varset
     rank = v.rank
+    if divisors.varset is not None and (divisors.varset != varset or divisors.rank != rank):
+        raise VariableSetError("module rank or chart mismatch")
     keyf = order.key_function(varset)
-    # a term at position ``pos`` is divisible only by a divisor leading there;
-    # each list keeps list order, so the first divisor that divides wins
-    by_pos: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
-    for i, d in enumerate(divisors):
-        if d.varset != varset or len(d.components) != rank:
-            raise VariableSetError("module rank or chart mismatch")
-        for lpos, comp in enumerate(d.components):
-            if comp.terms:  # a zero divisor has no lead and divides nothing
-                lexpo, lcoeff = comp.leading(keyf)
-                by_pos.setdefault(lpos, []).append((i, lexpo, lcoeff))
-                break
+    elements, by_pos = divisors.elements, divisors.by_pos
     cofactors: dict[int, dict[Exponents, Scalar]] = {}
     work = [dict(c.terms) for c in v.components]
     remainder: list[dict[Exponents, Scalar]] = [{} for _ in work]
@@ -270,7 +320,7 @@ def module_divide(
                     # each divisor reduces strictly decreasing terms of one
                     # position, so its quotient exponents never repeat
                     cofactors.setdefault(i, {})[q_expo] = q_coeff
-                    comps = divisors[i].components
+                    comps = elements[i].components
                     for dpos in range(pos, rank):
                         target = work[dpos]
                         for ge, gc in comps[dpos].terms.items():
@@ -336,7 +386,8 @@ class GroebnerBasis:
     :class:`ModuleElement` values for a module (:func:`module_groebner`).
     ``rows[k]`` holds the nonzero cofactors of ``generators[k]`` over
     ``input_generators``, keyed by input index; :attr:`representation` is
-    the same data as dense tuples.
+    the same data as dense tuples.  Every division by the basis goes through
+    its :attr:`table`, built on first use.
     """
 
     input_generators: tuple
@@ -350,10 +401,31 @@ class GroebnerBasis:
         n = len(self.input_generators)
         return tuple(_dense(row, n, self.input_generators[0].varset) for row in self.rows)
 
+    @cached_property
+    def table(self) -> DivisorTable:
+        """The divisor table of the basis; an ideal's elements enter it in rank 1."""
+        return DivisorTable([g if isinstance(g, ModuleElement) else _rank_one(g)
+                             for g in self.generators], self.order)
+
+    def divide(self, f) -> tuple[Row, object]:
+        """Division through :attr:`table`; the remainder has ``f``'s type."""
+        if isinstance(f, Polynomial):
+            cofactors, r = module_divide(_rank_one(f), self.table, self.order)
+            return cofactors, r.components[0]
+        return module_divide(f, self.table, self.order)
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Remainder of ``f`` on division by an ideal basis."""
-        _, r = divide_with_cofactors(f, self.generators, self.order)
-        return r
+        return self.divide(f)[1]
+
+
+def _monic(r: ModuleElement, rep: Row, keyf) -> tuple[ModuleElement, Row]:
+    """``r`` and its row scaled to a leading coefficient of 1; unchanged when it is 1."""
+    inv = exact_quotient(1, r.leading(keyf)[1])
+    if inv == 1:
+        return r, rep
+    return (r.scale_by(Polynomial.constant(r.varset, inv)),
+            {j: p.scale(inv) for j, p in rep.items()})
 
 
 def _buchberger(
@@ -368,25 +440,18 @@ def _buchberger(
         return (), ()
     varset = live[0][1].varset
     rank = live[0][1].rank
-    for _, g in live:
-        if g.varset != varset or g.rank != rank:
-            raise VariableSetError("module rank or chart mismatch")
     keyf = order.key_function(varset)
     one = Polynomial.constant(varset, 1)
 
-    basis = [g for _, g in live]
+    # the table checks every element's chart and rank as it enters
+    table = DivisorTable([g for _, g in live], order)
+    basis, leads = table.elements, table.leads
     reps: list[Row] = [{i: one} for i, _ in live]
-    leads = [g.leading(keyf) for g in basis]
 
     def reduce_rep(rep: Row, cofactors: Row, rows: Sequence[Row]) -> Row:
         for k, c in cofactors.items():
             _sub_scaled(rep, c, rows[k])
         return rep
-
-    def monic(r: ModuleElement, rep: Row):
-        inv = exact_quotient(1, r.leading(keyf)[1])
-        return (r.scale_by(Polynomial.constant(varset, inv)),
-                {j: p.scale(inv) for j, p in rep.items()})
 
     # each pair is keyed once, when it is queued; the key is unique, so pops
     # follow (lcm key, pair) exactly.  ``pending`` mirrors the queue for the
@@ -395,14 +460,14 @@ def _buchberger(
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(new: int) -> None:
-        pos, expo = leads[new][0]
+        pos, expo, _ = leads[new]
         for k in range(new):
-            if leads[k][0][0] == pos:
-                heapq.heappush(queue, (keyf(_lcm(leads[k][0][1], expo)), (k, new)))
+            if leads[k][0] == pos:
+                heapq.heappush(queue, (keyf(_lcm(leads[k][1], expo)), (k, new)))
                 pending.add((k, new))
 
     def chain_skippable(i: int, j: int, pos: int, lcm_ij: Exponents) -> bool:
-        for k, ((kpos, kexpo), _) in enumerate(leads):
+        for k, (kpos, kexpo, _) in enumerate(leads):
             if k in (i, j) or kpos != pos or not _divides(kexpo, lcm_ij):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
@@ -415,7 +480,7 @@ def _buchberger(
     while queue:
         i, j = heapq.heappop(queue)[1]
         pending.discard((i, j))
-        ((pos, li), ci), ((_, lj), cj) = leads[i], leads[j]
+        (pos, li, ci), (_, lj, cj) = leads[i], leads[j]
         if rank == 1 and _coprime(li, lj):
             continue
         lcm_ij = _lcm(li, lj)
@@ -423,36 +488,34 @@ def _buchberger(
             continue
         mi = Polynomial.monomial(varset, _sub(lcm_ij, li), exact_quotient(1, ci))
         mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), exact_quotient(1, cj))
-        cof, r = module_divide(basis[i].scale_by(mi) - basis[j].scale_by(mj), basis, order)
+        cof, r = module_divide(basis[i].scale_by(mi) - basis[j].scale_by(mj), table, order)
         if r.is_zero():
             continue
         rep_s = {k: mi * a for k, a in reps[i].items()}
         _sub_scaled(rep_s, mj, reps[j])
-        r, rep_r = monic(r, reduce_rep(rep_s, cof, reps))
-        basis.append(r)
+        r, rep_r = _monic(r, reduce_rep(rep_s, cof, reps), keyf)
+        table.append(r)
         reps.append(rep_r)
-        leads.append(r.leading(keyf))
         push_pairs(len(basis) - 1)
 
-    def mkey(lead):
-        pos, expo = lead
+    def mkey(k: int):
+        pos, expo, _ = leads[k]
         return (-pos, keyf(expo))
 
     # minimize: drop elements whose leading term is divisible by another's
     kept: list[int] = []
-    for k in sorted(range(len(basis)), key=lambda k: mkey(leads[k][0])):
-        pos, expo = leads[k][0]
-        if not any(leads[m][0][0] == pos and _divides(leads[m][0][1], expo) for m in kept):
+    for k in sorted(range(len(basis)), key=mkey):
+        pos, expo, _ = leads[k]
+        if not any(leads[m][0] == pos and _divides(leads[m][1], expo) for m in kept):
             kept.append(k)
 
-    # inter-reduce tails and normalize monic
+    # inter-reduce tails and normalize monic; a lead survives the tail
+    # reduction, so the final order is the order of the kept leads
     final = []
-    for k in kept:
+    for k in sorted(kept, key=mkey, reverse=True):
         others = [m for m in kept if m != k]
         cof, r = module_divide(basis[k], [basis[m] for m in others], order)
-        final.append(monic(r, reduce_rep(dict(reps[k]), cof, [reps[m] for m in others])))
-
-    final.sort(key=lambda item: mkey(item[0].leading(keyf)[0]), reverse=True)
+        final.append(_monic(r, reduce_rep(dict(reps[k]), cof, [reps[m] for m in others]), keyf))
     return tuple(m for m, _ in final), tuple(rep for _, rep in final)
 
 
@@ -480,26 +543,25 @@ def module_groebner(
 
 
 def _certificate(gb: GroebnerBasis, cofactors: Row, remainder) -> Certificate:
-    """Compose cofactors over the basis into dense cofactors over the input generators."""
+    """Compose cofactors over the basis into sparse cofactors over the input generators."""
     composed: Row = {}
     for k, c in cofactors.items():
         for i, t in gb.rows[k].items():
             a = composed.get(i)
             composed[i] = c * t if a is None else a + c * t
-    n = len(gb.input_generators)
-    return Certificate(gb.input_generators, _dense(composed, n, remainder.varset), remainder)
+    return Certificate(gb.input_generators, {i: c for i, c in composed.items() if c.terms},
+                       remainder)
 
 
 def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis) -> Certificate:
     """Deterministic normal form; cofactors refer to the basis elements."""
-    cof, r = divide_with_cofactors(f, gb.generators, gb.order)
-    return Certificate(gb.generators, _dense(cof, len(gb.generators), f.varset), r)
+    cof, r = gb.divide(f)
+    return Certificate(gb.generators, cof, r)
 
 
 def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> Certificate:
     """Membership certificate with cofactors over the *input* generators."""
-    cofactors, r = divide_with_cofactors(f, gb.generators, gb.order)
-    return _certificate(gb, cofactors, r)
+    return _certificate(gb, *gb.divide(f))
 
 
 def module_membership(
@@ -509,8 +571,7 @@ def module_membership(
 ) -> Certificate:
     """Membership certificate with a ModuleElement remainder, cofactors over inputs."""
     gb = gens if isinstance(gens, GroebnerBasis) else module_groebner(gens, order)
-    cofactors, r = module_divide(v, gb.generators, gb.order)
-    return _certificate(gb, cofactors, r)
+    return _certificate(gb, *gb.divide(v))
 
 
 def syzygy_basis(
@@ -549,11 +610,10 @@ def syzygy_basis(
     if not n:
         return []
     varset = inputs[0].varset
-    keyf = gb.order.key_function(varset)
     out: list[ModuleElement] = []
 
     def standard(v: ModuleElement) -> Row:
-        cofactors, r = module_divide(v, basis, gb.order)
+        cofactors, r = gb.divide(v)
         if not r.is_zero():
             raise InternalCheckError("a module element left a remainder on its own Groebner basis")
         return cofactors
@@ -569,11 +629,7 @@ def syzygy_basis(
         emit({i: one}, standard(g))
 
     # pairs form only within a lead position
-    by_pos: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
-    for k, b in enumerate(basis):
-        (pos, expo), coeff = b.leading(keyf)
-        by_pos.setdefault(pos, []).append((k, expo, coeff))
-    for group in by_pos.values():
+    for group in gb.table.by_pos.values():
         for a, (k, lk, ck) in enumerate(group):
             for l, ll, cl in group[a + 1:]:
                 lcm_kl = _lcm(lk, ll)

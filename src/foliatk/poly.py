@@ -203,7 +203,7 @@ BLOCK = MonomialOrder("block")
 class Polynomial:
     """Canonical sparse polynomial over a fixed :class:`VariableSet`."""
 
-    __slots__ = ("varset", "terms", "_hash", "_lead", "_int")
+    __slots__ = ("varset", "terms", "_hash", "_lead", "_int", "_partials")
 
     def __init__(self, varset: VariableSet, terms: Mapping[Exponents, Scalar] | None = None):
         clean: dict[Exponents, Scalar] = {}
@@ -367,16 +367,27 @@ class Polynomial:
 
     def diff(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to a chart variable."""
-        i = self.varset.index(name)
-        res: dict[Exponents, Scalar] = {}
+        return self.partials()[self.varset.index(name)]
+
+    def partials(self) -> tuple["Polynomial", ...]:
+        """Every first partial derivative, in chart variable order.
+
+        Built in one pass over the terms on first use and kept, like the
+        integer form, in a slot that stays unset until then."""
+        try:
+            return self._partials
+        except AttributeError:
+            pass
+        maps: list[dict[Exponents, Scalar]] = [{} for _ in range(self.varset.n_vars)]
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            de = list(e)
-            de[i] -= 1
-            d = c * e[i]
-            res[tuple(de)] = d if d.__class__ is int else normal_coefficient(d)
-        return Polynomial._trusted(self.varset, res)
+            for i, k in enumerate(e):
+                if k:
+                    d = c * k
+                    maps[i][e[:i] + (k - 1,) + e[i + 1:]] = (
+                        d if d.__class__ is int else normal_coefficient(d))
+        parts = tuple(Polynomial._trusted(self.varset, m) for m in maps)
+        object.__setattr__(self, "_partials", parts)
+        return parts
 
     def evaluate(self, point: Mapping[str, object]):
         """Evaluate at a point assigning every variable.
@@ -533,6 +544,34 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)})"
+
+
+def sum_of_products(varset: VariableSet, plus: Iterable[tuple[Polynomial, Polynomial]],
+                    minus: Iterable[tuple[Polynomial, Polynomial]] = ()) -> Polynomial:
+    """``sum(a*b for a, b in plus) - sum(c*d for c, d in minus)`` in one term map.
+
+    A pair with a zero factor is skipped, and no product or partial sum is
+    built as a polynomial.  Every factor must live on ``varset``.
+    """
+    res: dict[Exponents, Scalar] = {}
+    for pairs, negate in ((plus, False), (minus, True)):
+        for a, b in pairs:
+            if not a.terms or not b.terms:
+                continue
+            if a.varset != varset or b.varset != varset:
+                raise VariableSetError("variable-set mismatch")
+            bterms = b.terms.items()
+            for e1, c1 in a.terms.items():
+                if negate:
+                    c1 = -c1
+                for e2, c2 in bterms:
+                    e = tuple(map(add, e1, e2))
+                    s = res.get(e, 0) + c1 * c2
+                    if s:
+                        res[e] = s if s.__class__ is int else normal_coefficient(s)
+                    else:
+                        del res[e]
+    return Polynomial._trusted(varset, res)
 
 
 def power(base: Polynomial, k: int,

@@ -33,6 +33,13 @@ Flows: the closure interpreter and the stored-trajectory rk4, leapfrog and
 monitor loops that the generated flow kernels replaced.  They perform the
 same float operations in the same order, so the kernels must agree with them
 exactly.
+
+Division and brackets: the division that built its per-position lead table
+on every call, which the divisor tables owned by a basis replaced, and the
+derivative-by-derivative derivation, Lie bracket and canonical bracket that
+the partials slot and the one-map product-sum in ``poly.py`` replaced.  Each
+partial is one loop over the terms, and every sum goes through polynomial
+``+``, ``-`` and ``*``.
 """
 
 from __future__ import annotations
@@ -45,16 +52,17 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from foliatk.dynamics import FlowState, MonitorReport
-from foliatk.errors import (AmbiguousQuotientError, FlowDivergedError, ParseError,
-                            PreconditionError)
+from foliatk.errors import (AmbiguousQuotientError, ChartMismatchError, FlowDivergedError,
+                            ParseError, PreconditionError, VariableSetError)
 from foliatk.expressions import MAX_NESTING
 from foliatk.foliation import FoliationModule, PointReport, _as_point, _combine
-from foliatk.geometry import MetricData, VectorField, lie_bracket
-from foliatk.groebner import ModuleElement, module_divide, module_groebner
+from foliatk.geometry import MetricData, VectorField
+from foliatk.groebner import ModuleElement, module_groebner
 from foliatk.ipoisson import _fiber_linear_to_field, srf_check
 from foliatk.linalg import (CoordinateFrame, EchelonSpan, nullspace, poly_adjugate,
                             poly_det, solve_coordinates)
-from foliatk.poly import BLOCK, GREVLEX, ExactPoint, Polynomial, VariableSet
+from foliatk.poly import (BLOCK, GREVLEX, ExactPoint, MonomialOrder, Polynomial, VariableSet,
+                          exact_quotient, normal_coefficient)
 from foliatk.ratfunc import RationalFunction
 
 
@@ -192,8 +200,8 @@ def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointRe
     gb = fol.module_gb
     for u in range(idim):
         for v in range(u + 1, idim):
-            bracket = lie_bracket(reps[u], reps[v])
-            cofactors, remainder = module_divide(bracket, gb.generators, gb.order)
+            bracket = reference_lie_bracket(reps[u], reps[v])
+            cofactors, remainder = reference_module_divide(bracket, gb.generators, gb.order)
             if not remainder.is_zero():
                 raise PreconditionError(
                     "bracket of isotropy representatives leaves the module; "
@@ -607,3 +615,100 @@ def reference_monitor(generators: Sequence[Polynomial], h: Polynomial, start: Fl
     if failure:
         raise failure
     return MonitorReport(tuple(samples), max_gen, drift)
+
+
+# ---------------------------------------------------------------------------
+# division and brackets
+
+
+def reference_module_divide(v: ModuleElement, divisors: Sequence[ModuleElement],
+                            order: MonomialOrder) -> tuple[dict, ModuleElement]:
+    """Position-over-term division; the lead table is rebuilt from ``divisors``."""
+    varset = v.varset
+    rank = v.rank
+    keyf = order.key_function(varset)
+    by_pos: dict = {}
+    for i, d in enumerate(divisors):
+        if d.varset != varset or len(d.components) != rank:
+            raise VariableSetError("module rank or chart mismatch")
+        for lpos, comp in enumerate(d.components):
+            if comp.terms:
+                lexpo, lcoeff = comp.leading(keyf)
+                by_pos.setdefault(lpos, []).append((i, lexpo, lcoeff))
+                break
+    cofactors: dict = {}
+    work = [dict(c.terms) for c in v.components]
+    remainder: list = [{} for _ in work]
+    for pos, terms in enumerate(work):
+        leads = by_pos.get(pos, ())
+        while terms:
+            expo = max(terms, key=keyf)
+            coeff = terms.pop(expo)
+            for i, lexpo, lcoeff in leads:
+                if all(a <= b for a, b in zip(lexpo, expo)):
+                    q_expo = tuple(b - a for a, b in zip(lexpo, expo))
+                    q_coeff = exact_quotient(coeff, lcoeff)
+                    cofactors.setdefault(i, {})[q_expo] = q_coeff
+                    comps = divisors[i].components
+                    for dpos in range(pos, rank):
+                        target = work[dpos]
+                        for ge, gc in comps[dpos].terms.items():
+                            if dpos == pos and ge == lexpo:
+                                continue
+                            te = tuple(a + b for a, b in zip(ge, q_expo))
+                            s = target.get(te, 0) - gc * q_coeff
+                            if s:
+                                target[te] = normal_coefficient(s)
+                            else:
+                                del target[te]
+                    break
+            else:
+                remainder[pos][expo] = coeff
+    return (
+        {i: Polynomial(varset, cofactors[i]) for i in sorted(cofactors)},
+        ModuleElement(varset, tuple(Polynomial(varset, r) for r in remainder)),
+    )
+
+
+def reference_diff(f: Polynomial, name: str) -> Polynomial:
+    """One partial derivative, one loop over the terms."""
+    i = f.varset.index(name)
+    res = {}
+    for e, c in f.terms.items():
+        if e[i]:
+            de = list(e)
+            de[i] -= 1
+            res[tuple(de)] = c * e[i]
+    return Polynomial(f.varset, res)
+
+
+def reference_apply(x: VectorField, f: Polynomial) -> Polynomial:
+    """X(f) = sum X^i df/dq^i, one product and one sum at a time."""
+    if f.varset != x.varset:
+        raise VariableSetError("variable-set mismatch")
+    acc = Polynomial.zero(x.varset)
+    for name, comp in zip(x.varset.base, x.components):
+        acc = acc + comp * reference_diff(f, name)
+    return acc
+
+
+def reference_lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y]^i = X(Y^i) - Y(X^i)."""
+    if x.chart != y.chart:
+        raise ChartMismatchError("vector fields on different charts")
+    return VectorField(x.chart, tuple(reference_apply(x, yc) - reference_apply(y, xc)
+                                      for xc, yc in zip(x.components, y.components)))
+
+
+def reference_canonical_poisson(f: Polynomial, g: Polynomial) -> Polynomial:
+    """{f, g} = sum_i df/dp_i dg/dq^i - df/dq^i dg/dp_i."""
+    varset = f.varset
+    if g.varset != varset:
+        raise ChartMismatchError("bracket arguments on different charts")
+    if not varset.has_fiber:
+        raise VariableSetError("canonical bracket needs fiber variables")
+    acc = Polynomial.zero(varset)
+    for q, p in zip(varset.base, varset.fiber):
+        acc = acc + reference_diff(f, p) * reference_diff(g, q) \
+            - reference_diff(f, q) * reference_diff(g, p)
+    return acc
