@@ -276,7 +276,7 @@ def lie_derivative(x: VectorField, t: SymTensor2) -> SymTensor2:
         raise ChartMismatchError("tensor and field on different charts")
     n = x.chart.dimension
     # jac[k][i] = dX^k/dq^i, shared by every entry
-    jac = [[c.diff(q) for q in x.chart.base] for c in x.components]
+    jac = [c.partials() for c in x.components]
     covariant = t.kind == "covariant"
     entries = [[None] * n for _ in range(n)]
     for i in range(n):

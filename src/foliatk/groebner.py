@@ -302,6 +302,8 @@ def module_divide(
     if divisors.varset is not None and (divisors.varset != varset or divisors.rank != rank):
         raise VariableSetError("module rank or chart mismatch")
     keyf = order.key_function(varset)
+    # a term at position ``pos`` is divisible only by a divisor leading there;
+    # each list keeps list order, so the first divisor that divides wins
     elements, by_pos = divisors.elements, divisors.by_pos
     cofactors: dict[int, dict[Exponents, Scalar]] = {}
     work = [dict(c.terms) for c in v.components]

@@ -26,6 +26,14 @@ denominator ``d``.  The value is then ``sum c_e a^e d^(deg-|e|)`` over
 are skipped before any multiplication, the powers of ``d`` drop out when
 ``d = 1``, and a zero test reads the integer sum alone.  Callers that
 evaluate many polynomials at one point convert it once.
+
+Derivatives are prepared the same way.  A polynomial keeps, built on first
+use in one pass over its terms, the tuple of all its first partials
+(:meth:`Polynomial.partials`); :meth:`Polynomial.diff` reads it, so a
+polynomial bracketed many times is differentiated once.  The brackets in
+``geometry.py`` are each one :func:`sum_of_products`, which accumulates
+``sum a*b - sum c*d`` over pairs of polynomials in one term map, skipping
+zero factors and building no intermediate polynomial.
 """
 
 from __future__ import annotations
