@@ -64,25 +64,34 @@ def _cert_dicts(certs: Sequence[tuple[str, Certificate]]) -> list[dict]:
 
     Lists are keyed by the identity of the generator tuple, which ``certs``
     keeps alive for the whole call.  Cofactors start as one list of ``"0"``
-    per generator list; only the nonzero entries of a row are formatted.
+    per generator list; only the nonzero entries of a row are formatted.  A
+    remainder that is zero, as it is for every claim that holds, is one
+    shared value per generator list, formatted once.
     """
-    formatted: dict[int, tuple[list, list]] = {}
+    formatted: dict[int, list] = {}
     out = []
     for claim, cert in certs:
         known = formatted.get(id(cert.generators))
         if known is None:
-            known = ([_value_str(g) for g in cert.generators], ["0"] * len(cert.generators))
+            known = [[_value_str(g) for g in cert.generators], ["0"] * len(cert.generators), None]
             formatted[id(cert.generators)] = known
-        gens, zeros = known
+        gens, zeros, zero_remainder = known
         cofactors = zeros.copy()
         for i, c in cert.row.items():
             cofactors[i] = str(c)
+        holds = cert.claim_holds
+        if not holds:
+            remainder = _value_str(cert.remainder)
+        elif zero_remainder is None:
+            remainder = known[2] = _value_str(cert.remainder)
+        else:
+            remainder = zero_remainder
         out.append({
             "claim": claim,
-            "holds": cert.claim_holds,
+            "holds": holds,
             "generators": gens,
             "cofactors": cofactors,
-            "remainder": _value_str(cert.remainder),
+            "remainder": remainder,
         })
     return out
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import ChartMismatchError, MetricError, VariableSetError
 from .groebner import ModuleElement
-from .linalg import poly_adjugate, poly_det, poly_mat_mul
-from .poly import ExactPoint, Polynomial, VariableSet, sum_of_products
+from .linalg import leading_minors_positive, poly_adjugate, poly_det
+from .poly import ExactPoint, Polynomial, VariableSet, normal_coefficient, sum_of_products
 from .ratfunc import RationalFunction
 
 
@@ -149,8 +149,11 @@ class MetricData:
     """Cometric (required) plus optional covariant polynomial metric.
 
     Construction checks that metric*cometric is the identity when both are
-    given, and that the cometric is positive-definite at every sample point
-    (Sylvester minors over exact rationals).
+    given, entry by entry, each entry one product-sum, and that the cometric
+    is positive-definite at every sample point.  Positivity is Sylvester's
+    test on the cometric evaluated there, an exact rational matrix: its
+    leading minors are the symbolic ones evaluated, since evaluation is a
+    ring map, so no minor is expanded symbolically.
     """
 
     cometric: SymTensor2
@@ -166,23 +169,21 @@ class MetricData:
                 raise MetricError("metric must be covariant")
             if self.metric.chart != chart:
                 raise ChartMismatchError("metric and cometric on different charts")
-            prod = poly_mat_mul(self.metric.entries, self.cometric.entries)
-            n = chart.dimension
-            for i in range(n):
-                for j in range(n):
-                    expected = Fraction(1 if i == j else 0)
-                    if prod[i][j] != Polynomial.constant(chart, expected):
+            one = {(0,) * chart.n_vars: 1}
+            columns = tuple(zip(*self.cometric.entries))
+            for i, row in enumerate(self.metric.entries):
+                for j, column in enumerate(columns):
+                    if sum_of_products(chart, zip(row, column)).terms != (one if i == j else {}):
                         raise MetricError("metric * cometric is not the identity")
         pts = self.sample_points
         if not pts:
             pts = ((Fraction(0),) * chart.dimension,)
             object.__setattr__(self, "sample_points", pts)
         entries = self.cometric.entries
-        minors = [poly_det([row[:k] for row in entries[:k]])
-                  for k in range(1, chart.dimension + 1)]
         for pt in pts:
             exact = ExactPoint(pt)
-            if any(m.evaluate_seq(exact) <= 0 for m in minors):
+            if not leading_minors_positive([[e.evaluate_seq(exact) for e in row]
+                                            for row in entries]):
                 raise MetricError(f"cometric not positive-definite at {pt}")
 
     @property
@@ -226,10 +227,25 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 def cotangent_lift(x: VectorField, cot: VariableSet | None = None) -> Polynomial:
     """The fiber-linear function <p, X> on the cotangent chart."""
     cot = cot or x.chart.cotangent()
-    acc = Polynomial.zero(cot)
+    width = cot.n_vars
+    positions = [cot.index(name) for name in x.chart.names]
+    terms: dict = {}
     for comp, p_name in zip(x.components, cot.fiber):
-        acc = acc + comp.rename(cot) * Polynomial.variable(cot, p_name)
-    return acc
+        p = cot.index(p_name)
+        for e, c in comp.terms.items():
+            ne = [0] * width
+            for pos, k in zip(positions, e):
+                ne[pos] += k
+            ne[p] += 1
+            ne = tuple(ne)
+            # components land on distinct fiber variables, so terms meet only
+            # when the chart itself carries fiber variables
+            s = terms.get(ne, 0) + c
+            if s:
+                terms[ne] = s if s.__class__ is int else normal_coefficient(s)
+            else:
+                del terms[ne]
+    return Polynomial._trusted(cot, terms)
 
 
 def sym_tensor_lift(s: SymTensor2, cot: VariableSet | None = None) -> Polynomial:

@@ -11,12 +11,20 @@ There is one engine.  It works in a free module ``R^rank`` under the
 position-over-term extension of a monomial order, and a polynomial is a
 module element of rank 1, so ideals (:func:`buchberger`) and modules
 (:func:`module_groebner`) share one division, one Buchberger loop and one
-certificate composition.  S-vectors are formed only for equal lead positions.
-Of the Gebauer-Moeller pair criteria, the chain criterion holds in every rank
-and is always applied.  The product criterion (coprime leading monomials)
-holds only for ideals: in ``R^2`` the elements ``(x, 1)`` and ``(y, 0)`` have
-coprime leads, yet their S-vector reduces to ``(0, y)``, not to zero.  It is
-applied only in rank 1.
+certificate composition.  S-vectors are formed only for equal lead positions:
+pairs are formed, and the chain criterion runs, over the list of one
+position's leads in the basis's table, and each pair carries the lcm it was
+queued with.  Of the Gebauer-Moeller pair criteria, the chain criterion holds
+in every rank and is always applied.  The product criterion (coprime leading
+monomials) holds only for ideals: in ``R^2`` the elements ``(x, 1)`` and
+``(y, 0)`` have coprime leads, yet their S-vector reduces to ``(0, y)``, not
+to zero.  It is applied only in rank 1.  Before either, a pair of two
+single-term elements is skipped: its S-vector is exactly zero.  When every
+element is a single term, as for the order-k modules and their lift ideals,
+no pair is queued at all.  The final inter-reduction divides each kept
+element's tail, the terms below its lead, through one table of all the kept
+elements; that makes the divisor choices of dividing the whole element by the
+others, since no kept lead divides another or any term below itself.
 
 The engine is sparse.  :func:`module_divide` returns only the nonzero
 cofactors, as ``{divisor index: cofactor}``; the representation rows of a
@@ -73,7 +81,7 @@ def _sub(a: Exponents, b: Exponents) -> Exponents:
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _coprime(a: Exponents, b: Exponents) -> bool:
@@ -455,37 +463,47 @@ def _buchberger(
             _sub_scaled(rep, c, rows[k])
         return rep
 
-    # each pair is keyed once, when it is queued; the key is unique, so pops
+    # a pair of two single-term elements has the S-vector zero; it is still
+    # queued, so that ``pending`` reads as it would if the pair were divided
+    single = [sum(len(c.terms) for c in g.components) == 1 for g in basis]
+
+    # each pair is queued with its lcm, keyed once; the key is unique, so pops
     # follow (lcm key, pair) exactly.  ``pending`` mirrors the queue for the
     # chain criterion's membership test.
-    queue: list[tuple[tuple, tuple[int, int]]] = []
+    queue: list[tuple[tuple, tuple[int, int], Exponents]] = []
     pending: set[tuple[int, int]] = set()
+    by_pos = table.by_pos
 
     def push_pairs(new: int) -> None:
         pos, expo, _ = leads[new]
-        for k in range(new):
-            if leads[k][0] == pos:
-                heapq.heappush(queue, (keyf(_lcm(leads[k][1], expo)), (k, new)))
-                pending.add((k, new))
+        for k, kexpo, _ in by_pos[pos]:
+            if k == new:
+                break
+            lcm = _lcm(kexpo, expo)
+            heapq.heappush(queue, (keyf(lcm), (k, new), lcm))
+            pending.add((k, new))
 
     def chain_skippable(i: int, j: int, pos: int, lcm_ij: Exponents) -> bool:
-        for k, (kpos, kexpo, _) in enumerate(leads):
-            if k in (i, j) or kpos != pos or not _divides(kexpo, lcm_ij):
+        for k, kexpo, _ in by_pos[pos]:
+            if k == i or k == j or not _divides(kexpo, lcm_ij):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 return True
         return False
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    # terms alone are their own Groebner basis: every pair would be skipped
+    if not all(single):
+        for j in range(len(basis)):
+            push_pairs(j)
 
     while queue:
-        i, j = heapq.heappop(queue)[1]
+        _, (i, j), lcm_ij = heapq.heappop(queue)
         pending.discard((i, j))
+        if single[i] and single[j]:
+            continue
         (pos, li, ci), (_, lj, cj) = leads[i], leads[j]
         if rank == 1 and _coprime(li, lj):
             continue
-        lcm_ij = _lcm(li, lj)
         if chain_skippable(i, j, pos, lcm_ij):
             continue
         mi = Polynomial.monomial(varset, _sub(lcm_ij, li), exact_quotient(1, ci))
@@ -498,6 +516,7 @@ def _buchberger(
         r, rep_r = _monic(r, reduce_rep(rep_s, cof, reps), keyf)
         table.append(r)
         reps.append(rep_r)
+        single.append(sum(len(c.terms) for c in r.components) == 1)
         push_pairs(len(basis) - 1)
 
     def mkey(k: int):
@@ -511,13 +530,28 @@ def _buchberger(
         if not any(leads[m][0] == pos and _divides(leads[m][1], expo) for m in kept):
             kept.append(k)
 
-    # inter-reduce tails and normalize monic; a lead survives the tail
-    # reduction, so the final order is the order of the kept leads
+    # inter-reduce tails through one table of the kept elements.  No other
+    # kept lead divides a kept lead, and every term a tail division meets at
+    # the lead's position lies below the lead, so dividing the tail by all
+    # kept elements picks the divisors that dividing the whole element by the
+    # others would.  A lead survives, so the final order is that of the kept
+    # leads, whose keys are distinct; each result is normalized monic.
+    kept_table = DivisorTable([basis[k] for k in kept], order)
+    kept_reps = [reps[k] for k in kept]
     final = []
-    for k in sorted(kept, key=mkey, reverse=True):
-        others = [m for m in kept if m != k]
-        cof, r = module_divide(basis[k], [basis[m] for m in others], order)
-        final.append(_monic(r, reduce_rep(dict(reps[k]), cof, [reps[m] for m in others]), keyf))
+    for k in reversed(kept):
+        pos, expo, coeff = leads[k]
+        comps = basis[k].components
+        below = dict(comps[pos].terms)
+        del below[expo]
+        cof, r = module_divide(ModuleElement(varset, comps[:pos] + (
+            Polynomial._trusted(varset, below),) + comps[pos + 1:]), kept_table, order)
+        # the lead is the first term a whole-element division would have kept
+        head = {expo: coeff}
+        head.update(r.components[pos].terms)
+        r = ModuleElement(varset, r.components[:pos] + (Polynomial._trusted(varset, head),)
+                          + r.components[pos + 1:])
+        final.append(_monic(r, reduce_rep(dict(reps[k]), cof, kept_reps), keyf))
     return tuple(m for m, _ in final), tuple(rep for _, rep in final)
 
 
@@ -632,12 +666,14 @@ def syzygy_basis(
 
     # pairs form only within a lead position
     for group in gb.table.by_pos.values():
+        lcms = [[_lcm(x, y) for _, y, _ in group] for _, x, _ in group]
         for a, (k, lk, ck) in enumerate(group):
-            for l, ll, cl in group[a + 1:]:
-                lcm_kl = _lcm(lk, ll)
-                if any(j != k and j != l and _divides(lj, lcm_kl)
-                       and _lcm(lk, lj) != lcm_kl and _lcm(ll, lj) != lcm_kl
-                       for j, lj, _ in group):
+            for b in range(a + 1, len(group)):
+                l, ll, cl = group[b]
+                lcm_kl = lcms[a][b]
+                if any(c != a and c != b and _divides(lj, lcm_kl)
+                       and lcms[a][c] != lcm_kl and lcms[b][c] != lcm_kl
+                       for c, (_, lj, _) in enumerate(group)):
                     continue
                 mk = Polynomial.monomial(varset, _sub(lcm_kl, lk), exact_quotient(1, ck))
                 ml = Polynomial.monomial(varset, _sub(lcm_kl, ll), exact_quotient(1, cl))

@@ -108,6 +108,28 @@ def solve_coordinates(frame: CoordinateFrame, vec: Sequence[Fraction]) -> list[F
     return [-x for x in v[frame.width:]]
 
 
+def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether every leading principal minor of the square matrix ``m`` is positive.
+
+    Elimination without row swaps has ``k``-th pivot ``D_k / D_(k-1)``, the
+    ratio of successive leading minors, so the minors are all positive exactly
+    when every pivot is; it stops at the first pivot that is not.
+    """
+    a = [_fractions(row) for row in m]
+    n = len(a)
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        top = a[k]
+        for row in a[k + 1:]:
+            f = row[k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    row[j] -= f * top[j]
+    return True
+
+
 # -- polynomial matrices ----------------------------------------------------
 
 

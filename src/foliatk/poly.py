@@ -277,6 +277,8 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.varset, other)
         if not isinstance(other, Polynomial):

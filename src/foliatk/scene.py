@@ -4,6 +4,12 @@ Scenes are diffable fixtures with expression strings; every referenced name
 must be declared.  Optional second copies of the foliation and submersion
 sections serve the comparison commands (module-equal, morita-span), and an
 explicit ``ideal`` section covers presentations that are not lift ideals.
+
+One load parses each distinct (text, chart) once: most entries of a scene are
+the literals ``0`` and ``1``, and polynomials are immutable, so every key
+holding a text shares its parse.  The memo lives for one :func:`load_scene`
+call and keeps only parses that succeeded, so a refused text is refused at
+the first key that holds it, with its own message and position.
 """
 
 from __future__ import annotations
@@ -74,13 +80,13 @@ def _point(coords, context: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(str(v)) for v in _array(coords, context))
 
 
-def _parse_matrix(rows, varset: VariableSet, kind: str, context: str) -> SymTensor2:
+def _parse_matrix(rows, varset: VariableSet, kind: str, context: str, memo: dict) -> SymTensor2:
     n = varset.dimension
     rows = [_array(r, f"{context} row") for r in _array(rows, context)]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SceneError(f"{context}: matrix must be {n}x{n}")
     entries = tuple(
-        tuple(_parse(cell, varset, context) for cell in row) for row in rows
+        tuple(_parse(cell, varset, context, memo) for cell in row) for row in rows
     )
     for i in range(n):
         for j in range(n):
@@ -89,28 +95,38 @@ def _parse_matrix(rows, varset: VariableSet, kind: str, context: str) -> SymTens
     return SymTensor2(varset, kind, entries)
 
 
-def _parse(text, varset: VariableSet, context: str) -> Polynomial:
+def _parse(text, varset: VariableSet, context: str, memo: dict) -> Polynomial:
+    """``text`` parsed on ``varset``; ``memo`` holds the parses of one load.
+
+    Only a parse that succeeded is kept, so every key holding a text that is
+    refused (past ``MAX_TERM_PRODUCTS``, say) is refused, at the first one.
+    Polynomials are immutable, so one parse may serve every key.
+    """
     if not isinstance(text, str):
         text = str(text)
-    try:
-        return parse_expression(text, varset)
-    except FoliatkError as exc:
-        raise SceneError(f"{context}: {exc}") from exc
+    key = (text, varset)
+    value = memo.get(key)
+    if value is None:
+        try:
+            value = memo[key] = parse_expression(text, varset)
+        except FoliatkError as exc:
+            raise SceneError(f"{context}: {exc}") from exc
+    return value
 
 
-def _parse_foliation(rows, chart: VariableSet, context: str) -> FoliationModule:
+def _parse_foliation(rows, chart: VariableSet, context: str, memo: dict) -> FoliationModule:
     gens = []
     for idx, comps in enumerate(_array(rows, context)):
         comps = _array(comps, f"{context}[{idx}]")
         if len(comps) != chart.dimension:
             raise SceneError(f"{context}: generator {idx} needs {chart.dimension} components")
         gens.append(VectorField(chart, tuple(
-            _parse(c, chart, f"{context}[{idx}]") for c in comps
+            _parse(c, chart, f"{context}[{idx}]", memo) for c in comps
         )))
     return FoliationModule(chart, gens)
 
 
-def _parse_metric_data(data: Mapping, chart: VariableSet, context: str,
+def _parse_metric_data(data: Mapping, chart: VariableSet, context: str, memo: dict,
                        prefix: str = "") -> MetricData:
     """The metric from the keys ``{prefix}cometric``, ``{prefix}metric`` and
     ``{prefix}sample_points`` of ``data``; errors name them ``{context}.{key}``."""
@@ -118,10 +134,11 @@ def _parse_metric_data(data: Mapping, chart: VariableSet, context: str,
         f"{prefix}{key}" for key in ("cometric", "metric", "sample_points")
     )
     cometric = _parse_matrix(_require(data, cometric_key, context), chart,
-                             "contravariant", f"{context}.{cometric_key}")
+                             "contravariant", f"{context}.{cometric_key}", memo)
     metric = None
     if data.get(metric_key) is not None:
-        metric = _parse_matrix(data[metric_key], chart, "covariant", f"{context}.{metric_key}")
+        metric = _parse_matrix(data[metric_key], chart, "covariant", f"{context}.{metric_key}",
+                               memo)
     samples = []
     for idx, coords in enumerate(_array(data.get(samples_key, []),
                                         f"{context}.{samples_key}")):
@@ -137,12 +154,12 @@ def _parse_metric_data(data: Mapping, chart: VariableSet, context: str,
 
 
 def _parse_submersion(data: Mapping, chart: VariableSet, metric: MetricData,
-                      context: str) -> tuple[SubmersionData, VariableSet]:
+                      context: str, memo: dict) -> tuple[SubmersionData, VariableSet]:
     target = VariableSet(tuple(_array(_require(data, "target_coordinates", context),
                                       f"{context}.target_coordinates")))
     indices = tuple(int(i) for i in _array(_require(data, "base_indices", context),
                                            f"{context}.base_indices"))
-    target_metric = _parse_metric_data(data, target, context, "target_")
+    target_metric = _parse_metric_data(data, target, context, memo, "target_")
     try:
         sub = SubmersionData(chart, target, indices, metric, target_metric)
     except FoliatkError as exc:
@@ -181,18 +198,19 @@ def _build_scene(data: Mapping) -> Scene:
     except FoliatkError as exc:
         raise SceneError(str(exc)) from exc
     cot = chart.cotangent()
+    memo: dict[tuple[str, VariableSet], Polynomial] = {}
 
-    metric = _parse_metric_data(data, chart, "scene")
+    metric = _parse_metric_data(data, chart, "scene", memo)
 
     scene = Scene(chart=chart, metric=metric)
 
     if data.get("foliation") is not None:
-        scene.foliation = _parse_foliation(data["foliation"], chart, "foliation")
+        scene.foliation = _parse_foliation(data["foliation"], chart, "foliation", memo)
     if data.get("foliation_b") is not None:
-        scene.foliation_b = _parse_foliation(data["foliation_b"], chart, "foliation_b")
+        scene.foliation_b = _parse_foliation(data["foliation_b"], chart, "foliation_b", memo)
 
     if data.get("ideal") is not None:
-        gens = [_parse(t, cot, "ideal") for t in _array(data["ideal"], "ideal")]
+        gens = [_parse(t, cot, "ideal", memo) for t in _array(data["ideal"], "ideal")]
         try:
             scene.ideal = IdealPresentation(cot, gens)
         except FoliatkError as exc:
@@ -201,10 +219,10 @@ def _build_scene(data: Mapping) -> Scene:
     for key, fol_key in (("submersion", "target_foliation"),
                          ("submersion_b", "target_foliation_b")):
         if data.get(key) is not None:
-            sub, target = _parse_submersion(data[key], chart, metric, key)
+            sub, target = _parse_submersion(data[key], chart, metric, key, memo)
             setattr(scene, key, sub)
             if data.get(fol_key) is not None:
-                setattr(scene, fol_key, _parse_foliation(data[fol_key], target, fol_key))
+                setattr(scene, fol_key, _parse_foliation(data[fol_key], target, fol_key, memo))
         elif data.get(fol_key) is not None:
             raise SceneError(f"{fol_key} declared without {key}")
 
@@ -215,12 +233,12 @@ def _build_scene(data: Mapping) -> Scene:
         scene.points[name] = pt
 
     for name, expr in data.get("candidates", {}).items():
-        scene.candidates[name] = _parse(expr, cot, f"candidates.{name}")
+        scene.candidates[name] = _parse(expr, cot, f"candidates.{name}", memo)
     for name, expr in data.get("target_candidates", {}).items():
         if scene.submersion is None:
             raise SceneError("target_candidates declared without a submersion")
         scene.target_candidates[name] = _parse(
-            expr, scene.submersion.target.cotangent(), f"target_candidates.{name}"
+            expr, scene.submersion.target.cotangent(), f"target_candidates.{name}", memo
         )
 
     if data.get("flow") is not None:

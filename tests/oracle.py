@@ -40,12 +40,24 @@ derivative-by-derivative derivation, Lie bracket and canonical bracket that
 the partials slot and the one-map product-sum in ``poly.py`` replaced.  Each
 partial is one loop over the terms, and every sum goes through polynomial
 ``+``, ``-`` and ``*``.
+
+Groebner bases and syzygies: the Buchberger loop whose chain test scanned
+every lead and whose inter-reduction divided each kept element by a fresh
+table of the others, and the syzygy pair loop that recomputed each lcm it
+compared.  The package must give the same basis, the same rows in the same
+key order, and the same syzygies.
+
+Scene load: the metric checks that multiplied the metric by the cometric as
+polynomial matrices and expanded every leading minor of the cometric
+symbolically, and the candidate pool built as a list.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,16 +65,18 @@ from typing import Callable, Sequence
 
 from foliatk.dynamics import FlowState, MonitorReport
 from foliatk.errors import (AmbiguousQuotientError, ChartMismatchError, FlowDivergedError,
-                            ParseError, PreconditionError, VariableSetError)
+                            InternalCheckError, ParseError, PreconditionError, VariableSetError)
 from foliatk.expressions import MAX_NESTING
 from foliatk.foliation import FoliationModule, PointReport, _as_point, _combine
 from foliatk.geometry import MetricData, VectorField
-from foliatk.groebner import ModuleElement, module_groebner
+from foliatk.groebner import (DivisorTable, GroebnerBasis, ModuleElement, Row, _coprime, _dense,
+                              _divides, _lcm, _monic, _sub, _sub_scaled, module_divide,
+                              module_groebner)
 from foliatk.ipoisson import _fiber_linear_to_field, srf_check
 from foliatk.linalg import (CoordinateFrame, EchelonSpan, nullspace, poly_adjugate,
-                            poly_det, solve_coordinates)
-from foliatk.poly import (BLOCK, GREVLEX, ExactPoint, MonomialOrder, Polynomial, VariableSet,
-                          exact_quotient, normal_coefficient)
+                            poly_det, poly_mat_mul, solve_coordinates)
+from foliatk.poly import (BLOCK, GREVLEX, ExactPoint, Exponents, MonomialOrder, Polynomial,
+                          VariableSet, exact_quotient, normal_coefficient)
 from foliatk.ratfunc import RationalFunction
 
 
@@ -712,3 +726,190 @@ def reference_canonical_poisson(f: Polynomial, g: Polynomial) -> Polynomial:
         acc = acc + reference_diff(f, p) * reference_diff(g, q) \
             - reference_diff(f, q) * reference_diff(g, p)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Groebner bases and syzygies
+
+
+def reference_buchberger(
+    gens: tuple[ModuleElement, ...], order: MonomialOrder
+) -> tuple[tuple[ModuleElement, ...], tuple[Row, ...]]:
+    """``groebner._buchberger`` as it was before the pair loop read one lead
+    position's list and the inter-reduction shared one table: the chain test
+    scans every lead, and each kept element is divided by a table of the
+    others."""
+    live = [(i, g) for i, g in enumerate(gens) if not g.is_zero()]
+    if not live:
+        return (), ()
+    varset = live[0][1].varset
+    rank = live[0][1].rank
+    keyf = order.key_function(varset)
+    one = Polynomial.constant(varset, 1)
+
+    # the table checks every element's chart and rank as it enters
+    table = DivisorTable([g for _, g in live], order)
+    basis, leads = table.elements, table.leads
+    reps: list[Row] = [{i: one} for i, _ in live]
+
+    def reduce_rep(rep: Row, cofactors: Row, rows: Sequence[Row]) -> Row:
+        for k, c in cofactors.items():
+            _sub_scaled(rep, c, rows[k])
+        return rep
+
+    # each pair is keyed once, when it is queued; the key is unique, so pops
+    # follow (lcm key, pair) exactly.  ``pending`` mirrors the queue for the
+    # chain criterion's membership test.
+    queue: list[tuple[tuple, tuple[int, int]]] = []
+    pending: set[tuple[int, int]] = set()
+
+    def push_pairs(new: int) -> None:
+        pos, expo, _ = leads[new]
+        for k in range(new):
+            if leads[k][0] == pos:
+                heapq.heappush(queue, (keyf(_lcm(leads[k][1], expo)), (k, new)))
+                pending.add((k, new))
+
+    def chain_skippable(i: int, j: int, pos: int, lcm_ij: Exponents) -> bool:
+        for k, (kpos, kexpo, _) in enumerate(leads):
+            if k in (i, j) or kpos != pos or not _divides(kexpo, lcm_ij):
+                continue
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+                return True
+        return False
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    while queue:
+        i, j = heapq.heappop(queue)[1]
+        pending.discard((i, j))
+        (pos, li, ci), (_, lj, cj) = leads[i], leads[j]
+        if rank == 1 and _coprime(li, lj):
+            continue
+        lcm_ij = _lcm(li, lj)
+        if chain_skippable(i, j, pos, lcm_ij):
+            continue
+        mi = Polynomial.monomial(varset, _sub(lcm_ij, li), exact_quotient(1, ci))
+        mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), exact_quotient(1, cj))
+        cof, r = module_divide(basis[i].scale_by(mi) - basis[j].scale_by(mj), table, order)
+        if r.is_zero():
+            continue
+        rep_s = {k: mi * a for k, a in reps[i].items()}
+        _sub_scaled(rep_s, mj, reps[j])
+        r, rep_r = _monic(r, reduce_rep(rep_s, cof, reps), keyf)
+        table.append(r)
+        reps.append(rep_r)
+        push_pairs(len(basis) - 1)
+
+    def mkey(k: int):
+        pos, expo, _ = leads[k]
+        return (-pos, keyf(expo))
+
+    # minimize: drop elements whose leading term is divisible by another's
+    kept: list[int] = []
+    for k in sorted(range(len(basis)), key=mkey):
+        pos, expo, _ = leads[k]
+        if not any(leads[m][0] == pos and _divides(leads[m][1], expo) for m in kept):
+            kept.append(k)
+
+    # inter-reduce tails and normalize monic; a lead survives the tail
+    # reduction, so the final order is the order of the kept leads
+    final = []
+    for k in sorted(kept, key=mkey, reverse=True):
+        others = [m for m in kept if m != k]
+        cof, r = module_divide(basis[k], [basis[m] for m in others], order)
+        final.append(_monic(r, reduce_rep(dict(reps[k]), cof, [reps[m] for m in others]), keyf))
+    return tuple(m for m, _ in final), tuple(rep for _, rep in final)
+
+
+def reference_syzygy_basis(
+    gens: Sequence[ModuleElement] | GroebnerBasis, order: MonomialOrder = BLOCK
+) -> list[ModuleElement]:
+    """``groebner.syzygy_basis`` as it was before each lead group's lcms were
+    tabulated: the chain test recomputes every lcm it compares."""
+    gb = gens if isinstance(gens, GroebnerBasis) else module_groebner(gens, order)
+    inputs, basis, rows = gb.input_generators, gb.generators, gb.rows
+    n = len(inputs)
+    if not n:
+        return []
+    varset = inputs[0].varset
+    out: list[ModuleElement] = []
+
+    def standard(v: ModuleElement) -> Row:
+        cofactors, r = gb.divide(v)
+        if not r.is_zero():
+            raise InternalCheckError("a module element left a remainder on its own Groebner basis")
+        return cofactors
+
+    def emit(acc: Row, cofactors: Row) -> None:
+        for j, a in cofactors.items():
+            _sub_scaled(acc, a, rows[j])
+        if acc:
+            out.append(ModuleElement(varset, _dense(acc, n, varset)))
+
+    one = Polynomial.constant(varset, 1)
+    for i, g in enumerate(inputs):
+        emit({i: one}, standard(g))
+
+    # pairs form only within a lead position
+    for group in gb.table.by_pos.values():
+        for a, (k, lk, ck) in enumerate(group):
+            for l, ll, cl in group[a + 1:]:
+                lcm_kl = _lcm(lk, ll)
+                if any(j != k and j != l and _divides(lj, lcm_kl)
+                       and _lcm(lk, lj) != lcm_kl and _lcm(ll, lj) != lcm_kl
+                       for j, lj, _ in group):
+                    continue
+                mk = Polynomial.monomial(varset, _sub(lcm_kl, lk), exact_quotient(1, ck))
+                ml = Polynomial.monomial(varset, _sub(lcm_kl, ll), exact_quotient(1, cl))
+                acc = {i: mk * t for i, t in rows[k].items()}
+                _sub_scaled(acc, ml, rows[l])
+                emit(acc, standard(basis[k].scale_by(mk) - basis[l].scale_by(ml)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scene load
+
+
+def reference_metric_verdicts(metric: MetricData | None, cometric, points) -> tuple[bool, bool]:
+    """(metric * cometric is the identity, the cometric is positive-definite at
+    every point), each decided as ``MetricData`` did before it evaluated the
+    cometric first: the full polynomial matrix product, and every leading
+    principal minor expanded symbolically, then evaluated."""
+    entries = cometric.entries
+    n = len(entries)
+    identity = True
+    if metric is not None:
+        prod = poly_mat_mul(metric.entries, entries)
+        chart = cometric.chart
+        identity = all(prod[i][j] == Polynomial.constant(chart, Fraction(1 if i == j else 0))
+                       for i in range(n) for j in range(n))
+    minors = [poly_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)]
+    positive = all(m.evaluate_seq(ExactPoint(pt)) > 0 for pt in points for m in minors)
+    return identity, positive
+
+
+def reference_candidate_points(n_vars: int) -> list[tuple[Fraction, ...]]:
+    """The pool as the list ``sampling.candidate_points`` built before it
+    yielded its points one at a time."""
+    small = (Fraction(0), Fraction(1), Fraction(-1))
+    points: list[tuple[Fraction, ...]] = []
+    if 3 ** n_vars <= 800:
+        points.extend(itertools.product(small, repeat=n_vars))
+    else:
+        rng = random.Random(20240 + n_vars)
+        pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
+        seen = set()
+        while len(points) < 800:
+            pt = tuple(rng.choice(pool) for _ in range(n_vars))
+            if pt not in seen:
+                seen.add(pt)
+                points.append(pt)
+    rng = random.Random(977 + n_vars)
+    rich = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
+            Fraction(1, 2), Fraction(-1, 2), Fraction(3)]
+    for _ in range(100):
+        points.append(tuple(rng.choice(rich) for _ in range(n_vars)))
+    return points

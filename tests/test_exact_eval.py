@@ -1,5 +1,6 @@
-"""The integer evaluator against the ``Fraction`` loop, and the two point searches
-against a brute-force scan of the same candidate pool."""
+"""The integer evaluator against the ``Fraction`` loop, the two point searches
+against a brute-force scan of the same candidate pool, and the lazy pool
+against the list it replaced."""
 
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from foliatk.ipoisson import find_obstruction_point
 from foliatk.poly import ExactPoint, random_polynomial
 from foliatk.sampling import candidate_points
 
-from oracle import _Span, reference_evaluate
+from oracle import _Span, reference_candidate_points, reference_evaluate
 
 BASE = VariableSet(("x", "y", "z"))
 COT = VariableSet(("x", "y")).cotangent()
@@ -171,3 +172,10 @@ def test_module_obstruction_is_the_first_in_pool_order():
         assert find_module_obstruction(gens, residue) == want
         found += want is not None
     assert found >= 10
+
+
+def test_the_lazy_pool_yields_the_listed_points_in_order():
+    for n_vars in range(1, 9):
+        pool = candidate_points(n_vars)
+        assert iter(pool) is pool  # a generator, built as it is read
+        assert list(pool) == reference_candidate_points(n_vars), n_vars

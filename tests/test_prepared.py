@@ -230,3 +230,16 @@ def test_certificate_keeps_the_nonzero_row_and_renders_every_cofactor():
     assert cert.verify(p[1] * p[3])
     (entry,) = _cert_dicts([("claim", cert)])
     assert entry["cofactors"] == ["0", "p_y", "0"]
+
+
+def test_zero_remainders_share_one_formatted_value_per_generator_list():
+    x, y = Polynomial.variable(R2, "x"), Polynomial.variable(R2, "y")
+    zero, one = Polynomial.zero(R2), Polynomial.constant(R2, 1)
+    gb = module_groebner([ModuleElement(R2, (x, zero)), ModuleElement(R2, (zero, y))])
+    targets = [(x * y, zero), (one, y), (zero, y * y)]
+    out = _cert_dicts([(str(i), module_membership(ModuleElement(R2, t), gb))
+                       for i, t in enumerate(targets)])
+    assert [entry["holds"] for entry in out] == [True, False, True]
+    assert out[0]["remainder"] == ["0", "0"] and out[0]["remainder"] is out[2]["remainder"]
+    assert out[1]["remainder"] == ["1", "0"]
+    assert out[0]["generators"] is out[1]["generators"] is out[2]["generators"]
