@@ -238,8 +238,8 @@ def cotangent_lift(x: VectorField, cot: VariableSet | None = None) -> Polynomial
                 ne[pos] += k
             ne[p] += 1
             ne = tuple(ne)
-            # components land on distinct fiber variables, so terms meet only
-            # when the chart itself carries fiber variables
+            # each component lands on its own fiber variable; terms can meet
+            # only if a name of the chart is a fiber name of ``cot``
             s = terms.get(ne, 0) + c
             if s:
                 terms[ne] = s if s.__class__ is int else normal_coefficient(s)

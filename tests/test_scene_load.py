@@ -12,6 +12,7 @@ from foliatk import SceneError
 from foliatk.errors import MetricError, ParseError
 from foliatk.expressions import MAX_TERM_PRODUCTS, parse_expression
 from foliatk.geometry import MetricData, SymTensor2
+from foliatk.linalg import poly_mat_mul
 from foliatk.poly import Polynomial, VariableSet
 from foliatk.scene import load_scene
 
@@ -91,11 +92,6 @@ def points(chart):
     return st.lists(st.tuples(*[SMALL] * chart.dimension), min_size=1, max_size=3)
 
 
-def _mul(a, b):
-    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Polynomial.zero(a[0][0].varset))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def _transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -103,7 +99,7 @@ def _transpose(a):
 def _cometric(chart, b, kind, shift):
     """B B^T (semidefinite), plus the identity (definite), or minus a
     multiple of it (often indefinite)."""
-    c = _mul(b, _transpose(b))
+    c = poly_mat_mul(b, _transpose(b))
     if kind != "semidefinite":
         d = Polynomial.constant(chart, 1 if kind == "definite" else -shift)
         c = [[e + d if i == j else e for j, e in enumerate(row)] for i, row in enumerate(c)]
@@ -154,8 +150,9 @@ def test_identity_verdict_matches_the_matrix_product(case):
     chart, below, d, i, j = case
     e = _unit_lower(chart, below)
     inv = _unit_lower_inverse(e)
-    cometric = SymTensor2(chart, "contravariant", tuple(map(tuple, _mul(e, _transpose(e)))))
-    g = _mul(_transpose(inv), inv)
+    cometric = SymTensor2(chart, "contravariant",
+                          tuple(map(tuple, poly_mat_mul(e, _transpose(e)))))
+    g = poly_mat_mul(_transpose(inv), inv)
     g[i][j] = g[i][j] + d
     if i != j:
         g[j][i] = g[j][i] + d
