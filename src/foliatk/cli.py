@@ -272,7 +272,10 @@ def _cmd_point_report(scene: Scene, args, order):
     fol = _need(scene, "foliation", "point-report")
     pt = _resolve_point(scene, args.point, "point-report")
     rep = isotropy_algebra(fol, pt)
-    zeros = ["0"] * rep.isotropy_dim  # one list for every zero row
+    consts = rep.structure_constants
+    # zero bracket classes share one row, the diagonal's; one list renders them all
+    zero_row = consts[0][0] if consts else None
+    zeros = ["0"] * rep.isotropy_dim
     detail = {
         "point": _point_str(rep.point),
         "tangent_dim": rep.tangent_dim,
@@ -280,8 +283,9 @@ def _cmd_point_report(scene: Scene, args, order):
         "isotropy_dim": rep.isotropy_dim,
         "isotropy_basis": [[str(c) for c in vec] for vec in rep.isotropy_basis],
         "structure_constants": [
-            [[str(c) if c else "0" for c in row] if any(row) else zeros for row in plane]
-            for plane in rep.structure_constants
+            [zeros if row is zero_row else [str(c) if c else "0" for c in row]
+             for row in plane]
+            for plane in consts
         ],
     }
     return detail, []

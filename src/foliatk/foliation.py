@@ -17,6 +17,12 @@ layer:
 * the isotropy algebra is the kernel of evaluation inside the fiber, with
   the bracket class of two representatives read off their division by ``G``
   as ``sum_k c_k(q) R_k(q)``.
+
+The point layer is sparse.  The echelon rows of :mod:`~foliatk.linalg` are
+``{index: value}`` maps, a unit candidate is a one-entry map, and a bracket
+class is accumulated as a map of its nonzero entries, so a zero class is an
+empty map, skipped before any solve, and its structure constants are one
+shared zero row.  :class:`PointReport` keeps dense tuples.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ from .poly import BLOCK, ExactPoint, Polynomial, VariableSet
 from .sampling import candidate_points
 
 Point = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _as_point(chart: VariableSet, point: Sequence) -> Point:
@@ -173,15 +182,14 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     for row in syz_span.rows:
         selection.insert(row)
     basis: list[tuple[Fraction, ...]] = []
-    unit_candidates = []
     for a in range(big_n):
-        if not any(values[a]):
-            e = [Fraction(0)] * big_n
-            e[a] = Fraction(1)
-            unit_candidates.append(tuple(e))
-    for cand in unit_candidates + kernel:
+        if not any(values[a]) and selection.insert({a: _ONE}):
+            unit = [_ZERO] * big_n
+            unit[a] = _ONE
+            basis.append(tuple(unit))
+    for cand in kernel:
         if selection.insert(cand):
-            basis.append(tuple(cand))
+            basis.append(cand)
     idim = len(basis)
     if tdim + idim != fdim:
         raise AmbiguousQuotientError(
@@ -190,16 +198,16 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
 
     # factored once; every bracket below is solved against the same frame
     frame = CoordinateFrame(syz_span.rows + basis, big_n)
-    zero = Fraction(0)
     # a zero bracket class has zero coordinates, so its rows share one zero
     # row and only nonzero classes are solved, stored and negated
-    zero_row = (zero,) * idim
+    zero_row = (_ZERO,) * idim
     consts = [[zero_row] * idim for _ in range(idim)]
     reps = [_combine(fol, b) for b in basis]
     gb = fol.module_gb
     # a bracket is sum_k c_k G_k with G_k = sum_i R_ki g_i, and evaluation is
     # a ring map, so its class at q is sum_k c_k(q) R_k(q); each row R_k is
-    # evaluated once, when a bracket first needs it
+    # evaluated once, when a bracket first needs it, and keeps its nonzero
+    # entries only
     row_values: dict[int, list[tuple[int, Fraction]]] = {}
     for u in range(idim):
         for v in range(u + 1, idim):
@@ -210,18 +218,26 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                     "bracket of isotropy representatives leaves the module; "
                     "the foliation is not involutive"
                 )
-            w = [zero] * big_n
+            # the class as {index: value}, entries that cancel dropped
+            w: dict[int, Fraction] = {}
             for k, c in cofactors.items():
                 ck = c.evaluate_seq(exact)
                 if not ck:
                     continue
                 row = row_values.get(k)
                 if row is None:
-                    row = row_values[k] = [(i, t.evaluate_seq(exact))
-                                           for i, t in gb.rows[k].items()]
+                    row = row_values[k] = []
+                    for i, r in gb.rows[k].items():
+                        t = r.evaluate_seq(exact)
+                        if t:
+                            row.append((i, t))
                 for i, t in row:
-                    w[i] += ck * t
-            if not any(w):
+                    x = w.get(i, _ZERO) + ck * t
+                    if x:
+                        w[i] = x
+                    else:
+                        del w[i]
+            if not w:
                 continue
             coords = solve_coordinates(frame, w)
             if coords is None:
@@ -229,8 +245,8 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                     f"bracket class at {pt} not expressible in the computed presentation"
                 )
             tail = coords[frame.size - idim:]
-            consts[u][v] = tuple(c if c else zero for c in tail)
-            consts[v][u] = tuple(-c if c else zero for c in tail)
+            consts[u][v] = tuple(tail)
+            consts[v][u] = tuple(-c if c else _ZERO for c in tail)
 
     return PointReport(
         point=pt,
@@ -288,8 +304,7 @@ def find_module_obstruction(
     if residue.is_zero():
         return None
     width = residue.rank
-    for pt in candidate_points(residue.varset.n_vars):
-        exact = ExactPoint(pt)
+    for exact in candidate_points(residue.varset.n_vars):
         value = residue.evaluate_seq(exact)
         if not any(value):
             continue
@@ -297,5 +312,5 @@ def find_module_obstruction(
         for g in gens:
             span.insert(g.evaluate_seq(exact))
         if not span.contains(value):
-            return pt
+            return exact.fractions()
     return None

@@ -204,11 +204,6 @@ class MetricData:
             raise MetricError("cometric is degenerate: no covariant metric available")
         return tuple(map(tuple, poly_adjugate(self.cometric.entries))), det
 
-    def rational_metric(self) -> list[list[RationalFunction]]:
-        """Covariant metric, exactly, as rational functions A_ij/D."""
-        a, d = self.covariant_over_det()
-        return [[RationalFunction(e, d) for e in row] for row in a]
-
 
 # ---------------------------------------------------------------------------
 # lifts and brackets

@@ -41,7 +41,7 @@ from .geometry import (
 from .groebner import Certificate, CheckResult, GroebnerBasis, buchberger, check_claims
 from .groebner import ideal_membership
 from .linalg import poly_mat_mul
-from .poly import BLOCK, ExactPoint, MonomialOrder, Polynomial, VariableSet
+from .poly import BLOCK, MonomialOrder, Polynomial, VariableSet
 from .ratfunc import RationalFunction
 from .sampling import candidate_points
 
@@ -105,15 +105,15 @@ def find_obstruction_point(
     """Rational point with all generators zero but the residue nonzero.
 
     Found points upgrade a polynomial-level refutation to a smooth-level one.
+    The residue is tested first: it vanishes at most pool points, and where it
+    does no generator needs evaluating.  The test is a conjunction, so the
+    first point found is the same in either order.
     """
     if residue.is_zero():
         return None
-    chart = residue.varset
-    for pt in candidate_points(chart.n_vars):
-        exact = ExactPoint(pt)
-        if all(g.vanishes_at(exact) for g in generators):
-            if not residue.vanishes_at(exact):
-                return pt
+    for exact in candidate_points(residue.varset.n_vars):
+        if not residue.vanishes_at(exact) and all(g.vanishes_at(exact) for g in generators):
+            return exact.fractions()
     return None
 
 

@@ -1,13 +1,25 @@
-"""Small exact linear algebra over the rationals and over polynomial rings."""
+"""Small exact linear algebra over the rationals and over polynomial rings.
+
+Rational vectors are sparse: an :class:`EchelonSpan` row is a
+``{column: Fraction}`` map of its nonzero entries, and a reduction walks only
+those entries.  Every entry point takes a dense sequence or such a map, so a
+caller whose vectors are mostly zero (evaluated syzygies, bracket classes,
+unit vectors) never builds or scans the zeros.  A row's pivot is its smallest
+nonzero column, as in dense elimination, so the pivots and the row values are
+exactly the dense ones.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 from .poly import Polynomial
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+Vector = Union[Sequence[Fraction], dict[int, Fraction]]  # dense, or the nonzero entries
 
 
 def _fractions(vec: Sequence) -> list[Fraction]:
@@ -15,45 +27,59 @@ def _fractions(vec: Sequence) -> list[Fraction]:
     return [x if x.__class__ is Fraction else Fraction(x) for x in vec]
 
 
+def _sparse(vec: Vector) -> dict[int, Fraction]:
+    """A fresh ``{column: Fraction}`` map of the nonzero entries of a dense
+    sequence or of a map."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {k: x if x.__class__ is Fraction else Fraction(x) for k, x in items if x}
+
+
 class EchelonSpan:
-    """Incremental row span over Q with exact rank queries."""
+    """Incremental row span over Q with exact rank queries.
+
+    ``rows[i]`` maps columns to the nonzero entries of the ``i``-th row,
+    which is 1 at its pivot ``pivots[i]``, its smallest column, and 0 at the
+    pivots of the rows before it.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[dict[int, Fraction]] = []
         self.pivots: list[int] = []
 
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
+    def _reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        get = vec.get
         for row, piv in zip(self.rows, self.pivots):
-            f = vec[piv]
-            if f:
-                for k in range(piv, self.width):
-                    r = row[k]
-                    if r:
-                        vec[k] -= f * r
+            f = get(piv)
+            if f is not None:
+                for k, r in row.items():
+                    s = get(k, _ZERO) - f * r
+                    if s:
+                        vec[k] = s
+                    else:
+                        del vec[k]
         return vec
 
-    def insert(self, vec: Sequence[Fraction]) -> bool:
+    def insert(self, vec: Vector) -> bool:
         """Add a vector; returns True iff it enlarged the span."""
-        v = self._reduce(_fractions(vec))
-        for piv in range(self.width):
-            if v[piv]:
-                inv = Fraction(1) / v[piv]
-                v = [x * inv for x in v]
-                self.rows.append(v)
-                self.pivots.append(piv)
-                return True
-        return False
+        v = self._reduce(_sparse(vec))
+        if not v:
+            return False
+        piv = min(v)
+        inv = _ONE / v[piv]
+        self.rows.append({k: x * inv for k, x in v.items()})
+        self.pivots.append(piv)
+        return True
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self._reduce(_fractions(vec)))
+    def contains(self, vec: Vector) -> bool:
+        return not self._reduce(_sparse(vec))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
+def nullspace(rows: Sequence[Vector], width: int) -> list[tuple[Fraction, ...]]:
     """Basis of {v : M v = 0}: one vector per free column of the reduced echelon form.
 
     Back-substitution runs from the last pivot: a row is zero at the pivots
@@ -65,19 +91,25 @@ def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Frac
     for k in reversed(range(span.rank)):
         row, piv = span.rows[k], span.pivots[k]
         for other in span.rows[:k]:
-            f = other[piv]
-            if f:
-                for c in range(piv, width):
-                    other[c] -= f * row[c]
+            f = other.get(piv)
+            if f is not None:
+                for c, x in row.items():
+                    s = other.get(c, _ZERO) - f * x
+                    if s:
+                        other[c] = s
+                    else:
+                        del other[c]
     reduced = dict(zip(span.pivots, span.rows))
     basis = []
     for fc in range(width):
         if fc in reduced:
             continue
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
+        v = [_ZERO] * width
+        v[fc] = _ONE
         for pc, row in reduced.items():
-            v[pc] = -row[fc]
+            x = row.get(fc)
+            if x is not None:
+                v[pc] = -x
         basis.append(tuple(v))
     return basis
 
@@ -90,22 +122,25 @@ class CoordinateFrame:
     ``vec = sum c_i * basis[i]``.
     """
 
-    def __init__(self, basis: Sequence[Sequence[Fraction]], width: int):
+    def __init__(self, basis: Sequence[Vector], width: int):
         self.width = width
         self.size = len(basis)
         self.span = EchelonSpan(width + self.size)
         for i, b in enumerate(basis):
-            tag = [Fraction(0)] * self.size
-            tag[i] = Fraction(1)
-            self.span.insert(list(b) + tag)
+            row = _sparse(b)
+            row[width + i] = _ONE
+            self.span.insert(row)
 
 
-def solve_coordinates(frame: CoordinateFrame, vec: Sequence[Fraction]) -> list[Fraction] | None:
+def solve_coordinates(frame: CoordinateFrame, vec: Vector) -> list[Fraction] | None:
     """Coordinates of ``vec`` in the span of the frame's rows, or None."""
-    v = frame.span._reduce(_fractions(vec) + [_ZERO] * frame.size)
-    if any(v[:frame.width]):
-        return None
-    return [-x for x in v[frame.width:]]
+    width = frame.width
+    coords = [_ZERO] * frame.size
+    for k, x in frame.span._reduce(_sparse(vec)).items():
+        if k < width:
+            return None
+        coords[k - width] = -x
+    return coords
 
 
 def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:

@@ -164,6 +164,23 @@ class ExactPoint:
         self.nums = tuple(c.numerator * (den // c.denominator) for c in coords)
         self.den = den
 
+    @classmethod
+    def _trusted(cls, nums: tuple[int, ...], den: int) -> "ExactPoint":
+        """Wrap integer numerators over their denominator, without checking.
+
+        ``den`` must be positive and the least common denominator: no
+        integer above 1 divides both ``den`` and every numerator.
+        """
+        p = object.__new__(cls)
+        p.nums = nums
+        p.den = den
+        return p
+
+    def fractions(self) -> tuple[Fraction, ...]:
+        """The coordinates as ``Fraction``s."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.nums)
+
 
 def _grevlex_key(expo: Exponents):
     return (sum(expo), tuple(-e for e in reversed(expo)))
@@ -256,13 +273,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, varset: VariableSet, value: Scalar) -> "Polynomial":
-        return cls(varset, {(0,) * varset.n_vars: normal_coefficient(value)})
+        c = normal_coefficient(value)
+        return cls._trusted(varset, {(0,) * varset.n_vars: c} if c else {})
 
     @classmethod
     def variable(cls, varset: VariableSet, name: str) -> "Polynomial":
         expo = [0] * varset.n_vars
         expo[varset.index(name)] = 1
-        return cls(varset, {tuple(expo): 1})
+        return cls._trusted(varset, {tuple(expo): 1})
 
     @classmethod
     def monomial(cls, varset: VariableSet, expo: Exponents, coeff: Scalar = 1) -> "Polynomial":

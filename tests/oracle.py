@@ -21,7 +21,13 @@ entry, with the covariant metric as adjugate/determinant.
 
 Isotropy: the dense point layer that the sparse one in ``foliation.py``
 replaced.  It evaluates every component, zero or not, and solves every
-bracket class against the frame, zero or not.
+bracket class against the frame, zero or not, through the dense linear
+algebra below, not the package's.
+
+Linear algebra: the dense ``EchelonSpan``, ``nullspace``, ``CoordinateFrame``
+and ``solve_coordinates`` that the sparse row maps in ``linalg.py``
+replaced.  Every row is a full list of ``Fraction``s and every reduction
+walks all its columns from the pivot on.
 
 Expressions: the character-loop lexer and token-object parser that the
 one-regex lexer in ``expressions.py`` replaced.  A zero denominator or an
@@ -73,8 +79,7 @@ from foliatk.groebner import (DivisorTable, GroebnerBasis, ModuleElement, Row, _
                               _divides, _lcm, _monic, _sub, _sub_scaled, module_divide,
                               module_groebner)
 from foliatk.ipoisson import _fiber_linear_to_field, srf_check
-from foliatk.linalg import (CoordinateFrame, EchelonSpan, nullspace, poly_adjugate,
-                            poly_det, poly_mat_mul, solve_coordinates)
+from foliatk.linalg import poly_adjugate, poly_det, poly_mat_mul
 from foliatk.poly import (BLOCK, GREVLEX, ExactPoint, Exponents, MonomialOrder, Polynomial,
                           VariableSet, exact_quotient, normal_coefficient)
 from foliatk.ratfunc import RationalFunction
@@ -167,6 +172,96 @@ def reference_syzygies(gens: Sequence[ModuleElement]) -> list[ModuleElement]:
     ]
 
 
+# -- dense linear algebra reference ----------------------------------------------
+
+
+def _fractions(vec: Sequence) -> list[Fraction]:
+    return [x if x.__class__ is Fraction else Fraction(x) for x in vec]
+
+
+class DenseEchelonSpan:
+    """Incremental row span over Q, every row a full list of ``Fraction``s."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
+
+    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
+        for row, piv in zip(self.rows, self.pivots):
+            f = vec[piv]
+            if f:
+                for k in range(piv, self.width):
+                    r = row[k]
+                    if r:
+                        vec[k] -= f * r
+        return vec
+
+    def insert(self, vec: Sequence[Fraction]) -> bool:
+        v = self._reduce(_fractions(vec))
+        for piv in range(self.width):
+            if v[piv]:
+                inv = Fraction(1) / v[piv]
+                v = [x * inv for x in v]
+                self.rows.append(v)
+                self.pivots.append(piv)
+                return True
+        return False
+
+    def contains(self, vec: Sequence[Fraction]) -> bool:
+        return not any(self._reduce(_fractions(vec)))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def reference_nullspace(rows: Sequence[Sequence[Fraction]],
+                        width: int) -> list[tuple[Fraction, ...]]:
+    span = DenseEchelonSpan(width)
+    for r in rows:
+        span.insert(r)
+    for k in reversed(range(span.rank)):
+        row, piv = span.rows[k], span.pivots[k]
+        for other in span.rows[:k]:
+            f = other[piv]
+            if f:
+                for c in range(piv, width):
+                    other[c] -= f * row[c]
+    reduced = dict(zip(span.pivots, span.rows))
+    basis = []
+    for fc in range(width):
+        if fc in reduced:
+            continue
+        v = [Fraction(0)] * width
+        v[fc] = Fraction(1)
+        for pc, row in reduced.items():
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+class DenseCoordinateFrame:
+    """Rows ``basis[i] + e_i`` in a :class:`DenseEchelonSpan`."""
+
+    def __init__(self, basis: Sequence[Sequence[Fraction]], width: int):
+        self.width = width
+        self.size = len(basis)
+        self.span = DenseEchelonSpan(width + self.size)
+        for i, b in enumerate(basis):
+            tag = [Fraction(0)] * self.size
+            tag[i] = Fraction(1)
+            self.span.insert(list(b) + tag)
+
+
+def reference_solve_coordinates(frame: DenseCoordinateFrame,
+                                vec: Sequence[Fraction]) -> list[Fraction] | None:
+    v = frame.span._reduce(_fractions(vec) + [Fraction(0)] * frame.size)
+    if any(v[:frame.width]):
+        return None
+    return [-x for x in v[frame.width:]]
+
+
 # -- isotropy reference --------------------------------------------------------
 
 
@@ -180,16 +275,16 @@ def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointRe
     exact = ExactPoint(pt)
     big_n = fol.n_generators
 
-    syz_span = EchelonSpan(big_n)
+    syz_span = DenseEchelonSpan(big_n)
     for s in fol.syzygies:
         syz_span.insert(_dense_values(s, exact))
     fdim = big_n - syz_span.rank
 
     values = [_dense_values(g, exact) for g in fol.generators]
-    kernel = nullspace(list(zip(*values)), big_n)
+    kernel = reference_nullspace(list(zip(*values)), big_n)
     tdim = big_n - len(kernel)
 
-    selection = EchelonSpan(big_n)
+    selection = DenseEchelonSpan(big_n)
     for row in syz_span.rows:
         selection.insert(row)
     basis: list[tuple[Fraction, ...]] = []
@@ -208,7 +303,7 @@ def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointRe
             f"exactness failed at {pt}: tangent {tdim} + isotropy {idim} != fiber {fdim}"
         )
 
-    frame = CoordinateFrame(syz_span.rows + basis, big_n)
+    frame = DenseCoordinateFrame(syz_span.rows + basis, big_n)
     consts = [[[Fraction(0)] * idim for _ in range(idim)] for _ in range(idim)]
     reps = [_combine(fol, b) for b in basis]
     gb = fol.module_gb
@@ -226,7 +321,7 @@ def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointRe
                 ck = c.evaluate_seq(exact)
                 for i, t in gb.rows[k].items():
                     w[i] += ck * t.evaluate_seq(exact)
-            coords = solve_coordinates(frame, w)
+            coords = reference_solve_coordinates(frame, w)
             if coords is None:
                 raise AmbiguousQuotientError(
                     f"bracket class at {pt} not expressible in the computed presentation"

@@ -89,6 +89,26 @@ def test_constructors_store_integral_values_as_ints():
     assert type(Polynomial.variable(R2, "y").scale(Fraction(2, 1)).terms[(0, 1)]) is int
 
 
+@pytest.mark.parametrize("value", [0, 1, -7, True, Fraction(0), Fraction(8, 4),
+                                   Fraction(-3, 2), "5", "-6/3", "2/7", "0"])
+def test_trusted_constructors_equal_the_validating_one(value):
+    """``constant`` and ``variable`` skip the validating constructor, not its result."""
+    for chart in (R2, R3.cotangent()):
+        want = Polynomial(chart, {(0,) * chart.n_vars: value})
+        got = Polynomial.constant(chart, value)
+        assert got == want and got.terms == want.terms
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+        _assert_clean(got)
+        for i, name in enumerate(chart.names):
+            expo = tuple(int(j == i) for j in range(chart.n_vars))
+            assert Polynomial.variable(chart, name).terms == Polynomial(chart, {expo: 1}).terms
+
+
+def test_constant_refuses_a_float():
+    with pytest.raises(TypeError):
+        Polynomial.constant(R2, 0.5)
+
+
 def test_parser_reads_integer_literals_as_ints():
     p = parse_expression("3*x + 4/2*y - 1/2 + 6/3*x*y + 5/7*x^2 - 2/3*y^2", R2)
     _assert_clean(p)

@@ -1,14 +1,17 @@
 """The integer evaluator against the ``Fraction`` loop, the two point searches
-against a brute-force scan of the same candidate pool, and the lazy pool
-against the list it replaced."""
+against a brute-force scan of the reference candidate pool, and the lazy
+integer pool against the ``Fraction`` list it replaced."""
 
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliatk import Polynomial, VariableSet
+from foliatk import Polynomial, VariableSet, poly
+from foliatk.cli import run_command
 from foliatk.foliation import find_module_obstruction
 from foliatk.groebner import ModuleElement
 from foliatk.ipoisson import find_obstruction_point
@@ -17,6 +20,7 @@ from foliatk.sampling import candidate_points
 
 from oracle import _Span, reference_candidate_points, reference_evaluate
 
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 BASE = VariableSet(("x", "y", "z"))
 COT = VariableSet(("x", "y")).cotangent()
 F = Fraction
@@ -74,7 +78,7 @@ def test_exact_point_clears_to_one_denominator():
 
 def brute_obstruction(gens, residue):
     """First candidate point where every generator vanishes and the residue does not."""
-    for pt in candidate_points(residue.varset.n_vars):
+    for pt in reference_candidate_points(residue.varset.n_vars):
         if all(reference_evaluate(g, pt) == 0 for g in gens):
             if reference_evaluate(residue, pt) != 0:
                 return pt
@@ -131,7 +135,7 @@ def _values(element, pt):
 
 def brute_module_obstruction(gens, residue):
     """First candidate point where the residue's value leaves the generators' span."""
-    for pt in candidate_points(residue.varset.n_vars):
+    for pt in reference_candidate_points(residue.varset.n_vars):
         value = _values(residue, pt)
         if not any(value):
             continue
@@ -178,4 +182,25 @@ def test_the_lazy_pool_yields_the_listed_points_in_order():
     for n_vars in range(1, 9):
         pool = candidate_points(n_vars)
         assert iter(pool) is pool  # a generator, built as it is read
-        assert list(pool) == reference_candidate_points(n_vars), n_vars
+        points = list(pool)
+        assert [p.fractions() for p in points] == reference_candidate_points(n_vars), n_vars
+        for p in points:  # integer numerators over the least common denominator
+            assert p.den == lcm(*(c.denominator for c in p.fractions()))
+            assert p.nums == ExactPoint(p.fractions()).nums
+
+
+def test_the_srf_search_tests_the_residue_first(monkeypatch):
+    """On the (3,3) ladder module the residue vanishes at most pool points,
+    where no generator is evaluated: 1,224 evaluations, not the 7,299 of
+    testing every generator first."""
+    calls = []
+    vanishes_at = poly.Polynomial.vanishes_at
+
+    def counting(self, point):
+        calls.append(point)
+        return vanishes_at(self, point)
+
+    monkeypatch.setattr(poly.Polynomial, "vanishes_at", counting)
+    report, code = run_command("check-srf", str(SCENES / "order_3_n3.json"))
+    assert code == 1 and report["verdict"] == "fail"
+    assert len(calls) == 1224

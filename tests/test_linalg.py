@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliatk.linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates
+
+from oracle import (DenseCoordinateFrame, DenseEchelonSpan, reference_nullspace,
+                    reference_solve_coordinates)
 
 
 def _random_rows(rng, count, width):
@@ -48,7 +53,7 @@ def test_factored_solve_rejects_vectors_outside_the_span(seed):
 def test_frame_is_reused_without_changing_its_rows():
     rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
     frame = CoordinateFrame(rows, 2)
-    before = [list(r) for r in frame.span.rows]
+    before = [dict(r) for r in frame.span.rows]
     assert solve_coordinates(frame, [Fraction(1), Fraction(3)]) == [1, 1]
     assert solve_coordinates(frame, [Fraction(0), Fraction(0)]) == [0, 0]
     assert frame.span.rows == before
@@ -81,3 +86,62 @@ def test_nullspace_is_the_reduced_kernel_basis(seed):
     for v, fc in zip(kernel, free):
         assert all(sum((a * b for a, b in zip(r, v)), Fraction(0)) == 0 for r in rows)
         assert [v[c] for c in free] == [Fraction(c == fc) for c in free]
+
+
+# -- sparse rows against the dense reference --------------------------------------
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+# about three entries in four are zero; ints and Fractions both occur
+entries = st.tuples(st.integers(0, 3), st.one_of(small, st.integers(-3, 3))).map(
+    lambda t: t[1] if t[0] == 0 else Fraction(0))
+
+
+@st.composite
+def matrices(draw):
+    width = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=8))
+    if len(rows) >= 2 and draw(st.booleans()):  # a dependent row
+        c = draw(small)
+        rows.append([a + c * b for a, b in zip(rows[0], rows[-1])])
+    probes = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=4))
+    return width, rows, probes
+
+
+def _as_map(vec, keep_zeros=False):
+    return {k: x for k, x in enumerate(vec) if x or keep_zeros}
+
+
+def _made_dense(row, width):
+    v = [Fraction(0)] * width
+    for k, x in row.items():
+        v[k] = x
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.sampled_from(["dense", "map", "map with zeros"]))
+def test_sparse_rows_match_the_dense_reference(case, form):
+    width, rows, probes = case
+    shaped = [r if form == "dense" else _as_map(r, form == "map with zeros") for r in rows]
+    span, ref = EchelonSpan(width), DenseEchelonSpan(width)
+    for r, s in zip(rows, shaped):
+        assert span.insert(s) == ref.insert(r)
+    assert span.rank == ref.rank and span.pivots == ref.pivots
+    assert [_made_dense(r, width) for r in span.rows] == ref.rows
+    assert all(type(x) is Fraction and x for r in span.rows for x in r.values())
+    # the inputs are not changed
+    assert shaped == [r if form == "dense" else _as_map(r, form == "map with zeros")
+                      for r in rows]
+
+    inside = [_combine(rows, [Fraction(i - 1) for i in range(len(rows))], width)] if rows else []
+    for p in probes + inside + rows:
+        want = ref.contains(p)
+        assert span.contains(p) == span.contains(_as_map(p)) == want
+
+    assert nullspace(shaped, width) == reference_nullspace(rows, width)
+
+    frame, ref_frame = CoordinateFrame(shaped, width), DenseCoordinateFrame(rows, width)
+    assert [_made_dense(r, frame.span.width) for r in frame.span.rows] == ref_frame.span.rows
+    for p in probes + inside + rows:
+        want = reference_solve_coordinates(ref_frame, p)
+        assert solve_coordinates(frame, p) == solve_coordinates(frame, _as_map(p)) == want
