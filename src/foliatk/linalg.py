@@ -34,6 +34,17 @@ def _sparse(vec: Vector) -> dict[int, Fraction]:
     return {k: x if x.__class__ is Fraction else Fraction(x) for k, x in items if x}
 
 
+def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+    """``vec -= f * row`` in place, dropping the entries that cancel."""
+    get = vec.get
+    for k, r in row.items():
+        s = get(k, _ZERO) - f * r
+        if s:
+            vec[k] = s
+        else:
+            del vec[k]
+
+
 class EchelonSpan:
     """Incremental row span over Q with exact rank queries.
 
@@ -48,16 +59,10 @@ class EchelonSpan:
         self.pivots: list[int] = []
 
     def _reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        get = vec.get
         for row, piv in zip(self.rows, self.pivots):
-            f = get(piv)
+            f = vec.get(piv)
             if f is not None:
-                for k, r in row.items():
-                    s = get(k, _ZERO) - f * r
-                    if s:
-                        vec[k] = s
-                    else:
-                        del vec[k]
+                _subtract(vec, f, row)
         return vec
 
     def insert(self, vec: Vector) -> bool:
@@ -93,12 +98,7 @@ def nullspace(rows: Sequence[Vector], width: int) -> list[tuple[Fraction, ...]]:
         for other in span.rows[:k]:
             f = other.get(piv)
             if f is not None:
-                for c, x in row.items():
-                    s = other.get(c, _ZERO) - f * x
-                    if s:
-                        other[c] = s
-                    else:
-                        del other[c]
+                _subtract(other, f, row)
     reduced = dict(zip(span.pivots, span.rows))
     basis = []
     for fc in range(width):
