@@ -2,18 +2,29 @@
 
 Symbolic partial derivatives are taken once and turned into straight-line
 Python source, compiled with ``exec`` under the file name
-``<foliatk flow kernel>``.  A polynomial becomes ``acc = 0.0`` and then one
-``acc += c * v0 ** k * ...`` statement per term, in term order.  One statement
-per term keeps a large polynomial within the parser's nesting limit.  The
-source holds only float constants, positional local names and integer
-exponents, never a name from the scene.
+``<foliatk flow kernel>``.  A polynomial becomes one sum, ``acc = 0.0 + c *
+v0 ** k * ... + ...``, in term order; Python adds from the left, so this is
+the order of a loop over the terms.  A sum of more than ``_SUM_CHUNK`` terms
+goes on in ``acc = acc + ...`` statements, because one flat expression of a
+few thousand terms exhausts the compiler's recursion limit.  The source holds
+only float constants, positional local names and integer exponents, never a
+name from the scene.
 
 Only factors that are exact identities in IEEE arithmetic are left out of a
-term: a ``1.0 *`` coefficient and ``** 1``.  The negated value of a zero
-polynomial is written ``-0.0``, which is what ``0.0`` negated gives.  Every
-``** k`` with ``k >= 2`` stays, because C ``pow`` raises ``OverflowError``
-where a product would silently give ``inf``; the ``acc = 0.0`` start stays,
-because it turns a ``-0.0`` first term into ``0.0``.
+term: a ``1.0 *`` coefficient and ``** 1``.  Every ``** k`` with ``k >= 2``
+stays, because C ``pow`` raises ``OverflowError`` where a product would
+silently give ``inf``; the leading ``0.0 +`` stays, because it turns a
+``-0.0`` first term into ``0.0``.
+
+The rk4 step is folded where the fold is exact.  A zero ``dH/dq^j`` makes
+every stage of ``p_j`` the constant ``-0.0``, and ``x + -0.0`` is ``x`` for
+every ``x``, so ``p_j`` keeps its name: none of its stages, stage arguments or
+next value is written.  A rate that reads only such coordinates has the same
+arguments at every stage, so its first stage value stands for all four.  A
+zero ``dH/dp_i`` is not folded: its stages are ``+0.0``, and ``-0.0 + 0.0`` is
+``0.0``, so the step turns a ``-0.0`` coordinate ``q^i`` into ``0.0``, and the
+next value ``q^i + dt * (...)`` is always written.  A step therefore never
+folds away entirely.
 
 A flow run is one generated function, ``flow(v0, ..., v{2n-1}, steps,
 start_tol, store_every, append)``, holding the whole loop on positional
@@ -43,6 +54,9 @@ from .poly import Polynomial
 MAX_FLOW_STEPS = 1_000_000
 
 _KERNEL_FILE = "<foliatk flow kernel>"
+
+# terms per sum statement; see ``_sum_lines``
+_SUM_CHUNK = 64
 
 # exit codes of the generated ``flow`` function
 _DONE, _OFF_START, _STEP_OVERFLOW, _NON_FINITE, _SAMPLE_OVERFLOW = range(5)
@@ -78,19 +92,41 @@ def _tuple(names: Sequence[str]) -> str:
     return f"({', '.join(names)},)" if names else "()"
 
 
-def _sum_lines(poly: Polynomial, target: str, names: Sequence[str]) -> list[str]:
-    """Statements leaving the value of ``poly`` at ``names`` in ``target``."""
-    lines = [f"{target} = 0.0"]
-    for e, c in poly.terms.items():
-        try:
-            coeff = float(c)
-        except OverflowError:
-            raise PreconditionError("a coefficient is too large for a float") from None
-        factors = [names[i] if k == 1 else f"{names[i]} ** {k}" for i, k in enumerate(e) if k]
-        if coeff != 1.0 or not factors:
-            factors.insert(0, repr(coeff))
-        lines.append(f"{target} += {' * '.join(factors)}")
-    return lines
+def _term(exponents: Sequence[int], c, names: Sequence[str]) -> str:
+    try:
+        coeff = float(c)
+    except OverflowError:
+        raise PreconditionError("a coefficient is too large for a float") from None
+    factors = [names[i] if k == 1 else f"{names[i]} ** {k}" for i, k in enumerate(exponents) if k]
+    if coeff != 1.0 or not factors:
+        factors.insert(0, repr(coeff))
+    return " * ".join(factors)
+
+
+def _sum_lines(poly: Polynomial, target: str, names: Sequence[str],
+               negate: bool = False) -> list[str]:
+    """Statements leaving the value of ``poly`` (or its negation) at ``names`` in ``target``.
+
+    The sum is ``target = 0.0 + t1 + t2 + ...`` in term order, which Python
+    associates from the left; the leading ``0.0`` turns a ``-0.0`` first term
+    into ``0.0``, as a loop from ``0.0`` would.  A long sum goes on in
+    ``target = target + ...`` statements of at most ``_SUM_CHUNK`` terms,
+    because one flat expression of a few thousand terms exhausts the
+    compiler's recursion limit.  The negation is ``-(0.0 + ...)``, or
+    ``target = -target`` after a chunked sum; a zero polynomial is ``0.0``
+    and negated ``-0.0``.
+    """
+    terms = [_term(e, c, names) for e, c in poly.terms.items()]
+    if not terms:
+        return [f"{target} = {'-0.0' if negate else '0.0'}"]
+    lines = [" + ".join([target if k else "0.0", *terms[k:k + _SUM_CHUNK]])
+             for k in range(0, len(terms), _SUM_CHUNK)]
+    if negate:
+        if len(lines) == 1:
+            lines[0] = f"-({lines[0]})"
+        else:
+            lines.append(f"-{target}")
+    return [f"{target} = {line}" for line in lines]
 
 
 def _partials(h: Polynomial) -> tuple[list[Polynomial], list[Polynomial]]:
@@ -101,31 +137,50 @@ def _partials(h: Polynomial) -> tuple[list[Polynomial], list[Polynomial]]:
     return [h.diff(p) for p in varset.fiber], [h.diff(q) for q in varset.base]
 
 
+def _rates(dh_dp, dh_dq) -> list[tuple[Polynomial, bool]]:
+    """``(f, negate)`` per coordinate: dq^i/dt = dH/dp_i, dp_i/dt = -dH/dq^i."""
+    return [(f, False) for f in dh_dp] + [(f, True) for f in dh_dq]
+
+
 def _rhs_lines(dh_dp, dh_dq, names: Sequence[str], out: str) -> list[str]:
-    """Statements leaving dq^i/dt = dH/dp_i, dp_i/dt = -dH/dq^i in ``out0``, ``out1``..."""
+    """Statements leaving the rates at ``names`` in ``out0``, ``out1``..."""
     lines = []
-    for i, f in enumerate(dh_dp):
-        lines += _sum_lines(f, f"{out}{i}", names)
-    for i, f in enumerate(dh_dq, len(dh_dp)):
-        if f.terms:
-            lines += _sum_lines(f, f"{out}{i}", names)
-            lines.append(f"{out}{i} = -{out}{i}")
-        else:
-            lines.append(f"{out}{i} = -0.0")
+    for i, (f, negate) in enumerate(_rates(dh_dp, dh_dq)):
+        lines += _sum_lines(f, f"{out}{i}", names, negate)
     return lines
 
 
-def _rk4_lines(dh_dp, dh_dq, dt: float) -> list[str]:
-    width = len(dh_dp) + len(dh_dq)
-    v, w = _names("v", width), _names("w", width)
-    half = repr(0.5 * dt)
-    lines = _rhs_lines(dh_dp, dh_dq, v, "a")
-    for prev, stage, scale in (("a", "b", half), ("b", "c", half), ("c", "d", repr(dt))):
-        lines += [f"w{i} = v{i} + {scale} * {prev}{i}" for i in range(width)]
-        lines += _rhs_lines(dh_dp, dh_dq, w, stage)
-    return lines + [
-        f"n{i} = v{i} + {dt!r} * (a{i} + 2 * b{i} + 2 * c{i} + d{i}) / 6.0" for i in range(width)
+def _rk4_lines(dh_dp, dh_dq, dt: float) -> tuple[list[str], list[str]]:
+    """The folded rk4 step and the names holding the next state."""
+    rates = _rates(dh_dp, dh_dq)
+    width = len(rates)
+    v = _names("v", width)
+    # a zero dH/dq makes every stage of p -0.0, and x + -0.0 is x: p stays v
+    unmoved = {i for i, (f, negate) in enumerate(rates) if negate and not f.terms}
+    reads = [{j for e in f.terms for j, k in enumerate(e) if k} for f, _ in rates]
+    # a rate reading only unmoved coordinates has the same arguments, so the
+    # same value, at every stage: b, c and d are a
+    moving = [i for i in range(width) if i not in unmoved and not reads[i] <= unmoved]
+    shifted = sorted(set().union(*(reads[i] for i in moving)) - unmoved)
+    stage_args = [f"w{j}" if j in shifted else f"v{j}" for j in range(width)]
+
+    def value(stage: str, i: int) -> str:
+        return f"{stage}{i}" if i in moving else f"a{i}"
+
+    lines = []
+    for i, (f, negate) in enumerate(rates):
+        if i not in unmoved:
+            lines += _sum_lines(f, f"a{i}", v, negate)
+    for prev, stage, scale in (("a", "b", 0.5 * dt), ("b", "c", 0.5 * dt), ("c", "d", dt)):
+        lines += [f"w{j} = v{j} + {scale!r} * {value(prev, j)}" for j in shifted]
+        for i in moving:
+            lines += _sum_lines(rates[i][0], f"{stage}{i}", stage_args, rates[i][1])
+    lines += [
+        f"n{i} = v{i} + {dt!r} * (a{i} + 2 * {value('b', i)} + 2 * {value('c', i)}"
+        f" + {value('d', i)}) / 6.0"
+        for i in range(width) if i not in unmoved
     ]
+    return lines, [v[i] if i in unmoved else f"n{i}" for i in range(width)]
 
 
 def _leapfrog_lines(dh_dp, dh_dq, dt: float) -> list[str]:
@@ -145,15 +200,18 @@ def _leapfrog_lines(dh_dp, dh_dq, dt: float) -> list[str]:
     return lines + [f"{p_new[i]} = {p_half[i]} - {half} * s{i}" for i in range(n)]
 
 
-def _step_lines(h: Polynomial, dt: float, method: str) -> list[str]:
-    """Statements leaving the state ``dt`` after ``v0, v1...`` in ``n0, n1...``."""
+def _step_lines(h: Polynomial, dt: float, method: str) -> tuple[list[str], list[str]]:
+    """Statements taking the state ``dt`` on from ``v0, v1...``, and the names of the result.
+
+    A result name is ``n{i}``, or ``v{i}`` for a coordinate the step leaves as it is.
+    """
     dh_dp, dh_dq = _partials(h)
     if method == "rk4":
         return _rk4_lines(dh_dp, dh_dq, dt)
     if method == "leapfrog":
         if not _is_separable(h):
             raise PreconditionError("leapfrog needs a separable Hamiltonian T(p) + V(q)")
-        return _leapfrog_lines(dh_dp, dh_dq, dt)
+        return _leapfrog_lines(dh_dp, dh_dq, dt), _names("n", len(dh_dp) + len(dh_dq))
     raise PreconditionError(f"unknown integration method {method!r}")
 
 
@@ -196,8 +254,9 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
     ``generators`` None the sample is the state itself, energy ``0.0``.
     """
     width = h.varset.n_vars
-    v, n = _names("v", width), _names("n", width)
-    step = _step_lines(h, dt, method)
+    v = _names("v", width)
+    step, n = _step_lines(h, dt, method)
+    moved = [(a, b) for a, b in zip(n, v) if a != b]
     if generators is None:
         sample, values = ["e = 0.0"], v
     else:
@@ -216,7 +275,7 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
         maxima += _block("if m > max_gen:", ["max_gen = m"])
     body += ["e0 = e", "max_gen = 0.0", "drift = 0.0"]
     # bound for a run of no steps, where the start takes no step but is handed on
-    body += [f"{a} = {b}" for a, b in zip(n, v)]
+    body += [f"{a} = {b}" for a, b in moved]
     body += _block("for i in range(steps + 1):", [
         *_block("if i < steps:", [
             *_block("try:", step),
@@ -232,7 +291,7 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
         *_block("if i % store_every == 0 or i == steps:", [
             f"append((i * {dt!r}, {_tuple(values)}, e))",
         ]),
-        *(f"{a} = {b}" for a, b in zip(v, n)),
+        *(f"{b} = {a}" for a, b in moved),
     ])
     body.append(f"return {_DONE}, steps, (max_gen, drift)")
     return _def("flow", [*v, "steps", "start_tol", "store_every", "append"], body)

@@ -221,7 +221,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
             # the class as {index: value}, entries that cancel dropped
             w: dict[int, Fraction] = {}
             for k, c in cofactors.items():
-                ck = c.evaluate_seq(exact)
+                ck = c.evaluate_once(exact)
                 if not ck:
                     continue
                 row = row_values.get(k)

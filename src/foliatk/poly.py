@@ -25,7 +25,10 @@ denominator ``d``.  The value is then ``sum c_e a^e d^(deg-|e|)`` over
 ``D d^deg``, where ``deg`` is the total degree: terms with a zero coordinate
 are skipped before any multiplication, the powers of ``d`` drop out when
 ``d = 1``, and a zero test reads the integer sum alone.  Callers that
-evaluate many polynomials at one point convert it once.
+evaluate many polynomials at one point convert it once.  A polynomial read
+only once, such as a fresh division cofactor, is evaluated by
+:meth:`Polynomial.evaluate_once`, which skips the terms with a zero
+coordinate and builds no form.
 
 Derivatives are prepared the same way.  A polynomial keeps, built on first
 use in one pass over its terms, the tuple of all its first partials
@@ -446,6 +449,35 @@ class Polynomial:
             values = ExactPoint(values)
         num, den = self._integer_value(values)
         return Fraction(num, den)
+
+    def evaluate_once(self, point: ExactPoint) -> Fraction:
+        """The exact value at ``point`` of a polynomial that is read only once.
+
+        Equal to ``evaluate_seq(point)``, but no integer form is built or kept:
+        a term with a zero coordinate is skipped before its coefficient is
+        read, so at the origin only the constant term is touched.
+        """
+        a, d = point.nums, point.den
+        if len(a) != self.varset.n_vars:
+            _check_length(self.varset, a)
+        live = []
+        for e, c in self.terms.items():
+            m, deg = 1, 0
+            for i, k in enumerate(e):
+                if k:
+                    if not a[i]:
+                        break
+                    m *= a[i] ** k
+                    deg += k
+            else:
+                live.append((c, m, deg))
+        if not live:
+            return Fraction(0)
+        den = lcm(*(c.denominator for c, _, _ in live))
+        degree = max(deg for _, _, deg in live)
+        total = sum(c.numerator * (den // c.denominator) * m * d ** (degree - deg)
+                    for c, m, deg in live)
+        return Fraction(total, den * d ** degree)
 
     def vanishes_at(self, point: ExactPoint) -> bool:
         """Exact zero test; reads the integer sum and builds no ``Fraction``."""

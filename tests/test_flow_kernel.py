@@ -2,7 +2,10 @@
 
 The kernels perform the reference's float operations in the same order, so
 trajectories, monitor reports and divergence messages must be equal, not
-close; ``repr`` equality also tells -0.0 from 0.0.
+close; ``repr`` equality also tells -0.0 from 0.0.  The rk4 kernel folds the
+stages of a zero ``dH/dq`` away, since ``x + -0.0`` is ``x``, but not those
+of a zero ``dH/dp``, since ``-0.0 + 0.0`` is ``0.0``: the signed-zero cases
+below tell the two apart.
 """
 
 import io
@@ -13,6 +16,8 @@ import tokenize
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foliatk import (
     FlowDivergedError,
@@ -26,7 +31,7 @@ from foliatk import (
     monitor_ideal_preservation,
 )
 from foliatk import dynamics
-from foliatk.cli import _working_ideal
+from foliatk.cli import _working_ideal, render_report, run_command
 from foliatk.dynamics import compile_evaluator, flow_source
 from foliatk.geometry import cotangent_lift
 from foliatk.ipoisson import IdealPresentation
@@ -194,8 +199,8 @@ def test_running_maximum_follows_builtin_max_through_nan_and_inf(order):
 
 
 def test_large_hamiltonian_compiles_and_matches():
-    # one nested expression per polynomial would exceed the parser's nesting
-    # limit at a few hundred terms; the kernel is one statement per term
+    # the kernel writes a sum in statements of at most 64 terms, so the sums
+    # of this H run to several statements each
     rng = random.Random(400)
     chart = VariableSet(("x", "y", "z")).cotangent()
     h = random_poly(rng, chart, 420, 6)
@@ -259,3 +264,100 @@ def test_step_cap_is_checked_before_the_first_step(monkeypatch):
     assert len(integrate_flow(h, start, 10e-3, 1e-3)) == 11
     with pytest.raises(PreconditionError, match="MAX_FLOW_STEPS"):
         integrate_flow(h, start, 11e-3, 1e-3)
+
+
+# a signed-zero start coordinate: +0.0, -0.0 or a uniform value
+ZERO_OR_UNIFORM = st.one_of(st.sampled_from([0.0, -0.0]),
+                            st.floats(-0.6, 0.6, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def sparse_poly(draw, chart, max_terms, separable=False):
+    """Terms over a drawn subset of the variables, so that partials can be zero."""
+    n = chart.dimension
+    used = draw(st.lists(st.booleans(), min_size=chart.n_vars, max_size=chart.n_vars))
+    if separable:
+        side = draw(st.booleans())
+        used = [u and (i < n) == side for i, u in enumerate(used)]
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, 3)) if u else 0 for u in used)
+        terms[e] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4)))
+    return Polynomial(chart, terms)
+
+
+@st.composite
+def signed_zero_flows(draw):
+    chart = VariableSet(tuple(f"x{i}" for i in range(draw(st.integers(1, 2))))).cotangent()
+    n = chart.dimension
+    h = draw(sparse_poly(chart, 4))
+    gens = draw(st.lists(sparse_poly(chart, 2), max_size=2))
+    sep = draw(sparse_poly(chart, 2, separable=True)) + draw(sparse_poly(chart, 2, separable=True))
+    values = draw(st.lists(ZERO_OR_UNIFORM, min_size=2 * n, max_size=2 * n))
+    return h, gens, sep, FlowState(tuple(values[:n]), tuple(values[n:]), 0.0)
+
+
+def _flow_case(coords, h, gens, sep, values):
+    chart = VariableSet(coords).cotangent()
+    n = chart.dimension
+    return (P(h, chart), [P(g, chart) for g in gens], P(sep, chart),
+            FlowState(values[:n], values[n:], 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_zero_flows())
+# zero dH/dp: the kernel must still turn the -0.0 start of x0 into 0.0
+@example(_flow_case(("x0", "x1"), "7/4*x1^2", [], "0", (-0.0, 0.0, 0.0, 0.0)))
+@example(_flow_case(("x0",), "-3*x0^2*p_x0", ["p_x0"], "-1/2*p_x0^2", (-0.0, -0.0)))
+def test_signed_zero_flows_match_the_reference(case):
+    h, gens, sep, start = case
+    assert_identical(outcome(integrate_flow, h, start, 0.05, 1e-2),
+                     outcome(reference_flow, h, start, 0.05, 1e-2))
+    assert_identical(outcome(dynamics._monitor, gens, h, start, 0.05, 1e-2, INF, 2, ""),
+                     outcome(reference_monitor, gens, h, start, 0.05, 1e-2, INF, 2))
+    assert_identical(outcome(integrate_flow, sep, start, 0.05, 1e-2, method="leapfrog"),
+                     outcome(reference_flow, sep, start, 0.05, 1e-2, method="leapfrog"))
+
+
+def _step(source):
+    """The statements of the step in a ``flow_source`` kernel."""
+    rest = source.split("        if i < steps:\n            try:\n", 1)[1]
+    return rest.split("            except OverflowError:\n", 1)[0].splitlines()
+
+
+def test_a_free_particle_step_is_three_sums_and_three_updates():
+    chart = VariableSet(("x", "y", "z")).cotangent()
+    h = P("1/2*p_x^2 + 1/2*p_y^2 + 1/2*p_z^2", chart)
+    step = _step(flow_source(h, [P("x*p_y - y*p_x", chart)], 1e-3))
+    assert [s.strip() for s in step] == [
+        "a0 = 0.0 + v3",
+        "a1 = 0.0 + v4",
+        "a2 = 0.0 + v5",
+        *(f"n{i} = v{i} + 0.001 * (a{i} + 2 * a{i} + 2 * a{i} + a{i}) / 6.0" for i in range(3)),
+    ]
+    assert not any("-0.0" in s or re.search(r"\bw\d", s) for s in step)
+
+
+def test_a_5000_term_polynomial_compiles_and_matches():
+    # one flat sum of a few thousand terms exhausts the compiler's recursion limit
+    rng = random.Random(5000)
+    chart = VariableSet(("x", "y", "z")).cotangent()
+    h = random_poly(rng, chart, 5000, 6)
+    evaluate, reference = compile_evaluator(h), reference_evaluator(h)
+    for _ in range(5):
+        vals = [rng.uniform(-1.1, 1.1) for _ in range(chart.n_vars)]
+        assert repr(evaluate(vals)) == repr(reference(vals))
+
+
+@pytest.mark.parametrize("command", ["flow-monitor", "geodesic-check"])
+@pytest.mark.parametrize("name", FLOW_SCENES)
+def test_shipped_flow_reports_match_the_reference_bytes(name, command, monkeypatch):
+    path = SCENES / f"{name}.json"
+    report, code = run_command(command, path)
+    assert code == 0 and report["monitor"]["samples"]
+    calls = []
+    monkeypatch.setattr(dynamics, "_monitor",
+                        lambda *args: calls.append(args) or reference_monitor(*args))
+    want, want_code = run_command(command, path)
+    assert len(calls) == 1 and code == want_code
+    assert render_report(report) == render_report(want)
