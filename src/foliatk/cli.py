@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Mapping, Sequence
@@ -436,7 +437,6 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
     args = args or argparse.Namespace(point=None, candidate=[], tol=None, dt=None,
                                       t_end=None, order="block")
     order = MonomialOrder(args.order)
-    effective_order = args.order if command in _ORDER_COMMANDS else "block"
     notes: tuple[str, ...] = ()
     try:
         if command not in _COMMANDS:
@@ -448,18 +448,21 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
         # a failed internal check, or an exception the package does not raise
         # on purpose, is a fault of the program, not of the input
         internal = isinstance(exc, InternalCheckError) or not isinstance(exc, FoliatkError)
-        report = _assemble(command, "error",
-                           {"message": str(exc), "error_type": type(exc).__name__},
-                           [], None, notes, effective_order, {})
-        return report, 3 if internal else 2
+        return _error_report(command, args.order, exc, notes), 3 if internal else 2
     monitor, tolerances = flow or (None, {})
     passed = detail.get("passed", True)
     report = _assemble(command, "pass" if passed else "fail", detail, _cert_dicts(certs),
-                       monitor, notes, effective_order, tolerances)
+                       monitor, notes, args.order, tolerances)
     return report, 0 if passed else 1
 
 
-def _assemble(command, verdict, detail, certs, monitor, notes, order_kind, tolerances) -> dict:
+def _error_report(command: str, order: str, exc: Exception, notes=()) -> dict:
+    return _assemble(command, "error", {"message": str(exc), "error_type": type(exc).__name__},
+                     [], None, notes, order, {})
+
+
+def _assemble(command, verdict, detail, certs, monitor, notes, order, tolerances) -> dict:
+    """The report; ``order`` is recorded only for the commands that use it."""
     return {
         "command": command,
         "verdict": verdict,
@@ -470,7 +473,7 @@ def _assemble(command, verdict, detail, certs, monitor, notes, order_kind, toler
         "provenance": {
             "tool": "foliatk",
             "version": __version__,
-            "order": order_kind,
+            "order": order if command in _ORDER_COMMANDS else "block",
             "tolerances": tolerances,
         },
     }
@@ -539,12 +542,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--json-out", help="also write the report to this file")
     args = parser.parse_args(argv)
 
-    report, code = run_command(args.command, args.scene, args)
-    text = render_report(report)
-    sys.stdout.write(text)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # opened before the command runs, so a path that cannot be written runs nothing
+    try:
+        out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
+    except OSError as exc:
+        sys.stdout.write(render_report(_error_report(args.command, args.order, exc)))
+        return 2
+    with out or nullcontext():
+        report, code = run_command(args.command, args.scene, args)
+        text = render_report(report)
+        sys.stdout.write(text)
+        if out:
+            out.write(text)
     return code
 
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import ChartMismatchError, MetricError, VariableSetError
+from itertools import chain
+from .errors import ChartMismatchError, InternalCheckError, MetricError, VariableSetError
 from .groebner import ModuleElement
 from .linalg import leading_minors_positive, poly_adjugate, poly_det
 from .poly import ExactPoint, Polynomial, VariableSet, normal_coefficient, sum_of_products
@@ -243,21 +244,30 @@ def cotangent_lift(x: VectorField, cot: VariableSet | None = None) -> Polynomial
     return Polynomial._trusted(cot, terms)
 
 
+def field_of_lift(lam: Polynomial, base: VariableSet) -> VectorField:
+    """The inverse of :func:`cotangent_lift`: a fiber-linear polynomial read
+    as a vector field on ``base`` via p_i -> d/dq^i."""
+    n = base.dimension
+    comps = []
+    for d in lam.partials()[lam.varset.dimension:]:
+        terms = {}
+        for e, c in d.terms.items():
+            if any(e[n:]):
+                raise InternalCheckError("expected a polynomial in base variables only")
+            terms[e[:n]] = c
+        comps.append(Polynomial._trusted(base, terms))
+    return VectorField(base, tuple(comps))
+
+
 def sym_tensor_lift(s: SymTensor2, cot: VariableSet | None = None) -> Polynomial:
     """sum_ij S^ij p_i p_j for a contravariant symmetric tensor."""
     if s.kind != "contravariant":
         raise MetricError("only contravariant tensors lift to fiber polynomials")
     cot = cot or s.chart.cotangent()
-    acc = Polynomial.zero(cot)
-    n = s.chart.dimension
-    for i in range(n):
-        pi = Polynomial.variable(cot, cot.fiber[i])
-        for j in range(n):
-            if s.entries[i][j].is_zero():
-                continue
-            pj = Polynomial.variable(cot, cot.fiber[j])
-            acc = acc + s.entries[i][j].rename(cot) * pi * pj
-    return acc
+    p = [Polynomial.variable(cot, name) for name in cot.fiber]
+    return sum_of_products(cot, ((e.rename(cot), p[i] * p[j])
+                                 for i, row in enumerate(s.entries)
+                                 for j, e in enumerate(row) if e.terms))
 
 
 def hamiltonian(m: MetricData, cot: VariableSet | None = None) -> Polynomial:
@@ -285,20 +295,22 @@ def lie_derivative(x: VectorField, t: SymTensor2) -> SymTensor2:
     """
     if x.chart != t.chart:
         raise ChartMismatchError("tensor and field on different charts")
-    n = x.chart.dimension
-    # jac[k][i] = dX^k/dq^i, shared by every entry
-    jac = [c.partials() for c in x.components]
+    chart, n = x.chart, x.chart.dimension
+    xs, ts = x.components, t.entries
     covariant = t.kind == "covariant"
+    # shared by every entry: jac[i][k] = dX^i/dq^k, transposed when covariant
+    jac = [c.partials() for c in xs]
+    if covariant:
+        jac = list(zip(*jac))
     entries = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = x.apply(t.entries[i][j])
-            for k in range(n):
-                if covariant:
-                    acc = acc + t.entries[k][j] * jac[k][i] + t.entries[i][k] * jac[k][j]
-                else:
-                    acc = acc - t.entries[k][j] * jac[i][k] - t.entries[i][k] * jac[j][k]
-            entries[i][j] = entries[j][i] = acc
+            derivation = zip(xs, ts[i][j].partials())
+            jacobian = [pair for k in range(n)
+                        for pair in ((ts[k][j], jac[i][k]), (ts[i][k], jac[j][k]))]
+            entries[i][j] = entries[j][i] = (
+                sum_of_products(chart, chain(derivation, jacobian)) if covariant
+                else sum_of_products(chart, derivation, jacobian))
     return SymTensor2(x.chart, t.kind, tuple(map(tuple, entries)))
 
 
@@ -308,14 +320,9 @@ def musical_flat(v: VectorField, m: MetricData) -> OneForm:
         raise MetricError("musical flat requires a covariant metric")
     if v.chart != m.chart:
         raise ChartMismatchError("field and metric on different charts")
-    n = v.chart.dimension
-    comps = []
-    for i in range(n):
-        acc = Polynomial.zero(v.chart)
-        for j in range(n):
-            acc = acc + m.metric.entries[i][j] * v.components[j]
-        comps.append(RationalFunction(acc))
-    return OneForm(v.chart, tuple(comps))
+    return OneForm(v.chart, tuple(
+        RationalFunction(sum_of_products(v.chart, zip(row, v.components)))
+        for row in m.metric.entries))
 
 
 def musical_sharp(omega: OneForm, m: MetricData) -> RationalVectorField:

@@ -64,7 +64,7 @@ from typing import Sequence
 
 from .errors import InternalCheckError, VariableSetError
 from .poly import (BLOCK, Exponents, MonomialOrder, Polynomial, Scalar, VariableSet,
-                   exact_quotient, normal_coefficient)
+                   exact_quotient, normal_coefficient, sum_of_products)
 
 _ZERO = Fraction(0)
 
@@ -580,11 +580,11 @@ def module_groebner(
 
 def _certificate(gb: GroebnerBasis, cofactors: Row, remainder) -> Certificate:
     """Compose cofactors over the basis into sparse cofactors over the input generators."""
-    composed: Row = {}
+    pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
     for k, c in cofactors.items():
         for i, t in gb.rows[k].items():
-            a = composed.get(i)
-            composed[i] = c * t if a is None else a + c * t
+            pairs.setdefault(i, []).append((c, t))
+    composed = {i: sum_of_products(ps[0][0].varset, ps) for i, ps in pairs.items()}
     return Certificate(gb.input_generators, {i: c for i, c in composed.items() if c.terms},
                        remainder)
 

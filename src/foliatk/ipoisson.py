@@ -35,13 +35,13 @@ from .geometry import (
     SymTensor2,
     VectorField,
     canonical_poisson,
+    field_of_lift,
     hamiltonian,
     lie_derivative,
 )
 from .groebner import Certificate, CheckResult, GroebnerBasis, buchberger, check_claims
 from .groebner import ideal_membership
-from .linalg import poly_mat_mul
-from .poly import BLOCK, MonomialOrder, Polynomial, VariableSet
+from .poly import BLOCK, MonomialOrder, Polynomial, VariableSet, sum_of_products
 from .ratfunc import RationalFunction
 from .sampling import candidate_points
 
@@ -204,24 +204,6 @@ def srf_check(fol: "FoliationModule", metric: MetricData) -> SRFCertificate | SR
     return SRFCertificate(h, tuple(cert.cofactors for cert in certs), certs)
 
 
-def _restrict_to_base(p: Polynomial, base: VariableSet) -> Polynomial:
-    n = base.dimension
-    terms = {}
-    for e, c in p.terms.items():
-        if any(e[n:]):
-            raise InternalCheckError("expected a polynomial in base variables only")
-        terms[e[:n]] = c
-    return Polynomial(base, terms)
-
-
-def _fiber_linear_to_field(lam: Polynomial, base: VariableSet) -> VectorField:
-    """Read a fiber-linear polynomial as a vector field via p_i -> d/dq^i."""
-    comps = []
-    for p_name in lam.varset.fiber:
-        comps.append(_restrict_to_base(lam.diff(p_name), base))
-    return VectorField(base, tuple(comps))
-
-
 def killing_connection(fol: "FoliationModule", metric: MetricData) -> SRFCertificate:
     """omega_a^b = -g_flat(lambda_a^b read as a vector field), verified exactly.
 
@@ -254,7 +236,7 @@ def killing_connection(fol: "FoliationModule", metric: MetricData) -> SRFCertifi
     gens = fol.generators
 
     def times_a(v: VectorField) -> list[Polynomial]:
-        return [row[0] for row in poly_mat_mul(a_mat, [[c] for c in v.components])]
+        return [sum_of_products(chart, zip(row, v.components)) for row in a_mat]
 
     flat = [times_a(x) for x in gens]
     cov = SymTensor2(chart, "covariant", a_mat)
@@ -263,17 +245,15 @@ def killing_connection(fol: "FoliationModule", metric: MetricData) -> SRFCertifi
     for a, x in enumerate(gens):
         # W_ab for each nonzero lambda_ab; a zero lambda contributes nothing
         w_row = [None if lam.is_zero()
-                 else [-c for c in times_a(_fiber_linear_to_field(lam, chart))]
+                 else [-c for c in times_a(field_of_lift(lam, chart))]
                  for lam in result.lam[a]]
         lie = lie_derivative(x, cov).entries
         xd = x.apply(d)
         for i in range(n):
             for j in range(i, n):
-                rhs = Polynomial.zero(chart)
-                for w, f in zip(w_row, flat):
-                    if w is not None:
-                        rhs = rhs + w[i] * f[j] + w[j] * f[i]
-                if d * lie[i][j] - xd * a_mat[i][j] != rhs:
+                rhs = [pair for w, f in zip(w_row, flat) if w is not None
+                       for pair in ((w[i], f[j]), (w[j], f[i]))]
+                if sum_of_products(chart, [(d, lie[i][j])], [(xd, a_mat[i][j]), *rhs]):
                     raise InternalCheckError(
                         f"connection identity failed at generator {a}, entry ({i},{j})"
                     )

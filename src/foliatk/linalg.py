@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .poly import Polynomial
+from .poly import Polynomial, sum_of_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -168,35 +168,18 @@ def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:
 # -- polynomial matrices ----------------------------------------------------
 
 
-def poly_mat_mul(a: Sequence[Sequence[Polynomial]], b: Sequence[Sequence[Polynomial]]):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = a[i][t] * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Laplace expansion; intended for the small charts handled here."""
+    """Laplace expansion along the first row, one product-sum per matrix;
+    intended for the small charts handled here."""
     n = len(m)
     if n == 1:
         return m[0][0]
-    varset = m[0][0].varset
-    acc = Polynomial.zero(varset)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * poly_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    cofactors: tuple[list, list] = ([], [])  # even and odd columns
+    for j, entry in enumerate(m[0]):
+        if entry.terms:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            cofactors[j % 2].append((entry, poly_det(minor)))
+    return sum_of_products(m[0][0].varset, *cofactors)
 
 
 def poly_adjugate(m: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:

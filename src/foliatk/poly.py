@@ -16,27 +16,32 @@ chart, exactly one fiber variable per base variable.  The fiber grading (total
 degree in the fiber variables) is the grading used by every membership
 criterion downstream.
 
-Exact evaluation has one path, on integers.  A polynomial keeps, built once on
-first use, its *integer form*: the common denominator ``D`` of its
-coefficients, the integer numerators, and for each term its nonzero
-``(variable, exponent)`` pairs and its degree.  An :class:`ExactPoint` clears
-a rational point once to integer numerators ``a_i`` over one common
-denominator ``d``.  The value is then ``sum c_e a^e d^(deg-|e|)`` over
-``D d^deg``, where ``deg`` is the total degree: terms with a zero coordinate
-are skipped before any multiplication, the powers of ``d`` drop out when
-``d = 1``, and a zero test reads the integer sum alone.  Callers that
-evaluate many polynomials at one point convert it once.  A polynomial read
-only once, such as a fresh division cofactor, is evaluated by
-:meth:`Polynomial.evaluate_once`, which skips the terms with a zero
+Exact evaluation runs on integers, by one of two paths.  A polynomial
+evaluated many times keeps, built once on first use, its *integer form*: the
+common denominator ``D`` of its coefficients, the integer numerators, and
+for each term its nonzero ``(variable, exponent)`` pairs and its degree.  An
+:class:`ExactPoint` clears a rational point once to integer numerators
+``a_i`` over one common denominator ``d``.  The value is then
+``sum c_e a^e d^(deg-|e|)`` over ``D d^deg``, where ``deg`` is the total
+degree: terms with a zero coordinate are skipped before any multiplication,
+the powers of ``d`` drop out when ``d = 1``, and a zero test reads the
+integer sum alone.
+Callers that evaluate many polynomials at one point convert it once.  A
+polynomial read only once, such as a fresh division cofactor, is evaluated
+by :meth:`Polynomial.evaluate_once`, which skips the terms with a zero
 coordinate and builds no form.
 
 Derivatives are prepared the same way.  A polynomial keeps, built on first
 use in one pass over its terms, the tuple of all its first partials
 (:meth:`Polynomial.partials`); :meth:`Polynomial.diff` reads it, so a
-polynomial bracketed many times is differentiated once.  The brackets in
-``geometry.py`` are each one :func:`sum_of_products`, which accumulates
+polynomial bracketed many times is differentiated once.
+
+Products have one kernel, :func:`sum_of_products`, which accumulates
 ``sum a*b - sum c*d`` over pairs of polynomials in one term map, skipping
-zero factors and building no intermediate polynomial.
+zero factors and building no intermediate polynomial; ``a * b`` is its
+one-pair case and runs through the same loop.  Every sum of products in the
+package (brackets, derivations, tensor lifts, Lie derivatives, determinants,
+certificate composition, cotangent maps) is one call to it.
 """
 
 from __future__ import annotations
@@ -373,16 +378,9 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
+        """The one-pair case of :func:`sum_of_products`, through its loop."""
         res: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = res.get(e, 0) + c1 * c2
-                if s:
-                    res[e] = s if s.__class__ is int else normal_coefficient(s)
-                else:
-                    res.pop(e, None)
+        _add_product(res, self.terms, self._coerce(other).terms, False)
         return Polynomial._trusted(self.varset, res)
 
     __rmul__ = __mul__
@@ -606,12 +604,34 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
+def _add_product(res: dict[Exponents, Scalar], a: Mapping[Exponents, Scalar],
+                 b: Mapping[Exponents, Scalar], negate: bool) -> None:
+    """``res += a*b``, or ``res -= a*b`` if ``negate``, in place on term maps.
+
+    New exponents are appended in the order the products reach them, and an
+    exponent whose coefficient cancels is dropped, so the term order of the
+    result is that of adding the products one by one.
+    """
+    bterms = b.items()
+    for e1, c1 in a.items():
+        if negate:
+            c1 = -c1
+        for e2, c2 in bterms:
+            e = tuple(map(add, e1, e2))
+            s = res.get(e, 0) + c1 * c2
+            if s:
+                res[e] = s if s.__class__ is int else normal_coefficient(s)
+            else:
+                del res[e]
+
+
 def sum_of_products(varset: VariableSet, plus: Iterable[tuple[Polynomial, Polynomial]],
                     minus: Iterable[tuple[Polynomial, Polynomial]] = ()) -> Polynomial:
     """``sum(a*b for a, b in plus) - sum(c*d for c, d in minus)`` in one term map.
 
-    A pair with a zero factor is skipped, and no product or partial sum is
-    built as a polynomial.  Every factor must live on ``varset``.
+    The package's one product kernel: ``a * b`` is its one-pair case.  A pair
+    with a zero factor is skipped, and no product or partial sum is built as
+    a polynomial.  Every factor must live on ``varset``.
     """
     res: dict[Exponents, Scalar] = {}
     for pairs, negate in ((plus, False), (minus, True)):
@@ -620,17 +640,7 @@ def sum_of_products(varset: VariableSet, plus: Iterable[tuple[Polynomial, Polyno
                 continue
             if a.varset != varset or b.varset != varset:
                 raise VariableSetError("variable-set mismatch")
-            bterms = b.terms.items()
-            for e1, c1 in a.terms.items():
-                if negate:
-                    c1 = -c1
-                for e2, c2 in bterms:
-                    e = tuple(map(add, e1, e2))
-                    s = res.get(e, 0) + c1 * c2
-                    if s:
-                        res[e] = s if s.__class__ is int else normal_coefficient(s)
-                    else:
-                        del res[e]
+            _add_product(res, a.terms, b.terms, negate)
     return Polynomial._trusted(varset, res)
 
 

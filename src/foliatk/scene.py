@@ -253,4 +253,7 @@ def _build_scene(data: Mapping) -> Scene:
             raise SceneError("flow start has the wrong dimension")
 
     scene.notes = tuple(_array(data.get("notes", []), "notes"))
+    for note in scene.notes:
+        if not isinstance(note, str):
+            raise SceneError(f"notes must be strings, got {type(note).__name__}")
     return scene

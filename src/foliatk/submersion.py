@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 from .errors import ChartMismatchError, InternalCheckError, PreconditionError, VariableSetError
 from .foliation import FoliationModule, involutivity_check, module_equal
-from .geometry import MetricData, VectorField, canonical_poisson, cotangent_lift, hamiltonian, lie_bracket
+from .geometry import (MetricData, VectorField, canonical_poisson, cotangent_lift, field_of_lift,
+                       hamiltonian, lie_bracket)
 from .groebner import Certificate, CheckResult
-from .ipoisson import IdealPresentation, PolyMap, _restrict_to_base
+from .ipoisson import IdealPresentation, PolyMap
 from .linalg import poly_adjugate
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial, VariableSet, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -132,22 +133,11 @@ def phi_pi(s: SubmersionData) -> CotangentMap:
     images = {cot_tgt.base[j]: Polynomial.variable(cot_src, s.source.base[s.base_indices[j]])
               for j in range(m)}
     # (dpi h^{-1} p)^k = row base_indices[k] of h^{-1} contracted with p
-    rows = []
-    for k in range(m):
-        acc = Polynomial.zero(cot_src)
-        for b in range(s.source.dimension):
-            entry = h_inv[s.base_indices[k]][b]
-            if not entry.is_zero():
-                acc = acc + entry.rename(cot_src) * Polynomial.variable(cot_src, cot_src.fiber[b])
-        rows.append(acc)
-    for j in range(m):
-        acc = Polynomial.zero(cot_src)
-        for k in range(m):
-            g_jk = s.target_metric.metric.entries[j][k]
-            if g_jk.is_zero():
-                continue
-            acc = acc + s.rename_target_to_source(g_jk, cot_src) * rows[k]
-        images[cot_tgt.fiber[j]] = acc
+    rows = [cotangent_lift(VectorField(s.source, h_inv[b]), cot_src) for b in s.base_indices]
+    for j, g_row in enumerate(s.target_metric.metric.entries):
+        images[cot_tgt.fiber[j]] = sum_of_products(cot_src, (
+            (s.rename_target_to_source(g_jk, cot_src), row)
+            for g_jk, row in zip(g_row, rows) if g_jk.terms))
     return CotangentMap(cot_src, cot_tgt, images)
 
 
@@ -159,12 +149,7 @@ def horizontal_lift(s: SubmersionData, x: VectorField) -> VectorField:
     """The unique V with lift(V) = pullback(lift(X)), verified orthogonal and projectable."""
     if x.chart != s.target:
         raise ChartMismatchError("vector field not on the target chart")
-    cot_src = s.source.cotangent()
-    lifted = pullback_function(s, cotangent_lift(x, s.target.cotangent()))
-    comps = tuple(
-        _restrict_to_base(lifted.diff(p_name), s.source) for p_name in cot_src.fiber
-    )
-    v = VectorField(s.source, comps)
+    v = field_of_lift(pullback_function(s, cotangent_lift(x, s.target.cotangent())), s.source)
 
     for j in range(s.target.dimension):
         expected = s.rename_target_to_source(x.components[j], s.source)
@@ -174,10 +159,7 @@ def horizontal_lift(s: SubmersionData, x: VectorField) -> VectorField:
             )
     adj = poly_adjugate(s.source_metric.cometric.entries)
     for alpha in s.fiber_indices:
-        acc = Polynomial.zero(s.source)
-        for b in range(s.source.dimension):
-            acc = acc + adj[alpha][b] * v.components[b]
-        if not acc.is_zero():
+        if sum_of_products(s.source, zip(adj[alpha], v.components)):
             raise PreconditionError(
                 "horizontal lift is not h-orthogonal to the fibers; "
                 "is the submersion Riemannian?"

@@ -45,7 +45,13 @@ on every call, which the divisor tables owned by a basis replaced, and the
 derivative-by-derivative derivation, Lie bracket and canonical bracket that
 the partials slot and the one-map product-sum in ``poly.py`` replaced.  Each
 partial is one loop over the terms, and every sum goes through polynomial
-``+``, ``-`` and ``*``.
+``+`` and ``-`` and the reference product below.
+
+Products: the product loop that ``Polynomial.__mul__`` ran before it became
+the one-pair case of ``poly.sum_of_products``, and the determinant,
+adjugate, matrix product and metric Hamiltonian built on it one product and
+one sum at a time.  Nothing here multiplies polynomials through the
+package's kernel, except inside ``RationalFunction`` arithmetic.
 
 Groebner bases and syzygies: the Buchberger loop whose chain test scanned
 every lead and whose inter-reduction divided each kept element by a fresh
@@ -74,12 +80,11 @@ from foliatk.errors import (AmbiguousQuotientError, ChartMismatchError, FlowDive
                             InternalCheckError, ParseError, PreconditionError, VariableSetError)
 from foliatk.expressions import MAX_NESTING
 from foliatk.foliation import FoliationModule, PointReport, _as_point, _combine
-from foliatk.geometry import MetricData, VectorField
+from foliatk.geometry import MetricData, SymTensor2, VectorField
 from foliatk.groebner import (DivisorTable, GroebnerBasis, ModuleElement, Row, _coprime, _dense,
                               _divides, _lcm, _monic, _sub, _sub_scaled, module_divide,
                               module_groebner)
-from foliatk.ipoisson import _fiber_linear_to_field, srf_check
-from foliatk.linalg import poly_adjugate, poly_det, poly_mat_mul
+from foliatk.ipoisson import srf_check
 from foliatk.poly import (BLOCK, GREVLEX, ExactPoint, Exponents, MonomialOrder, Polynomial,
                           VariableSet, exact_quotient, normal_coefficient)
 from foliatk.ratfunc import RationalFunction
@@ -344,6 +349,20 @@ def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointRe
 # -- killing connection reference ----------------------------------------------
 
 
+def _reference_field_of_lift(lam: Polynomial, base: VariableSet) -> VectorField:
+    """A fiber-linear polynomial read as a vector field via p_i -> d/dq^i."""
+    n = base.dimension
+    comps = []
+    for p_name in lam.varset.fiber:
+        terms = {}
+        for e, c in reference_diff(lam, p_name).terms.items():
+            if any(e[n:]):
+                raise InternalCheckError("expected a polynomial in base variables only")
+            terms[e[:n]] = c
+        comps.append(Polynomial(base, terms))
+    return VectorField(base, tuple(comps))
+
+
 def _rf_neg(r: RationalFunction) -> RationalFunction:
     return RationalFunction(-r.num, r.den)
 
@@ -387,15 +406,15 @@ def reference_killing_connection(
     if metric.metric is not None:
         g_rat = [[RationalFunction(e) for e in row] for row in metric.metric.entries]
     else:
-        det = poly_det(metric.cometric.entries)
-        adj = poly_adjugate(metric.cometric.entries)
+        det = reference_poly_det(metric.cometric.entries)
+        adj = reference_poly_adjugate(metric.cometric.entries)
         g_rat = [[RationalFunction(adj[i][j], det) for j in range(n)] for i in range(n)]
     n_gen = fol.n_generators
     omega = []
     for a in range(n_gen):
         row = []
         for b in range(n_gen):
-            field = _fiber_linear_to_field(result.lam[a][b], chart)
+            field = _reference_field_of_lift(result.lam[a][b], chart)
             comps = []
             for i in range(n):
                 acc = RationalFunction.zero(chart)
@@ -797,7 +816,7 @@ def reference_apply(x: VectorField, f: Polynomial) -> Polynomial:
         raise VariableSetError("variable-set mismatch")
     acc = Polynomial.zero(x.varset)
     for name, comp in zip(x.varset.base, x.components):
-        acc = acc + comp * reference_diff(f, name)
+        acc = acc + reference_mul(comp, reference_diff(f, name))
     return acc
 
 
@@ -818,8 +837,8 @@ def reference_canonical_poisson(f: Polynomial, g: Polynomial) -> Polynomial:
         raise VariableSetError("canonical bracket needs fiber variables")
     acc = Polynomial.zero(varset)
     for q, p in zip(varset.base, varset.fiber):
-        acc = acc + reference_diff(f, p) * reference_diff(g, q) \
-            - reference_diff(f, q) * reference_diff(g, p)
+        acc = acc + reference_mul(reference_diff(f, p), reference_diff(g, q)) \
+            - reference_mul(reference_diff(f, q), reference_diff(g, p))
     return acc
 
 
@@ -977,11 +996,11 @@ def reference_metric_verdicts(metric: MetricData | None, cometric, points) -> tu
     n = len(entries)
     identity = True
     if metric is not None:
-        prod = poly_mat_mul(metric.entries, entries)
+        prod = reference_poly_mat_mul(metric.entries, entries)
         chart = cometric.chart
         identity = all(prod[i][j] == Polynomial.constant(chart, Fraction(1 if i == j else 0))
                        for i in range(n) for j in range(n))
-    minors = [poly_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)]
+    minors = [reference_poly_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)]
     positive = all(m.evaluate_seq(ExactPoint(pt)) > 0 for pt in points for m in minors)
     return identity, positive
 
@@ -1008,3 +1027,99 @@ def reference_candidate_points(n_vars: int) -> list[tuple[Fraction, ...]]:
     for _ in range(100):
         points.append(tuple(rng.choice(rich) for _ in range(n_vars)))
     return points
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """``a * b`` in its own term map: an exponent enters when a product first
+    reaches it and leaves when its coefficient cancels."""
+    if a.varset != b.varset:
+        raise VariableSetError("variable-set mismatch")
+    res: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = res.get(e, 0) + c1 * c2
+            if s:
+                res[e] = normal_coefficient(s)
+            else:
+                res.pop(e, None)
+    return Polynomial(a.varset, res)
+
+
+def reference_sum_of_products(varset: VariableSet, plus, minus=()) -> Polynomial:
+    """``sum a*b - sum c*d``, one product and one sum at a time."""
+    acc = Polynomial.zero(varset)
+    for a, b in plus:
+        acc = acc + reference_mul(a, b)
+    for c, d in minus:
+        acc = acc - reference_mul(c, d)
+    return acc
+
+
+def reference_poly_mat_mul(a: Sequence[Sequence[Polynomial]],
+                           b: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                term = reference_mul(a[i][t], b[t][j])
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def reference_poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Laplace expansion along the first row."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    acc = Polynomial.zero(m[0][0].varset)
+    for j in range(n):
+        if m[0][j].is_zero():
+            continue
+        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = reference_mul(m[0][j], reference_poly_det(minor))
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def reference_poly_adjugate(m: Sequence[Sequence[Polynomial]]) -> list[list[Polynomial]]:
+    n = len(m)
+    varset = m[0][0].varset
+    if n == 1:
+        return [[Polynomial.constant(varset, 1)]]
+    adj = [[Polynomial.zero(varset) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = reference_poly_det(minor)
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return adj
+
+
+def reference_sym_tensor_lift(s: SymTensor2) -> Polynomial:
+    """sum_ij S^ij p_i p_j, one entry at a time in row order."""
+    cot = s.chart.cotangent()
+    acc = Polynomial.zero(cot)
+    n = s.chart.dimension
+    for i in range(n):
+        pi = Polynomial.variable(cot, cot.fiber[i])
+        for j in range(n):
+            if s.entries[i][j].is_zero():
+                continue
+            pj = Polynomial.variable(cot, cot.fiber[j])
+            acc = acc + reference_mul(reference_mul(s.entries[i][j].rename(cot), pi), pj)
+    return acc
+
+
+def reference_hamiltonian(m: MetricData) -> Polynomial:
+    """Half the cometric lift, with the term order of :func:`reference_sym_tensor_lift`."""
+    return reference_sym_tensor_lift(m.cometric).scale(Fraction(1, 2))

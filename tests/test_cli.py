@@ -149,6 +149,19 @@ def test_main_writes_json_out(tmp_path, capsys):
     assert parsed["verdict"] == "pass"
 
 
+def test_unwritable_json_out_is_an_error_report_and_runs_nothing(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_command", lambda *a: ran.append(a))
+    for bad in (tmp_path / "missing" / "report.json", tmp_path):
+        code = main(["check-srf", "--scene", str(SCENES / "rotation_srf_r2.json"),
+                     "--json-out", str(bad)])
+        stdout = capsys.readouterr().out
+        report = json.loads(stdout)  # one report, no traceback
+        assert code == 2 and report["verdict"] == "error" and not ran
+        assert str(bad) in report["detail"]["message"]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_main_exit_code_on_failure(capsys):
     code = main(["integrability", "--scene", str(SCENES / "submersion_r3_to_r2.json")])
     assert code == 1
@@ -461,10 +474,13 @@ def test_submersion_target_metric_errors_name_the_scene_key(key, value):
     (("foliation", 0), "000"),
     (("cometric", 0), "100"),
     (("sample_points",), ["000"]),
+    (("notes",), ["a note", 1.5]),
+    (("notes",), [{"text": "a note"}]),
 ], ids=["dimension", "point-zero-denominator", "point-not-a-number", "sample-point",
         "flow-q", "flow-dt", "foliation", "coordinates", "notes", "candidates",
         "notes-string", "point-string", "coordinates-string", "flow-q-string",
-        "foliation-row-string", "cometric-row-string", "sample-point-string"])
+        "foliation-row-string", "cometric-row-string", "sample-point-string",
+        "notes-float", "notes-object"])
 def test_malformed_scene_values_are_scene_errors(tmp_path, capsys, path, value):
     data = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
     target = data

@@ -1,6 +1,6 @@
 """Prepared values: a basis owns its divisor table, a polynomial its partials,
-and a bracket is one product-sum.  Each must agree exactly with the
-per-call reference in ``oracle.py``."""
+and every sum of products, ``*`` included, is one product-sum.  Each must
+agree exactly with the per-call reference in ``oracle.py``."""
 
 from fractions import Fraction
 
@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 from foliatk import Polynomial, VariableSet
 from foliatk.cli import _cert_dicts
 from foliatk.errors import VariableSetError
-from foliatk.geometry import VectorField, canonical_poisson, lie_bracket
+from foliatk.geometry import (MetricData, SymTensor2, VectorField, canonical_poisson, hamiltonian,
+                              lie_bracket, sym_tensor_lift)
 from foliatk.groebner import (DivisorTable, ModuleElement, _monic, buchberger, ideal_membership,
                               module_divide, module_groebner, module_membership, normal_form_with_cofactors)
+from foliatk.linalg import poly_adjugate, poly_det
 from foliatk.poly import BLOCK, GREVLEX, LEX, sum_of_products
+from foliatk.scene import load_scene
 
+from conftest import SCENES
 from oracle import (reference_apply, reference_canonical_poisson, reference_diff,
-                    reference_lie_bracket, reference_module_divide)
+                    reference_hamiltonian, reference_lie_bracket, reference_module_divide,
+                    reference_mul, reference_poly_adjugate, reference_poly_det,
+                    reference_poly_mat_mul, reference_sum_of_products, reference_sym_tensor_lift)
 
 R2 = VariableSet(("x", "y"))
 R3 = VariableSet(("u", "v", "w"))
@@ -118,12 +124,7 @@ def test_lie_bracket_and_apply_match_reference(x, y, f):
 @given(st.lists(st.tuples(polys(R2), polys(R2)), max_size=3),
        st.lists(st.tuples(polys(R2), polys(R2)), max_size=3))
 def test_sum_of_products_is_the_polynomial_sum(plus, minus):
-    want = Polynomial.zero(R2)
-    for a, b in plus:
-        want = want + a * b
-    for c, d in minus:
-        want = want - c * d
-    assert sum_of_products(R2, plus, minus) == want
+    assert sum_of_products(R2, plus, minus) == reference_sum_of_products(R2, plus, minus)
 
 
 def test_sum_of_products_refuses_a_factor_on_another_chart():
@@ -132,6 +133,66 @@ def test_sum_of_products_refuses_a_factor_on_another_chart():
         sum_of_products(R2, [(x, u)])
     # a pair with a zero factor is skipped before any check
     assert sum_of_products(R2, [(Polynomial.zero(R3), u)]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# products: ``*`` and every matrix sum go through the kernel and equal the
+# reference product loop
+
+
+CHARTS = {1: VariableSet(("t",)), 2: R2, 3: R3}
+
+
+def symmetric(n):
+    """An n x n symmetric matrix of polynomials on the chart of dimension n."""
+    return st.lists(polys(CHARTS[n]), min_size=n * n, max_size=n * n).map(
+        lambda es: tuple(tuple(es[min(i, j) * n + max(i, j)] for j in range(n))
+                         for i in range(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(COT2, max_terms=5), polys(COT2, max_terms=5), st.sampled_from(POOL))
+def test_product_matches_the_reference_loop_in_term_order(a, b, c):
+    const = Polynomial.constant(COT2, c)
+    for got, want in ((a * b, reference_mul(a, b)), (b * a, reference_mul(b, a)),
+                      (a * c, reference_mul(a, const)), (c * a, reference_mul(a, const))):
+        assert got == want
+        assert list(got.terms) == list(want.terms)  # flow kernels sum in term order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    *[st.lists(polys(R2), min_size=n, max_size=n)] * n)))
+def test_det_adjugate_and_matrix_product_match_the_references(m):
+    assert poly_det(m) == reference_poly_det(m)
+    assert poly_adjugate(m) == reference_poly_adjugate(m)
+    columns = list(zip(*m))
+    assert ([[sum_of_products(R2, zip(row, col)) for col in columns] for row in m]
+            == reference_poly_mat_mul(m, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(symmetric))
+def test_tensor_lift_and_hamiltonian_keep_the_reference_term_order(entries):
+    chart = entries[0][0].varset
+    s = SymTensor2(chart, "contravariant", entries)
+    got, want = sym_tensor_lift(s), reference_sym_tensor_lift(s)
+    assert got == want and list(got.terms) == list(want.terms)
+    # the same entries off the origin plus the identity: positive-definite there
+    n, origin = chart.dimension, (0,) * chart.n_vars
+    cometric = SymTensor2(chart, "contravariant", tuple(
+        tuple(Polynomial(chart, {e: c for e, c in entries[i][j].terms.items() if e != origin})
+              + (1 if i == j else 0) for j in range(n)) for i in range(n)))
+    metric = MetricData(cometric)
+    got, want = hamiltonian(metric), reference_hamiltonian(metric)
+    assert got == want and list(got.terms) == list(want.terms)
+
+
+@pytest.mark.parametrize("path", sorted(SCENES.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_hamiltonians_keep_the_reference_term_order(path):
+    metric = load_scene(path).metric
+    got, want = hamiltonian(metric), reference_hamiltonian(metric)
+    assert got == want and list(got.terms) == list(want.terms)
 
 
 # ---------------------------------------------------------------------------

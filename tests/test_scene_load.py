@@ -12,11 +12,10 @@ from foliatk import SceneError
 from foliatk.errors import MetricError, ParseError
 from foliatk.expressions import MAX_TERM_PRODUCTS, parse_expression
 from foliatk.geometry import MetricData, SymTensor2
-from foliatk.linalg import poly_mat_mul
 from foliatk.poly import Polynomial, VariableSet
 from foliatk.scene import load_scene
 
-from oracle import reference_metric_verdicts
+from oracle import reference_metric_verdicts, reference_poly_mat_mul
 
 OVERSIZED = "(x+1)^300 + (x+1)^300 + (x+1)^300"  # each power alone is allowed
 
@@ -99,7 +98,7 @@ def _transpose(a):
 def _cometric(chart, b, kind, shift):
     """B B^T (semidefinite), plus the identity (definite), or minus a
     multiple of it (often indefinite)."""
-    c = poly_mat_mul(b, _transpose(b))
+    c = reference_poly_mat_mul(b, _transpose(b))
     if kind != "semidefinite":
         d = Polynomial.constant(chart, 1 if kind == "definite" else -shift)
         c = [[e + d if i == j else e for j, e in enumerate(row)] for i, row in enumerate(c)]
@@ -151,8 +150,8 @@ def test_identity_verdict_matches_the_matrix_product(case):
     e = _unit_lower(chart, below)
     inv = _unit_lower_inverse(e)
     cometric = SymTensor2(chart, "contravariant",
-                          tuple(map(tuple, poly_mat_mul(e, _transpose(e)))))
-    g = poly_mat_mul(_transpose(inv), inv)
+                          tuple(map(tuple, reference_poly_mat_mul(e, _transpose(e)))))
+    g = reference_poly_mat_mul(_transpose(inv), inv)
     g[i][j] = g[i][j] + d
     if i != j:
         g[j][i] = g[j][i] + d
