@@ -19,12 +19,24 @@ silently give ``inf``; the leading ``0.0 +`` stays, because it turns a
 The rk4 step is folded where the fold is exact.  A zero ``dH/dq^j`` makes
 every stage of ``p_j`` the constant ``-0.0``, and ``x + -0.0`` is ``x`` for
 every ``x``, so ``p_j`` keeps its name: none of its stages, stage arguments or
-next value is written.  A rate that reads only such coordinates has the same
-arguments at every stage, so its first stage value stands for all four.  A
-zero ``dH/dp_i`` is not folded: its stages are ``+0.0``, and ``-0.0 + 0.0`` is
-``0.0``, so the step turns a ``-0.0`` coordinate ``q^i`` into ``0.0``, and the
-next value ``q^i + dt * (...)`` is always written.  A step therefore never
-folds away entirely.
+next value is written, and the coordinate is *unmoved*.  A zero ``dH/dp_i``
+is not folded: its stages are ``+0.0``, and ``-0.0 + 0.0`` is ``0.0``, so the
+step turns a ``-0.0`` coordinate ``q^i`` into ``0.0``, and the next value
+``q^i + d`` is always written.  A step therefore never folds away entirely.
+
+A value that reads only unmoved coordinates is the same at every step, so
+the fold reaches across steps: it is computed once, before the loop, from the
+same floats in the same order.  Such a rate ``a{i}`` stands for all four of
+its stages, and its increment ``d{i} = dt * (a + 2 * a + 2 * a + a) / 6.0``
+for every step, whose update is then ``n{i} = v{i} + d{i}``.  These run under
+``if steps:`` in a ``try`` of their own that returns the step overflow at
+step 0, after the start sample, so a run of no steps never evaluates them and
+a start that overflows there fails where the loop would have.  A generator or
+energy sum of that kind keeps the value of the start sample, which ran under
+its own overflow guard, and the loop does not recompute it.  The finiteness
+of the unmoved coordinates is tested once, into ``fin``, which the loop's
+test reads before the moved names: ``and`` of the same tests is the same
+boolean, and the failing state is listed in full as before.
 
 A flow run is one generated function, ``flow(v0, ..., v{2n-1}, steps,
 start_tol, store_every, append)``, holding the whole loop on positional
@@ -137,6 +149,11 @@ def _partials(h: Polynomial) -> tuple[list[Polynomial], list[Polynomial]]:
     return [h.diff(p) for p in varset.fiber], [h.diff(q) for q in varset.base]
 
 
+def _reads(f: Polynomial) -> set[int]:
+    """Indices of the variables that ``f`` reads."""
+    return {j for e in f.terms for j, k in enumerate(e) if k}
+
+
 def _rates(dh_dp, dh_dq) -> list[tuple[Polynomial, bool]]:
     """``(f, negate)`` per coordinate: dq^i/dt = dH/dp_i, dp_i/dt = -dH/dq^i."""
     return [(f, False) for f in dh_dp] + [(f, True) for f in dh_dq]
@@ -150,37 +167,41 @@ def _rhs_lines(dh_dp, dh_dq, names: Sequence[str], out: str) -> list[str]:
     return lines
 
 
-def _rk4_lines(dh_dp, dh_dq, dt: float) -> tuple[list[str], list[str]]:
-    """The folded rk4 step and the names holding the next state."""
+def _rk4_lines(dh_dp, dh_dq, dt: float) -> tuple[list[str], list[str], list[str]]:
+    """The folded rk4 step: statements run once before the loop, the step, and
+    the names holding the next state."""
     rates = _rates(dh_dp, dh_dq)
     width = len(rates)
     v = _names("v", width)
     # a zero dH/dq makes every stage of p -0.0, and x + -0.0 is x: p stays v
     unmoved = {i for i, (f, negate) in enumerate(rates) if negate and not f.terms}
-    reads = [{j for e in f.terms for j, k in enumerate(e) if k} for f, _ in rates]
+    reads = [_reads(f) for f, _ in rates]
     # a rate reading only unmoved coordinates has the same arguments, so the
-    # same value, at every stage: b, c and d are a
+    # same value, at every stage of every step: it and its increment d{i}
+    # are computed once, and b, c and d are a (a stage d{i} is written only
+    # for a moving rate, so the names never meet)
     moving = [i for i in range(width) if i not in unmoved and not reads[i] <= unmoved]
+    fixed = [i for i in range(width) if i not in unmoved and i not in moving]
     shifted = sorted(set().union(*(reads[i] for i in moving)) - unmoved)
     stage_args = [f"w{j}" if j in shifted else f"v{j}" for j in range(width)]
 
     def value(stage: str, i: int) -> str:
         return f"{stage}{i}" if i in moving else f"a{i}"
 
-    lines = []
-    for i, (f, negate) in enumerate(rates):
-        if i not in unmoved:
-            lines += _sum_lines(f, f"a{i}", v, negate)
+    def increment(i: int) -> str:
+        return (f"{dt!r} * (a{i} + 2 * {value('b', i)} + 2 * {value('c', i)}"
+                f" + {value('d', i)}) / 6.0")
+
+    once = [s for i in fixed for s in _sum_lines(rates[i][0], f"a{i}", v, rates[i][1])]
+    once += [f"d{i} = {increment(i)}" for i in fixed]
+    lines = [s for i in moving for s in _sum_lines(rates[i][0], f"a{i}", v, rates[i][1])]
     for prev, stage, scale in (("a", "b", 0.5 * dt), ("b", "c", 0.5 * dt), ("c", "d", dt)):
         lines += [f"w{j} = v{j} + {scale!r} * {value(prev, j)}" for j in shifted]
         for i in moving:
             lines += _sum_lines(rates[i][0], f"{stage}{i}", stage_args, rates[i][1])
-    lines += [
-        f"n{i} = v{i} + {dt!r} * (a{i} + 2 * {value('b', i)} + 2 * {value('c', i)}"
-        f" + {value('d', i)}) / 6.0"
-        for i in range(width) if i not in unmoved
-    ]
-    return lines, [v[i] if i in unmoved else f"n{i}" for i in range(width)]
+    lines += [f"n{i} = v{i} + {increment(i) if i in moving else f'd{i}'}"
+              for i in range(width) if i not in unmoved]
+    return once, lines, [v[i] if i in unmoved else f"n{i}" for i in range(width)]
 
 
 def _leapfrog_lines(dh_dp, dh_dq, dt: float) -> list[str]:
@@ -200,10 +221,14 @@ def _leapfrog_lines(dh_dp, dh_dq, dt: float) -> list[str]:
     return lines + [f"{p_new[i]} = {p_half[i]} - {half} * s{i}" for i in range(n)]
 
 
-def _step_lines(h: Polynomial, dt: float, method: str) -> tuple[list[str], list[str]]:
+def _step_lines(h: Polynomial, dt: float,
+                method: str) -> tuple[list[str], list[str], list[str]]:
     """Statements taking the state ``dt`` on from ``v0, v1...``, and the names of the result.
 
-    A result name is ``n{i}``, or ``v{i}`` for a coordinate the step leaves as it is.
+    The first list holds the statements whose values are the same at every
+    step, run once before the first; the second, the statements of each step.
+    A result name is ``n{i}``, or ``v{i}`` for a coordinate the step leaves as
+    it is.
     """
     dh_dp, dh_dq = _partials(h)
     if method == "rk4":
@@ -211,21 +236,30 @@ def _step_lines(h: Polynomial, dt: float, method: str) -> tuple[list[str], list[
     if method == "leapfrog":
         if not _is_separable(h):
             raise PreconditionError("leapfrog needs a separable Hamiltonian T(p) + V(q)")
-        return _leapfrog_lines(dh_dp, dh_dq, dt), _names("n", len(dh_dp) + len(dh_dq))
+        return [], _leapfrog_lines(dh_dp, dh_dq, dt), _names("n", len(dh_dp) + len(dh_dq))
     raise PreconditionError(f"unknown integration method {method!r}")
 
 
-def _sample_lines(h: Polynomial, generators: Sequence[Polynomial]) -> list[str]:
-    """Statements leaving the generator values in ``g0, g1...`` and ``h`` in ``e``."""
-    v = _names("v", h.varset.n_vars)
-    lines = []
-    for j, g in enumerate(generators):
-        lines += _sum_lines(g, f"g{j}", v)
-    return lines + _sum_lines(h, "e", v)
+def _sample_sums(h: Polynomial,
+                 generators: Sequence[Polynomial] | None) -> list[tuple[Polynomial, str]]:
+    """``(polynomial, target)`` per sampled value: the generator values in
+    ``g0, g1...`` and ``h`` in ``e``, or with ``generators`` None the energy
+    ``0.0`` alone."""
+    if generators is None:
+        return [(Polynomial.zero(h.varset), "e")]
+    return [(g, f"g{j}") for j, g in enumerate(generators)] + [(h, "e")]
 
 
 def _block(head: str, body: Sequence[str]) -> list[str]:
     return [head] + [f"    {s}" for s in body]
+
+
+def _guarded(lines: Sequence[str], code: int, index) -> list[str]:
+    """``lines`` in a ``try`` returning ``(code, index, ())`` on ``OverflowError``;
+    nothing for no lines."""
+    if not lines:
+        return []
+    return _block("try:", lines) + _block("except OverflowError:", [f"return {code}, {index}, ()"])
 
 
 def _def(name: str, params: Sequence[str], body: Sequence[str]) -> str:
@@ -252,19 +286,29 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
     first failure with its step index: ``_STEP_OVERFLOW``, ``_NON_FINITE``
     (with the next state as a list) or ``_SAMPLE_OVERFLOW``.  With
     ``generators`` None the sample is the state itself, energy ``0.0``.
+
+    Statements that read only unmoved coordinates (see the module docstring)
+    are hoisted out of the loop, each where its first evaluation in the loop
+    would fail the same way: the step's rates and increments under ``if
+    steps:`` in a ``try`` returning ``(_STEP_OVERFLOW, 0, ())``, followed by
+    ``fin``, the finiteness of the unmoved coordinates, which the loop tests
+    first; the sums of the sample only in the start sample.  Every float
+    operation, exit code, step index and returned state is as without the
+    hoist.
     """
     width = h.varset.n_vars
     v = _names("v", width)
-    step, n = _step_lines(h, dt, method)
+    once, step, n = _step_lines(h, dt, method)
     moved = [(a, b) for a, b in zip(n, v) if a != b]
-    if generators is None:
-        sample, values = ["e = 0.0"], v
-    else:
-        sample, values = _sample_lines(h, generators), _names("g", len(generators))
-    sampled = _block("try:", sample) + _block("except OverflowError:", [
-        f"return {_SAMPLE_OVERFLOW}, i, ()",
-    ])
-    body = ["i = 0", *sampled]
+    unmoved = [i for i, (a, b) in enumerate(zip(n, v)) if a == b]
+    sums = _sample_sums(h, generators)
+    values = v if generators is None else _names("g", len(generators))
+
+    def sampled(polys) -> list[str]:
+        lines = [s for f, target in polys for s in _sum_lines(f, target, v)]
+        return _guarded(lines, _SAMPLE_OVERFLOW, "i")
+
+    body = ["i = 0", *sampled(sums)]
     maxima = []
     if values:
         off_start = " or ".join(f"abs({name}) > start_tol" for name in values)
@@ -276,15 +320,22 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
     body += ["e0 = e", "max_gen = 0.0", "drift = 0.0"]
     # bound for a run of no steps, where the start takes no step but is handed on
     body += [f"{a} = {b}" for a, b in moved]
+    finite = [f"isfinite({a})" for a, _ in moved]
+    first = _guarded(once, _STEP_OVERFLOW, 0)
+    if unmoved:
+        first.append(f"fin = {' and '.join(f'isfinite(v{i})' for i in unmoved)}")
+        finite.insert(0, "fin")
+    if first:
+        body += _block("if steps:", first)
     body += _block("for i in range(steps + 1):", [
         *_block("if i < steps:", [
-            *_block("try:", step),
-            *_block("except OverflowError:", [f"return {_STEP_OVERFLOW}, i, ()"]),
-            *_block(f"if not ({' and '.join(f'isfinite({x})' for x in n)}):", [
+            *_guarded(step, _STEP_OVERFLOW, "i"),
+            *_block(f"if not ({' and '.join(finite)}):", [
                 f"return {_NON_FINITE}, i, [{', '.join(n)}]",
             ]),
         ]),
-        *sampled,
+        # a sum reading only unmoved coordinates keeps its value at the start
+        *sampled([(f, target) for f, target in sums if not _reads(f) <= set(unmoved)]),
         *maxima,
         "t = abs(e - e0)",
         *_block("if t > drift:", ["drift = t"]),

@@ -3,7 +3,8 @@
 No multivariate gcd is attempted: a quotient is stored with a monic
 denominator, simplified only when the denominator divides the numerator
 exactly.  Equality is decided by cross-multiplication, so sums and products
-stay exact even when unreduced.  The exact checks themselves run on
+stay exact even when unreduced.  A sum over one denominator keeps it, and a
+denominator 1 is not multiplied in.  The exact checks themselves run on
 polynomials over a common denominator; a rational function is built for a
 value that is returned or printed, such as a connection form W/D.
 """
@@ -66,6 +67,12 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
+        if self.den == o.den:
+            return RationalFunction(self.num + o.num, self.den)
+        if self.is_polynomial():
+            return RationalFunction(self.num * o.den + o.num, o.den)
+        if o.is_polynomial():
+            return RationalFunction(self.num + o.num * self.den, self.den)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __mul__(self, other) -> "RationalFunction":

@@ -43,6 +43,7 @@ from oracle import reference_evaluator, reference_flow, reference_monitor
 
 FLOW_SCENES = ("so3_moment", "rotation_r3", "rotation_srf_r2", "rotation_nonmodule_r2")
 INF = float("inf")
+NAN = float("nan")
 
 # name: (coordinates, H, generators, q, p, t_end, dt, start_tol, store_every,
 #        the monitor's error message as a pattern, None for a completed run)
@@ -65,6 +66,33 @@ FLOW_EXITS = {
     # 50 steps: the last state is stored though 7 does not divide 50
     "store-every-not-dividing": (("q",), "1/2*p_q^2 + 1/2*q^2", ["q*p_q"], (1.0,), (0.0,), 0.5,
                                  1e-2, INF, 7, None),
+    # dx/dt = 200*p_x^199 reads only the unmoved p_x, so it is computed before
+    # the loop; 40^199 overflows in C pow.  The energy p_x^200 overflows at the
+    # start sample first, as every H whose rate overflows does, so only the
+    # trajectory reaches the step (TRAJECTORY_EXITS)
+    "invariant-rate-overflow": (("x",), "p_x^200", ["x"], (0.0,), (40.0,), 1.0, 1e-2, INF, 10,
+                                r"monitored value overflowed at t=0"),
+    "invariant-rate-overflow-no-steps": (("x",), "p_x^200", ["x"], (0.0,), (40.0,), 0.0, 1e-2,
+                                         INF, 10, r"monitored value overflowed at t=0"),
+    # the moved x and y stay finite: only the start test of the unmoved p_y fails
+    "unmoved-inf": (("x", "y"), "1/2*p_x^2 + p_y", ["x"], (0.0, 0.0), (0.5, INF), 1.0, 1e-2,
+                    INF, 10, r"non-finite state at t=0\.01: \[0\.005, 0\.01, 0\.5, inf\]"),
+    "unmoved-nan": (("x", "y"), "1/2*p_x^2 + p_y", ["x"], (0.0, 0.0), (0.5, NAN), 1.0, 1e-2,
+                    INF, 10, r"non-finite state at t=0\.01: \[0\.005, 0\.01, 0\.5, nan\]"),
+    "unmoved-inf-no-steps": (("x", "y"), "1/2*p_x^2 + p_y", ["x"], (0.0, 0.0), (0.5, INF), 0.0,
+                             1e-2, INF, 10, None),
+    # the energy 1/2*p_x^2 reads only the unmoved p_x; (1e200)^2 overflows
+    "invariant-energy-overflow": (("x",), "1/2*p_x^2", ["x"], (0.0,), (1e200,), 1.0, 1e-2, INF,
+                                  10, r"monitored value overflowed at t=0"),
+}
+
+# name: the trajectory's error message as a pattern, None for a completed
+# run, for the exits where it differs from the monitor's; the trajectory
+# samples no energy, so no energy overflow stops it
+TRAJECTORY_EXITS = {
+    "invariant-rate-overflow": r"state overflowed near t=0\.01",
+    "invariant-rate-overflow-no-steps": None,
+    "invariant-energy-overflow": None,
 }
 
 
@@ -173,8 +201,16 @@ def test_every_exit_of_the_flow_loop_matches_the_reference(name):
         assert got.samples[-1][0] == t_end
     else:
         assert re.fullmatch(message, got[1]), got
-    assert_identical(outcome(integrate_flow, h, start, t_end, dt),
-                     outcome(reference_flow, h, start, t_end, dt))
+    got = outcome(integrate_flow, h, start, t_end, dt)
+    assert_identical(got, outcome(reference_flow, h, start, t_end, dt))
+    if name not in TRAJECTORY_EXITS:
+        return
+    message = TRAJECTORY_EXITS[name]
+    if message is None:
+        assert isinstance(got, list)
+        assert got[-1].t == t_end and len(got) == round(t_end / dt) + 1
+    else:
+        assert re.fullmatch(message, got[1]), got
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0)],
@@ -230,7 +266,7 @@ def test_kernel_source_holds_no_scene_text():
     names = set(cot.names)
     assert {"lambda_", "p_q"} <= names
     # the flow loop adds its keywords, builtins, parameters and running maxima
-    loop_names = ("flow|steps|start_tol|store_every|append|i|m|t|max_gen|drift|isfinite|abs|range"
+    loop_names = ("flow|steps|start_tol|store_every|append|i|m|t|max_gen|drift|fin|isfinite|abs|range"
                   "|try|except|OverflowError|if|or|and|not|for|in")
     for h in (hamiltonian(scene.metric, cot), scene.candidates["H"]):
         for source in (flow_source(h, lifts, 1e-3), flow_source(h, None, 1e-3)):
@@ -309,6 +345,13 @@ def _flow_case(coords, h, gens, sep, values):
 # zero dH/dp: the kernel must still turn the -0.0 start of x0 into 0.0
 @example(_flow_case(("x0", "x1"), "7/4*x1^2", [], "0", (-0.0, 0.0, 0.0, 0.0)))
 @example(_flow_case(("x0",), "-3*x0^2*p_x0", ["p_x0"], "-1/2*p_x0^2", (-0.0, -0.0)))
+# unmoved momenta that start non-finite or whose powers overflow
+@example(_flow_case(("x0", "x1"), "1/2*p_x0^2 + p_x1", ["x0*p_x1"], "1/2*p_x0^2",
+                    (0.0, -0.0, 0.5, INF)))
+@example(_flow_case(("x0", "x1"), "1/2*p_x0^2 + p_x1", ["x0*p_x1"], "1/2*p_x0^2",
+                    (0.0, -0.0, NAN, 0.5)))
+@example(_flow_case(("x0",), "1/2*p_x0^2", ["x0"], "1/2*p_x0^2", (-0.0, 1e200)))
+@example(_flow_case(("x0",), "p_x0^200", [], "p_x0^200", (0.0, 40.0)))
 def test_signed_zero_flows_match_the_reference(case):
     h, gens, sep, start = case
     assert_identical(outcome(integrate_flow, h, start, 0.05, 1e-2),
@@ -325,17 +368,42 @@ def _step(source):
     return rest.split("            except OverflowError:\n", 1)[0].splitlines()
 
 
+def _once(source):
+    """The step statements that a ``flow_source`` kernel runs once, before the loop."""
+    rest = source.split("    if steps:\n        try:\n", 1)[1]
+    return rest.split("        except OverflowError:\n", 1)[0].splitlines()
+
+
+def _loop(source):
+    """The body of the loop over the steps in a ``flow_source`` kernel."""
+    return source.split("    for i in range(steps + 1):\n", 1)[1].splitlines()
+
+
 def test_a_free_particle_step_is_three_sums_and_three_updates():
     chart = VariableSet(("x", "y", "z")).cotangent()
     h = P("1/2*p_x^2 + 1/2*p_y^2 + 1/2*p_z^2", chart)
-    step = _step(flow_source(h, [P("x*p_y - y*p_x", chart)], 1e-3))
-    assert [s.strip() for s in step] == [
+    source = flow_source(h, [P("x*p_y - y*p_x", chart)], 1e-3)
+    assert [s.strip() for s in _once(source)] == [
         "a0 = 0.0 + v3",
         "a1 = 0.0 + v4",
         "a2 = 0.0 + v5",
-        *(f"n{i} = v{i} + 0.001 * (a{i} + 2 * a{i} + 2 * a{i} + a{i}) / 6.0" for i in range(3)),
+        *(f"d{i} = 0.001 * (a{i} + 2 * a{i} + 2 * a{i} + a{i}) / 6.0" for i in range(3)),
     ]
+    step = _step(source)
+    assert [s.strip() for s in step] == [f"n{i} = v{i} + d{i}" for i in range(3)]
     assert not any("-0.0" in s or re.search(r"\bw\d", s) for s in step)
+    assert "        fin = isfinite(v3) and isfinite(v4) and isfinite(v5)\n" in source
+    assert "            if not (fin and isfinite(n0) and isfinite(n1) and isfinite(n2)):\n" in source
+
+
+def test_the_so3_moment_loop_recomputes_no_energy_and_tests_no_unmoved_momentum():
+    # H = 1/2*|p|^2: the momenta v3..v5 never move, so the energy is the start's
+    for label, gens, h, start in scene_flows("so3_moment"):
+        loop = _loop(flow_source(h, gens, 1e-3))
+        assert not any(s.strip().startswith("e =") for s in loop), label
+        assert not any(re.search(r"isfinite\(v[345]\)", s) for s in loop), label
+        assert not any(re.search(r"\b[ad]\d+ =", s) for s in loop), label
+        assert any(s.strip().startswith("g0 =") for s in loop), label
 
 
 def test_a_5000_term_polynomial_compiles_and_matches():

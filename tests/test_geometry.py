@@ -21,6 +21,7 @@ from foliatk import (
     musical_sharp,
     sym_tensor_lift,
 )
+from foliatk.geometry import OneForm
 from foliatk.poly import random_polynomial
 
 from conftest import P, VF, euclidean, matrix
@@ -139,6 +140,31 @@ def test_sharp_flat_round_trip(rng):
     for _ in range(5):
         v = _random_field(rng, R2)
         assert musical_sharp(musical_flat(v, m), m) == v
+
+
+def test_sharp_keeps_a_shared_denominator(rng):
+    # a sum over one denominator D stays over D, not over D^n
+    com = SymTensor2(R2, "contravariant", matrix(R2, [["2", "1"], ["1", "2"]]))
+    met = SymTensor2(R2, "covariant", matrix(R2, [["2/3", "-1/3"], ["-1/3", "2/3"]]))
+    m = MetricData(com, met)
+    d = P("1 + x^2", R2)
+    omega = OneForm(R2, (RationalFunction(P("x", R2), d), RationalFunction(P("y", R2), d)))
+    first, second = musical_sharp(omega, m).components
+    assert (first.num, first.den) == (P("2*x + y", R2), P("x^2 + 1", R2))
+    assert (second.num, second.den) == (P("x + 2*y", R2), P("x^2 + 1", R2))
+    for _ in range(5):
+        v = _random_field(rng, R2)
+        assert musical_sharp(musical_flat(v, m), m) == v
+
+
+def test_rational_sum_skips_a_unit_denominator():
+    d, e = P("1 + x^2", R2), P("1 + y^2", R2)
+    f = RationalFunction(P("x", R2), d)
+    for total in (f + P("y", R2), RationalFunction(P("y", R2)) + f):
+        assert (total.num, total.den) == (P("x^2*y + x + y", R2), P("x^2 + 1", R2))
+    total = f + RationalFunction(P("y", R2), e)
+    assert (total.num, total.den) == (P("x*y^2 + x^2*y + x + y", R2), d * e)
+    assert f + RationalFunction(-P("x", R2), d) == 0
 
 
 def test_flat_requires_metric():
