@@ -35,7 +35,7 @@ from .ipoisson import (
     srf_check,
 )
 from .poly import MonomialOrder, Polynomial
-from .scene import Scene, load_scene
+from .scene import Scene, load_scene, parse_coordinate
 from .submersion import (
     check_riemannian,
     integrability_check,
@@ -121,10 +121,7 @@ def _resolve_point(scene: Scene, point: str | None, command: str):
         raise SceneError(f"{command} needs --point (a scene point name or comma-separated rationals)")
     if point in scene.points:
         return scene.points[point]
-    try:
-        return tuple(Fraction(tok.strip()) for tok in point.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SceneError(f"cannot parse point {point!r}") from exc
+    return tuple(parse_coordinate(tok, "--point") for tok in point.split(","))
 
 
 def _resolve_candidates(pool: Mapping[str, Polynomial], names: Sequence[str],

@@ -28,9 +28,11 @@ others, since no kept lead divides another or any term below itself.
 
 The engine is sparse.  :func:`module_divide` returns only the nonzero
 cofactors, as ``{divisor index: cofactor}``; the representation rows of a
-basis over its input generators (``GroebnerBasis.rows``), the composition of
-certificates and the certificates themselves (``Certificate.row``) use the
-same maps.  Dense tuples exist only at the public boundary:
+basis over its input generators (``GroebnerBasis.rows``), the certificates
+(``Certificate.row``) and the syzygies are built from the same maps by one
+row combination, :func:`_combine_rows`, a sum of ``c * row`` terms whose
+every entry is one ``sum_of_products`` call; each row lists its indices in
+increasing order.  Dense tuples exist only at the public boundary:
 ``GroebnerBasis.representation`` and the lazy view ``Certificate.cofactors``.
 
 A division reads its divisors through a :class:`DivisorTable`: each
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, VariableSetError
 from .poly import (BLOCK, Exponents, MonomialOrder, Polynomial, Scalar, VariableSet,
@@ -373,19 +375,22 @@ def _dense(row: Row, n: int, varset: VariableSet) -> tuple[Polynomial, ...]:
     return tuple(row.get(i, zero) for i in range(n))
 
 
-def _sub_scaled(acc: Row, c: Polynomial, row: Row) -> None:
-    """acc -= c * row, entry by entry; entries that cancel are dropped."""
-    for j, b in row.items():
-        t = c * b
-        a = acc.get(j)
-        if a is None:
-            acc[j] = -t
-        else:
-            a = a - t
-            if a.terms:
-                acc[j] = a
-            else:
-                del acc[j]
+def _combine_rows(varset: VariableSet, plus: Iterable[tuple[Polynomial, Row]],
+                  minus: Iterable[tuple[Polynomial, Row]] = ()) -> Row:
+    """``sum(c * row for c, row in plus) - sum(c * row for c, row in minus)``: each
+    index's entry is one :func:`sum_of_products` call, entries that cancel are
+    dropped, and the keys come out in increasing index order."""
+    plus_at, minus_at = {}, {}  # index -> (c, entry) pairs of each side
+    for at, terms in ((plus_at, plus), (minus_at, minus)):
+        for c, row in terms:
+            for i, t in row.items():
+                at.setdefault(i, []).append((c, t))
+    out: Row = {}
+    for i in sorted(plus_at.keys() | minus_at.keys()):
+        entry = sum_of_products(varset, plus_at.get(i, ()), minus_at.get(i, ()))
+        if entry.terms:
+            out[i] = entry
+    return out
 
 
 @dataclass(frozen=True)
@@ -438,6 +443,17 @@ def _monic(r: ModuleElement, rep: Row, keyf) -> tuple[ModuleElement, Row]:
             {j: p.scale(inv) for j, p in rep.items()})
 
 
+def _s_vector(table: DivisorTable, k: int, l: int,
+              lcm: Exponents) -> tuple[Polynomial, Polynomial, ModuleElement]:
+    """``(m_k, m_l, m_k g_k - m_l g_l)`` for two table elements leading at one
+    position, where ``m_k`` takes ``g_k``'s leading term to ``lcm`` with
+    coefficient 1, and likewise ``m_l``."""
+    (_, lk, ck), (_, ll, cl) = table.leads[k], table.leads[l]
+    mk = Polynomial.monomial(table.varset, _sub(lcm, lk), exact_quotient(1, ck))
+    ml = Polynomial.monomial(table.varset, _sub(lcm, ll), exact_quotient(1, cl))
+    return mk, ml, table.elements[k].scale_by(mk) - table.elements[l].scale_by(ml)
+
+
 def _buchberger(
     gens: tuple[ModuleElement, ...], order: MonomialOrder
 ) -> tuple[tuple[ModuleElement, ...], tuple[Row, ...]]:
@@ -457,11 +473,6 @@ def _buchberger(
     table = DivisorTable([g for _, g in live], order)
     basis, leads = table.elements, table.leads
     reps: list[Row] = [{i: one} for i, _ in live]
-
-    def reduce_rep(rep: Row, cofactors: Row, rows: Sequence[Row]) -> Row:
-        for k, c in cofactors.items():
-            _sub_scaled(rep, c, rows[k])
-        return rep
 
     # a pair of two single-term elements has the S-vector zero; it is still
     # queued, so that ``pending`` reads as it would if the pair were divided
@@ -501,19 +512,17 @@ def _buchberger(
         pending.discard((i, j))
         if single[i] and single[j]:
             continue
-        (pos, li, ci), (_, lj, cj) = leads[i], leads[j]
+        (pos, li, _), (_, lj, _) = leads[i], leads[j]
         if rank == 1 and _coprime(li, lj):
             continue
         if chain_skippable(i, j, pos, lcm_ij):
             continue
-        mi = Polynomial.monomial(varset, _sub(lcm_ij, li), exact_quotient(1, ci))
-        mj = Polynomial.monomial(varset, _sub(lcm_ij, lj), exact_quotient(1, cj))
-        cof, r = module_divide(basis[i].scale_by(mi) - basis[j].scale_by(mj), table, order)
+        mi, mj, s = _s_vector(table, i, j, lcm_ij)
+        cof, r = module_divide(s, table, order)
         if r.is_zero():
             continue
-        rep_s = {k: mi * a for k, a in reps[i].items()}
-        _sub_scaled(rep_s, mj, reps[j])
-        r, rep_r = _monic(r, reduce_rep(rep_s, cof, reps), keyf)
+        r, rep_r = _monic(r, _combine_rows(varset, [(mi, reps[i])], [
+            (mj, reps[j]), *((c, reps[k]) for k, c in cof.items())]), keyf)
         table.append(r)
         reps.append(rep_r)
         single.append(sum(len(c.terms) for c in r.components) == 1)
@@ -551,7 +560,10 @@ def _buchberger(
         head.update(r.components[pos].terms)
         r = ModuleElement(varset, r.components[:pos] + (Polynomial._trusted(varset, head),)
                           + r.components[pos + 1:])
-        final.append(_monic(r, reduce_rep(dict(reps[k]), cof, kept_reps), keyf))
+        # a tail that no kept lead divides leaves the row as it is
+        rep = _combine_rows(varset, [(one, reps[k])], [
+            (c, kept_reps[m]) for m, c in cof.items()]) if cof else reps[k]
+        final.append(_monic(r, rep, keyf))
     return tuple(m for m, _ in final), tuple(rep for _, rep in final)
 
 
@@ -580,13 +592,8 @@ def module_groebner(
 
 def _certificate(gb: GroebnerBasis, cofactors: Row, remainder) -> Certificate:
     """Compose cofactors over the basis into sparse cofactors over the input generators."""
-    pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
-    for k, c in cofactors.items():
-        for i, t in gb.rows[k].items():
-            pairs.setdefault(i, []).append((c, t))
-    composed = {i: sum_of_products(ps[0][0].varset, ps) for i, ps in pairs.items()}
-    return Certificate(gb.input_generators, {i: c for i, c in composed.items() if c.terms},
-                       remainder)
+    return Certificate(gb.input_generators, _combine_rows(
+        remainder.varset, [(c, gb.rows[k]) for k, c in cofactors.items()]), remainder)
 
 
 def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis) -> Certificate:
@@ -641,43 +648,34 @@ def syzygy_basis(
     raises :class:`InternalCheckError`.
     """
     gb = gens if isinstance(gens, GroebnerBasis) else module_groebner(gens, order)
-    inputs, basis, rows = gb.input_generators, gb.generators, gb.rows
+    inputs, rows = gb.input_generators, gb.rows
     n = len(inputs)
     if not n:
         return []
     varset = inputs[0].varset
-    out: list[ModuleElement] = []
 
-    def standard(v: ModuleElement) -> Row:
+    def lifted(v: ModuleElement) -> list[tuple[Polynomial, Row]]:
+        """The pairs ``(a_j, R_j)`` of ``v = sum_j a_j G_j``, its division by ``G``."""
         cofactors, r = gb.divide(v)
         if not r.is_zero():
             raise InternalCheckError("a module element left a remainder on its own Groebner basis")
-        return cofactors
-
-    def emit(acc: Row, cofactors: Row) -> None:
-        for j, a in cofactors.items():
-            _sub_scaled(acc, a, rows[j])
-        if acc:
-            out.append(ModuleElement(varset, _dense(acc, n, varset)))
+        return [(a, rows[j]) for j, a in cofactors.items()]
 
     one = Polynomial.constant(varset, 1)
-    for i, g in enumerate(inputs):
-        emit({i: one}, standard(g))
+    relations = [_combine_rows(varset, [(one, {i: one})], lifted(g))
+                 for i, g in enumerate(inputs)]
 
     # pairs form only within a lead position
     for group in gb.table.by_pos.values():
         lcms = [[_lcm(x, y) for _, y, _ in group] for _, x, _ in group]
-        for a, (k, lk, ck) in enumerate(group):
+        for a, (k, _, _) in enumerate(group):
             for b in range(a + 1, len(group)):
-                l, ll, cl = group[b]
-                lcm_kl = lcms[a][b]
+                l, lcm_kl = group[b][0], lcms[a][b]
                 if any(c != a and c != b and _divides(lj, lcm_kl)
                        and lcms[a][c] != lcm_kl and lcms[b][c] != lcm_kl
                        for c, (_, lj, _) in enumerate(group)):
                     continue
-                mk = Polynomial.monomial(varset, _sub(lcm_kl, lk), exact_quotient(1, ck))
-                ml = Polynomial.monomial(varset, _sub(lcm_kl, ll), exact_quotient(1, cl))
-                acc = {i: mk * t for i, t in rows[k].items()}
-                _sub_scaled(acc, ml, rows[l])
-                emit(acc, standard(basis[k].scale_by(mk) - basis[l].scale_by(ml)))
-    return out
+                mk, ml, s = _s_vector(gb.table, k, l, lcm_kl)
+                relations.append(_combine_rows(varset, [(mk, rows[k])],
+                                               [(ml, rows[l]), *lifted(s)]))
+    return [ModuleElement(varset, _dense(row, n, varset)) for row in relations if row]

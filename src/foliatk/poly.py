@@ -41,7 +41,7 @@ Products have one kernel, :func:`sum_of_products`, which accumulates
 zero factors and building no intermediate polynomial; ``a * b`` is its
 one-pair case and runs through the same loop.  Every sum of products in the
 package (brackets, derivations, tensor lifts, Lie derivatives, determinants,
-certificate composition, cotangent maps) is one call to it.
+representation rows and certificates, cotangent maps) is one call to it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ the first key that holds it, with its own message and position.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -76,8 +78,59 @@ def _array(value, context: str) -> list | tuple:
     return value
 
 
+def _integer(value, context: str) -> int:
+    """``value`` itself if it is a JSON integer; a bool, float or string is not read as one."""
+    if value.__class__ is not int:
+        raise SceneError(f"{context} must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
+# digits a rational coordinate may hold: past Python's default limit on
+# integer-string conversion, a report could not print it
+MAX_COORDINATE_DIGITS = sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"e\s*[+-]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def parse_coordinate(value, context: str) -> Fraction:
+    """One exact coordinate: a JSON number, or a string ``Fraction`` reads.
+
+    The text is measured before any value is built: the length of its part
+    before a decimal exponent, plus the exponent's power, may not pass
+    ``MAX_COORDINATE_DIGITS``, or ``Fraction("1e9999999")`` would spend
+    seconds building a value no report could print.  Every refusal is a
+    :class:`SceneError` naming ``context``.
+    """
+    if value.__class__ not in (int, float, str):
+        raise SceneError(f"{context}: a coordinate must be a number or a string, "
+                         f"got {type(value).__name__}")
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    power = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    length = exponent.start() if exponent else len(text)
+    if len(power) > 9 or length + int(power or 0) > MAX_COORDINATE_DIGITS:
+        raise SceneError(f"{context}: coordinate {text[:40]!r} could pass "
+                         f"{MAX_COORDINATE_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SceneError(f"{context}: cannot read {text[:40]!r} as a rational coordinate") \
+            from exc
+
+
 def _point(coords, context: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(str(v)) for v in _array(coords, context))
+    return tuple(parse_coordinate(v, f"{context}[{i}]")
+                 for i, v in enumerate(_array(coords, context)))
+
+
+def _flow_start(flow: Mapping, key: str) -> tuple[float, ...]:
+    """The float start coordinates ``flow[key]``; each must lie in float range."""
+    out = []
+    for i, c in enumerate(_point(_require(flow, key, "flow"), f"flow.{key}")):
+        try:
+            out.append(float(c))
+        except OverflowError as exc:
+            raise SceneError(f"flow.{key}[{i}] is outside the float range") from exc
+    return tuple(out)
 
 
 def _parse_matrix(rows, varset: VariableSet, kind: str, context: str, memo: dict) -> SymTensor2:
@@ -157,8 +210,8 @@ def _parse_submersion(data: Mapping, chart: VariableSet, metric: MetricData,
                       context: str, memo: dict) -> tuple[SubmersionData, VariableSet]:
     target = VariableSet(tuple(_array(_require(data, "target_coordinates", context),
                                       f"{context}.target_coordinates")))
-    indices = tuple(int(i) for i in _array(_require(data, "base_indices", context),
-                                           f"{context}.base_indices"))
+    indices = tuple(_integer(i, f"{context}.base_indices[{k}]") for k, i in enumerate(
+        _array(_require(data, "base_indices", context), f"{context}.base_indices")))
     target_metric = _parse_metric_data(data, target, context, memo, "target_")
     try:
         sub = SubmersionData(chart, target, indices, metric, target_metric)
@@ -191,7 +244,8 @@ def load_scene(source) -> Scene:
 def _build_scene(data: Mapping) -> Scene:
     chart_spec = _require(data, "chart", "scene")
     coords = tuple(_array(_require(chart_spec, "coordinates", "chart"), "chart.coordinates"))
-    if "dimension" in chart_spec and int(chart_spec["dimension"]) != len(coords):
+    if "dimension" in chart_spec and _integer(chart_spec["dimension"],
+                                              "chart.dimension") != len(coords):
         raise SceneError("chart dimension disagrees with the coordinate list")
     try:
         chart = VariableSet(coords)
@@ -227,7 +281,7 @@ def _build_scene(data: Mapping) -> Scene:
             raise SceneError(f"{fol_key} declared without {key}")
 
     for name, coords_ in data.get("points", {}).items():
-        pt = _point(coords_, f"point {name!r}")
+        pt = _point(coords_, f"points.{name}")
         if len(pt) != chart.dimension:
             raise SceneError(f"point {name!r} has the wrong dimension")
         scene.points[name] = pt
@@ -244,8 +298,8 @@ def _build_scene(data: Mapping) -> Scene:
     if data.get("flow") is not None:
         flow = data["flow"]
         scene.flow = FlowSpec(
-            q=tuple(float(c) for c in _point(_require(flow, "q", "flow"), "flow.q")),
-            p=tuple(float(c) for c in _point(_require(flow, "p", "flow"), "flow.p")),
+            q=_flow_start(flow, "q"),
+            p=_flow_start(flow, "p"),
             t_end=float(flow.get("t_end", 1.0)),
             dt=float(flow.get("dt", 1e-3)),
         )

@@ -56,8 +56,10 @@ package's kernel, except inside ``RationalFunction`` arithmetic.
 Groebner bases and syzygies: the Buchberger loop whose chain test scanned
 every lead and whose inter-reduction divided each kept element by a fresh
 table of the others, and the syzygy pair loop that recomputed each lcm it
-compared.  The package must give the same basis, the same rows in the same
-key order, and the same syzygies.
+compared.  Both combine representation rows one product and one difference
+at a time, where the package makes each entry one product-sum.  The package
+must give the same basis, the same rows as index-to-cofactor maps, and the
+same syzygies.
 
 Scene load: the metric checks that multiplied the metric by the cometric as
 polynomial matrices and expanded every leading minor of the cometric
@@ -82,8 +84,7 @@ from foliatk.expressions import MAX_NESTING
 from foliatk.foliation import FoliationModule, PointReport, _as_point, _combine
 from foliatk.geometry import MetricData, SymTensor2, VectorField
 from foliatk.groebner import (DivisorTable, GroebnerBasis, ModuleElement, Row, _coprime, _dense,
-                              _divides, _lcm, _monic, _sub, _sub_scaled, module_divide,
-                              module_groebner)
+                              _divides, _lcm, _monic, _sub, module_divide, module_groebner)
 from foliatk.ipoisson import srf_check
 from foliatk.poly import (BLOCK, GREVLEX, ExactPoint, Exponents, MonomialOrder, Polynomial,
                           VariableSet, exact_quotient, normal_coefficient)
@@ -844,6 +845,21 @@ def reference_canonical_poisson(f: Polynomial, g: Polynomial) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # Groebner bases and syzygies
+
+
+def _sub_scaled(acc: Row, c: Polynomial, row: Row) -> None:
+    """acc -= c * row, entry by entry; entries that cancel are dropped."""
+    for j, b in row.items():
+        t = c * b
+        a = acc.get(j)
+        if a is None:
+            acc[j] = -t
+        else:
+            a = a - t
+            if a.terms:
+                acc[j] = a
+            else:
+                del acc[j]
 
 
 def reference_buchberger(

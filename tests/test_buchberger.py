@@ -1,6 +1,7 @@
 """The Buchberger loop and the syzygy pair loop against their references in
-``oracle.py``: the same basis, the same rows in the same key order, and the
-same syzygies, for ideals and rank-2 modules under every order."""
+``oracle.py``: the same basis, the same rows, and the same syzygies, for
+ideals and rank-2 modules under every order.  Every row the engine gives,
+and every certificate's row, lists its indices in increasing order."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliatk import VariableSet, groebner
-from foliatk.groebner import GroebnerBasis, ModuleElement, _buchberger, syzygy_basis
+from foliatk.groebner import (GroebnerBasis, ModuleElement, _buchberger, ideal_membership,
+                              module_membership, syzygy_basis)
 from foliatk.poly import BLOCK, GREVLEX, LEX, Polynomial
 from foliatk.scene import load_scene
 
@@ -43,9 +45,8 @@ def generator_lists(chart, rank):
 cases = st.sampled_from(((R2, 1), (R2, 2), (R3, 1))).flatmap(lambda c: generator_lists(*c))
 
 
-def _rows(rows):
-    return [list(row.items()) for row in rows]
-
+def _increasing(row):
+    return list(row) == sorted(row)
 
 
 def _monomials(*exponents):
@@ -69,11 +70,23 @@ def test_basis_rows_and_syzygies_match_the_reference(gens, order):
     basis, rows = _buchberger(gens, order)
     ref_basis, ref_rows = reference_buchberger(gens, order)
     assert basis == ref_basis
-    assert _rows(rows) == _rows(ref_rows)
+    assert rows == ref_rows  # as {index: Polynomial} maps
+    assert all(_increasing(row) for row in rows)
     for b, rb in zip(basis, ref_basis):  # terms in the same order, lead first
         assert [list(c.terms) for c in b.components] == [list(c.terms) for c in rb.components]
     gb = GroebnerBasis(gens, basis, order, rows)  # an ideal as a rank-1 module
     assert syzygy_basis(gb) == reference_syzygy_basis(gb)
+    # a certificate composes rows over every input: x^i g_i summed
+    chart = gens[0].varset
+    target = sum((g.scale_by(Polynomial.monomial(chart, (i,) + (0,) * (chart.n_vars - 1), 1))
+                  for i, g in enumerate(gens[1:], 1)), gens[0])
+    cert = module_membership(target, gb)
+    assert cert.claim_holds and cert.verify(target) and _increasing(cert.row)
+    if target.rank == 1:
+        cert = ideal_membership(target.components[0],
+                                GroebnerBasis(tuple(g.components[0] for g in gens),
+                                              tuple(b.components[0] for b in basis), order, rows))
+        assert cert.claim_holds and cert.verify(target.components[0]) and _increasing(cert.row)
 
 
 def test_ladder_module_builds_one_reduction_table_and_divides_no_s_pair(monkeypatch):

@@ -495,6 +495,47 @@ def test_malformed_scene_values_are_scene_errors(tmp_path, capsys, path, value):
     assert report["detail"]["error_type"] == "SceneError"
 
 
+@pytest.mark.parametrize("scene, command, path, value, where", [
+    ("so3_moment", "lift-ideal", ("points", "origin"), ["1e9999999", "0", "0"],
+     "points.origin[0]: "),
+    ("so3_moment", "lift-ideal", ("sample_points",), [["0", "1e-5000", "0"]],
+     "scene.sample_points[0][1]: "),
+    ("so3_moment", "flow-monitor", ("flow", "q"), ["1e400", 0, 0], "flow.q[0] "),
+    ("so3_moment", "flow-monitor", ("flow", "p"), [0, 0, -1e308 * 10], "flow.p[2]: "),
+    ("so3_moment", "lift-ideal", ("chart", "dimension"), 3.7, "chart.dimension "),
+    ("so3_moment", "lift-ideal", ("chart", "dimension"), "3", "chart.dimension "),
+    ("submersion_r3_to_r2", "check-riemannian", ("submersion", "base_indices"), [0.9, 1.7],
+     "submersion.base_indices[0] "),
+    ("submersion_r3_to_r2", "check-riemannian", ("submersion", "base_indices"), [True, "0"],
+     "submersion.base_indices[0] "),
+    ("submersion_r3_to_r2", "check-riemannian", ("submersion", "base_indices"), [0, "1"],
+     "submersion.base_indices[1] "),
+], ids=["point-exponent", "sample-point-exponent", "flow-q-past-float-range", "flow-p-infinite",
+        "dimension-float", "dimension-string", "base-indices-float", "base-indices-bool",
+        "base-indices-string"])
+def test_out_of_contract_scene_numbers_are_refused_by_key(scene, command, path, value, where):
+    data = json.loads((SCENES / f"{scene}.json").read_text(encoding="utf-8"))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    start = time.perf_counter()
+    report, code = run_command(command, data)
+    # building Fraction("1e9999999") alone takes seconds
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert report["detail"]["message"].startswith(where)
+
+
+@pytest.mark.parametrize("point", ["1e5000,0", "0,1e-9999999", "abc,0"])
+def test_point_flag_coordinates_are_refused_by_the_flag(capsys, point):
+    code = main(["point-report", "--scene", str(SCENES / "rotation_srf_r2.json"),
+                 "--point", point])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert report["detail"]["message"].startswith("--point: ")
+
+
 def test_obstruction_searches_are_looked_up_when_a_check_runs(monkeypatch):
     # the bench's spans replace these module globals by name; a check that
     # bound them earlier would bypass the replacement and go unmeasured
