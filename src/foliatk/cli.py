@@ -353,21 +353,13 @@ def _cmd_morita_span(scene: Scene, args, order):
     s1 = _need(scene, "submersion", "morita-span")
     s2 = _need(scene, "submersion_b", "morita-span")
     res = morita_span_check(s1, s2, scene.target_foliation, scene.target_foliation_b)
-    certs = [
-        (f"generator {idx} of {side} pullback in the other", c)
-        for (side, idx), c in res.comparison.certificates
-    ]
-    detail = {
-        "passed": res.passed,
-        "left_generators": [[str(c) for c in g.components] for g in res.left_pullback.generators],
-        "right_generators": [[str(c) for c in g.components] for g in res.right_pullback.generators],
-        "structural_notes": list(res.notes),
-    }
-    if not res.passed:
-        (side, idx), cert = res.comparison.witness
-        certs.append((f"generator {idx} of {side} pullback in the other", cert))
-        detail.update({"witness_side": side, "witness_generator": idx})
-    return detail, certs
+    return _check_detail(
+        res.comparison,
+        lambda key: f"generator {key[1]} of {key[0]} pullback in the other",
+        lambda key: {"witness_side": key[0], "witness_generator": key[1]},
+        left_generators=[[str(c) for c in g.components] for g in res.left_pullback.generators],
+        right_generators=[[str(c) for c in g.components] for g in res.right_pullback.generators],
+        structural_notes=list(res.notes))
 
 
 def _flow_detail(report, tol: float, dt: float, t_end: float, **detail):
@@ -433,11 +425,14 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
     """Dispatch a command against a scene; returns (report, exit_code)."""
     args = args or argparse.Namespace(point=None, candidate=[], tol=None, dt=None,
                                       t_end=None, order="block")
-    order = MonomialOrder(args.order)
     notes: tuple[str, ...] = ()
     try:
         if command not in _COMMANDS:
             raise SceneError(f"unknown command {command!r}")
+        try:
+            order = MonomialOrder(args.order)
+        except ValueError as exc:
+            raise SceneError(str(exc)) from exc
         scene = load_scene(scene_source)
         notes = scene.notes
         detail, certs, *flow = _COMMANDS[command](scene, args, order)

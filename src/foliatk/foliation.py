@@ -45,8 +45,8 @@ from .groebner import (
     module_membership,
     syzygy_basis,
 )
-from .linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates
-from .poly import BLOCK, ExactPoint, Polynomial, VariableSet
+from .linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates, subtract_scaled
+from .poly import BLOCK, ExactPoint, Polynomial, VariableSet, sum_of_products
 from .sampling import candidate_points
 
 Point = tuple[Fraction, ...]
@@ -146,19 +146,14 @@ def involutivity_check(fol: FoliationModule) -> CheckResult:
 def tangent_dim(fol: FoliationModule, point: Sequence) -> int:
     """Rank over Q of the evaluated generators, i.e. dim of the leaf tangent."""
     exact = ExactPoint(_as_point(fol.chart, point))
-    span = EchelonSpan(fol.chart.dimension)
-    for g in fol.generators:
-        span.insert(g.evaluate_seq(exact))
-    return span.rank
+    return EchelonSpan(fol.chart.dimension, [g.evaluate_seq(exact) for g in fol.generators]).rank
 
 
 def fiber_dim(fol: FoliationModule, point: Sequence) -> int:
     """dim F/I_q F = generator count minus the rank of the evaluated syzygies."""
     exact = ExactPoint(_as_point(fol.chart, point))
-    span = EchelonSpan(fol.n_generators)
-    for s in fol.syzygies:
-        span.insert(s.evaluate_seq(exact))
-    return fol.n_generators - span.rank
+    return fol.n_generators - EchelonSpan(
+        fol.n_generators, [s.evaluate_seq(exact) for s in fol.syzygies]).rank
 
 
 def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
@@ -167,9 +162,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     exact = ExactPoint(pt)
     big_n = fol.n_generators
 
-    syz_span = EchelonSpan(big_n)
-    for s in fol.syzygies:
-        syz_span.insert(s.evaluate_seq(exact))
+    syz_span = EchelonSpan(big_n, [s.evaluate_seq(exact) for s in fol.syzygies])
     fdim = big_n - syz_span.rank
 
     # kernel of c |-> sum_a c_a X_a(q)
@@ -178,9 +171,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     tdim = big_n - len(kernel)
 
     # basis of ker(ev_q) modulo the evaluated syzygies, preferring generator classes
-    selection = EchelonSpan(big_n)
-    for row in syz_span.rows:
-        selection.insert(row)
+    selection = EchelonSpan(big_n, syz_span.rows)
     basis: list[tuple[Fraction, ...]] = []
     for a in range(big_n):
         if not any(values[a]) and selection.insert({a: _ONE}):
@@ -208,7 +199,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     # a ring map, so its class at q is sum_k c_k(q) R_k(q); each row R_k is
     # evaluated once, when a bracket first needs it, and keeps its nonzero
     # entries only
-    row_values: dict[int, list[tuple[int, Fraction]]] = {}
+    row_values: dict[int, dict[int, Fraction]] = {}
     for u in range(idim):
         for v in range(u + 1, idim):
             bracket = lie_bracket(reps[u], reps[v])
@@ -226,17 +217,9 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                     continue
                 row = row_values.get(k)
                 if row is None:
-                    row = row_values[k] = []
-                    for i, r in gb.rows[k].items():
-                        t = r.evaluate_seq(exact)
-                        if t:
-                            row.append((i, t))
-                for i, t in row:
-                    x = w.get(i, _ZERO) + ck * t
-                    if x:
-                        w[i] = x
-                    else:
-                        del w[i]
+                    row = row_values[k] = {i: t for i, r in gb.rows[k].items()
+                                           if (t := r.evaluate_seq(exact))}
+                subtract_scaled(w, -ck, row)
             if not w:
                 continue
             coords = solve_coordinates(frame, w)
@@ -262,11 +245,10 @@ def _combine(fol: FoliationModule, coeffs: Sequence[Fraction]) -> VectorField:
     nonzero = [a for a, c in enumerate(coeffs) if c]
     if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
         return fol.generators[nonzero[0]]
-    acc = VectorField.zero(fol.chart)
-    for c, gen in zip(coeffs, fol.generators):
-        if c:
-            acc = acc + gen.scale_by(Polynomial.constant(fol.chart, c))
-    return acc
+    scaled = [(Polynomial.constant(fol.chart, coeffs[a]), fol.generators[a]) for a in nonzero]
+    return VectorField(fol.chart, tuple(
+        sum_of_products(fol.chart, [(c, g.components[i]) for c, g in scaled])
+        for i in range(fol.chart.dimension)))
 
 
 def module_equal(f1: FoliationModule, f2: FoliationModule) -> CheckResult:
@@ -308,9 +290,6 @@ def find_module_obstruction(
         value = residue.evaluate_seq(exact)
         if not any(value):
             continue
-        span = EchelonSpan(width)
-        for g in gens:
-            span.insert(g.evaluate_seq(exact))
-        if not span.contains(value):
+        if not EchelonSpan(width, [g.evaluate_seq(exact) for g in gens]).contains(value):
             return exact.fractions()
     return None

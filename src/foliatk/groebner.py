@@ -451,7 +451,9 @@ def _s_vector(table: DivisorTable, k: int, l: int,
     (_, lk, ck), (_, ll, cl) = table.leads[k], table.leads[l]
     mk = Polynomial.monomial(table.varset, _sub(lcm, lk), exact_quotient(1, ck))
     ml = Polynomial.monomial(table.varset, _sub(lcm, ll), exact_quotient(1, cl))
-    return mk, ml, table.elements[k].scale_by(mk) - table.elements[l].scale_by(ml)
+    return mk, ml, ModuleElement(table.varset, tuple(
+        sum_of_products(table.varset, [(mk, a)], [(ml, b)])
+        for a, b in zip(table.elements[k].components, table.elements[l].components)))
 
 
 def _buchberger(

@@ -6,7 +6,9 @@ those entries.  Every entry point takes a dense sequence or such a map, so a
 caller whose vectors are mostly zero (evaluated syzygies, bracket classes,
 unit vectors) never builds or scans the zeros.  A row's pivot is its smallest
 nonzero column, as in dense elimination, so the pivots and the row values are
-exactly the dense ones.
+exactly the dense ones.  One sparse row update, :func:`subtract_scaled`,
+serves the reduction, :func:`nullspace`'s back-substitution and the bracket
+classes of :mod:`~foliatk.foliation`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ def _sparse(vec: Vector) -> dict[int, Fraction]:
     return {k: x if x.__class__ is Fraction else Fraction(x) for k, x in items if x}
 
 
-def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
-    """``vec -= f * row`` in place, dropping the entries that cancel."""
+def subtract_scaled(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+    """``vec -= f * row`` in place, dropping the entries that cancel: the one
+    sparse row update."""
     get = vec.get
     for k, r in row.items():
         s = get(k, _ZERO) - f * r
@@ -50,19 +53,21 @@ class EchelonSpan:
 
     ``rows[i]`` maps columns to the nonzero entries of the ``i``-th row,
     which is 1 at its pivot ``pivots[i]``, its smallest column, and 0 at the
-    pivots of the rows before it.
+    pivots of the rows before it.  ``vectors`` are inserted in order.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, vectors: Sequence[Vector] = ()):
         self.width = width
         self.rows: list[dict[int, Fraction]] = []
         self.pivots: list[int] = []
+        for vec in vectors:
+            self.insert(vec)
 
     def _reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         for row, piv in zip(self.rows, self.pivots):
             f = vec.get(piv)
             if f is not None:
-                _subtract(vec, f, row)
+                subtract_scaled(vec, f, row)
         return vec
 
     def insert(self, vec: Vector) -> bool:
@@ -90,15 +95,13 @@ def nullspace(rows: Sequence[Vector], width: int) -> list[tuple[Fraction, ...]]:
     Back-substitution runs from the last pivot: a row is zero at the pivots
     inserted before it, so clearing its pivot never refills an earlier one.
     """
-    span = EchelonSpan(width)
-    for r in rows:
-        span.insert(r)
+    span = EchelonSpan(width, rows)
     for k in reversed(range(span.rank)):
         row, piv = span.rows[k], span.pivots[k]
         for other in span.rows[:k]:
             f = other.get(piv)
             if f is not None:
-                _subtract(other, f, row)
+                subtract_scaled(other, f, row)
     reduced = dict(zip(span.pivots, span.rows))
     basis = []
     for fc in range(width):
@@ -125,11 +128,8 @@ class CoordinateFrame:
     def __init__(self, basis: Sequence[Vector], width: int):
         self.width = width
         self.size = len(basis)
-        self.span = EchelonSpan(width + self.size)
-        for i, b in enumerate(basis):
-            row = _sparse(b)
-            row[width + i] = _ONE
-            self.span.insert(row)
+        self.span = EchelonSpan(width + self.size,
+                                [{**_sparse(b), width + i: _ONE} for i, b in enumerate(basis)])
 
 
 def solve_coordinates(frame: CoordinateFrame, vec: Vector) -> list[Fraction] | None:

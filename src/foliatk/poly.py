@@ -41,7 +41,11 @@ Products have one kernel, :func:`sum_of_products`, which accumulates
 zero factors and building no intermediate polynomial; ``a * b`` is its
 one-pair case and runs through the same loop.  Every sum of products in the
 package (brackets, derivations, tensor lifts, Lie derivatives, determinants,
-representation rows and certificates, cotangent maps) is one call to it.
+representation rows and certificates, S-vectors, compositions, cotangent
+maps) is one call to it, with three measured exceptions: division's
+reduction step, the fused reindex of ``geometry.cotangent_lift``, and
+``Certificate.reexpand``, the certificates' verifier, which stays a plain
+``*``/``+`` sum.
 """
 
 from __future__ import annotations
@@ -548,15 +552,15 @@ class Polynomial:
                 power_cache[key] = img ** k
             return power_cache[key]
 
-        total = Polynomial.zero(varset_out)
         names = self.varset.names
+        pairs = []
         for e, c in self.terms.items():
-            term = one.scale(c)
+            image = one
             for name, k in zip(names, e):
                 if k:
-                    term = term * power(name, k)
-            total = total + term
-        return total
+                    image = image * power(name, k)
+            pairs.append((Polynomial.constant(varset_out, c), image))
+        return sum_of_products(varset_out, pairs)
 
     def rename(self, varset_out: VariableSet, name_map: Mapping[str, str] | None = None) -> "Polynomial":
         """Reindex variables into another chart (injection by name)."""

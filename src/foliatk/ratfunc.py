@@ -3,10 +3,11 @@
 No multivariate gcd is attempted: a quotient is stored with a monic
 denominator, simplified only when the denominator divides the numerator
 exactly.  Equality is decided by cross-multiplication, so sums and products
-stay exact even when unreduced.  A sum over one denominator keeps it, and a
-denominator 1 is not multiplied in.  The exact checks themselves run on
-polynomials over a common denominator; a rational function is built for a
-value that is returned or printed, such as a connection form W/D.
+stay exact even when unreduced.  A sum over one denominator keeps it; any
+other sum is one ``sum_of_products`` call over the product of the two.  The
+exact checks themselves run on polynomials over a common denominator; a
+rational function is built for a value that is returned or printed, such as
+a connection form W/D.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .errors import VariableSetError
 from .groebner import divide_with_cofactors
-from .poly import GREVLEX, Polynomial, VariableSet, exact_quotient
+from .poly import GREVLEX, Polynomial, VariableSet, exact_quotient, sum_of_products
 
 
 class RationalFunction:
@@ -69,11 +70,9 @@ class RationalFunction:
         o = self._coerce(other)
         if self.den == o.den:
             return RationalFunction(self.num + o.num, self.den)
-        if self.is_polynomial():
-            return RationalFunction(self.num * o.den + o.num, o.den)
-        if o.is_polynomial():
-            return RationalFunction(self.num + o.num * self.den, self.den)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        return RationalFunction(
+            sum_of_products(self.varset, [(self.num, o.den), (o.num, self.den)]),
+            self.den * o.den)
 
     def __mul__(self, other) -> "RationalFunction":
         o = self._coerce(other)

@@ -103,7 +103,11 @@ def parse_coordinate(value, context: str) -> Fraction:
     if value.__class__ not in (int, float, str):
         raise SceneError(f"{context}: a coordinate must be a number or a string, "
                          f"got {type(value).__name__}")
-    text = str(value)
+    try:
+        text = str(value)
+    except ValueError as exc:  # an int past the limit on integer-string conversion
+        raise SceneError(f"{context}: coordinate has more than {MAX_COORDINATE_DIGITS} digits") \
+            from exc
     exponent = _EXPONENT.search(text)
     power = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
     length = exponent.start() if exponent else len(text)
@@ -122,15 +126,19 @@ def _point(coords, context: str) -> tuple[Fraction, ...]:
                  for i, v in enumerate(_array(coords, context)))
 
 
+def _float(value, context: str) -> float:
+    """A coordinate read by :func:`parse_coordinate`, as a float; it must lie in
+    float range, so a bool, unreadable text or a non-finite value is refused."""
+    try:
+        return float(parse_coordinate(value, context))
+    except OverflowError as exc:
+        raise SceneError(f"{context} is outside the float range") from exc
+
+
 def _flow_start(flow: Mapping, key: str) -> tuple[float, ...]:
-    """The float start coordinates ``flow[key]``; each must lie in float range."""
-    out = []
-    for i, c in enumerate(_point(_require(flow, key, "flow"), f"flow.{key}")):
-        try:
-            out.append(float(c))
-        except OverflowError as exc:
-            raise SceneError(f"flow.{key}[{i}] is outside the float range") from exc
-    return tuple(out)
+    """The float start coordinates ``flow[key]``."""
+    return tuple(_float(c, f"flow.{key}[{i}]")
+                 for i, c in enumerate(_array(_require(flow, key, "flow"), f"flow.{key}")))
 
 
 def _parse_matrix(rows, varset: VariableSet, kind: str, context: str, memo: dict) -> SymTensor2:
@@ -230,7 +238,7 @@ def load_scene(source) -> Scene:
             found = False
         try:
             data = json.loads(Path(source).read_text(encoding="utf-8") if found else str(source))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a JSON integer past the digit limit too
             kind = "file" if found else "path or JSON text"
             raise SceneError(f"cannot read scene {kind} {str(source)!r}: {exc}") from exc
     if not isinstance(data, Mapping):
@@ -300,8 +308,8 @@ def _build_scene(data: Mapping) -> Scene:
         scene.flow = FlowSpec(
             q=_flow_start(flow, "q"),
             p=_flow_start(flow, "p"),
-            t_end=float(flow.get("t_end", 1.0)),
-            dt=float(flow.get("dt", 1e-3)),
+            t_end=_float(flow.get("t_end", 1.0), "flow.t_end"),
+            dt=_float(flow.get("dt", 1e-3), "flow.dt"),
         )
         if len(scene.flow.q) != chart.dimension or len(scene.flow.p) != chart.dimension:
             raise SceneError("flow start has the wrong dimension")

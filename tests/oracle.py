@@ -51,7 +51,10 @@ Products: the product loop that ``Polynomial.__mul__`` ran before it became
 the one-pair case of ``poly.sum_of_products``, and the determinant,
 adjugate, matrix product and metric Hamiltonian built on it one product and
 one sum at a time.  Nothing here multiplies polynomials through the
-package's kernel, except inside ``RationalFunction`` arithmetic.
+package's kernel, except inside ``RationalFunction`` arithmetic and in
+``reference_compose``: that is ``Polynomial.compose`` as it was before it
+became one product-sum, a running total of terms built with ``*`` and
+``**``, and the package must keep its values and its term order.
 
 Groebner bases and syzygies: the Buchberger loop whose chain test scanned
 every lead and whose inter-reduction divided each kept element by a fresh
@@ -1074,6 +1077,20 @@ def reference_sum_of_products(varset: VariableSet, plus, minus=()) -> Polynomial
     for c, d in minus:
         acc = acc - reference_mul(c, d)
     return acc
+
+
+def reference_compose(f: Polynomial, varset_out: VariableSet, images) -> Polynomial:
+    """``f.compose(varset_out, images)`` one term at a time: each term is its
+    coefficient times the image powers, added to a running total."""
+    one = Polynomial.constant(varset_out, 1)
+    total = Polynomial.zero(varset_out)
+    for e, c in f.terms.items():
+        term = one.scale(c)
+        for name, k in zip(f.varset.names, e):
+            if k:
+                term = term * images[name] ** k
+        total = total + term
+    return total
 
 
 def reference_poly_mat_mul(a: Sequence[Sequence[Polynomial]],

@@ -262,6 +262,22 @@ def test_lift_ideal_cli_matches_so_n_form():
     }
 
 
+def test_unknown_order_is_an_error_report():
+    report, code = run_command("closure-check", SCENES / "so3_moment.json", ns(order="revlex"))
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert "revlex" in report["detail"]["message"]
+
+
+def test_morita_span_fail_names_the_obstruction_point():
+    report, code = run_command("morita-span", SCENES / "morita_mismatch_r3.json")
+    assert code == 1
+    detail = report["detail"]
+    assert (detail["witness_side"], detail["witness_generator"]) == ("right", 0)
+    assert detail["obstruction_point"] == ["0", "0", "0"]
+    assert detail["refutation_level"].startswith("smooth: ")
+    assert [c["holds"] for c in report["certificates"]] == [True, False]
+
+
 def test_order_flag_ignored_by_block_pinned_commands():
     report, code = run_command(
         "check-srf", SCENES / "rotation_srf_r2.json", ns(order="lex")
@@ -408,7 +424,11 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("content", [None, "not json", b"\xff\xfe"])
+@pytest.mark.parametrize("content", [
+    None, "not json", b"\xff\xfe",
+    # json.loads refuses an integer past the limit on integer-string conversion
+    pytest.param('{"chart": {"dimension": ' + "9" * 5000 + "}}", id="5000-digit-integer"),
+])
 def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     path = tmp_path / "scene.json"
     if isinstance(content, str):
@@ -510,9 +530,18 @@ def test_malformed_scene_values_are_scene_errors(tmp_path, capsys, path, value):
      "submersion.base_indices[0] "),
     ("submersion_r3_to_r2", "check-riemannian", ("submersion", "base_indices"), [0, "1"],
      "submersion.base_indices[1] "),
+    ("so3_moment", "flow-monitor", ("flow", "t_end"), True, "flow.t_end: "),
+    ("so3_moment", "flow-monitor", ("flow", "dt"), True, "flow.dt: "),
+    ("so3_moment", "flow-monitor", ("flow", "dt"), "1e-3x", "flow.dt: "),
+    ("so3_moment", "flow-monitor", ("flow", "t_end"), float("inf"), "flow.t_end: "),
+    ("so3_moment", "flow-monitor", ("flow", "dt"), "1e400", "flow.dt "),
+    ("so3_moment", "flow-monitor", ("flow", "t_end"), 10 ** 5000, "flow.t_end: "),
+    ("so3_moment", "lift-ideal", ("points", "origin"), [0, 10 ** 5000, 0], "points.origin[1]: "),
 ], ids=["point-exponent", "sample-point-exponent", "flow-q-past-float-range", "flow-p-infinite",
         "dimension-float", "dimension-string", "base-indices-float", "base-indices-bool",
-        "base-indices-string"])
+        "base-indices-string", "flow-t-end-bool", "flow-dt-bool", "flow-dt-unreadable",
+        "flow-t-end-infinite", "flow-dt-past-float-range", "flow-t-end-5000-digits",
+        "point-5000-digits"])
 def test_out_of_contract_scene_numbers_are_refused_by_key(scene, command, path, value, where):
     data = json.loads((SCENES / f"{scene}.json").read_text(encoding="utf-8"))
     target = data

@@ -119,13 +119,17 @@ def _made_dense(row, width):
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices(), st.sampled_from(["dense", "map", "map with zeros"]))
+@given(matrices(), st.sampled_from(["dense", "map", "map with zeros", "constructor"]))
 def test_sparse_rows_match_the_dense_reference(case, form):
     width, rows, probes = case
     shaped = [r if form == "dense" else _as_map(r, form == "map with zeros") for r in rows]
-    span, ref = EchelonSpan(width), DenseEchelonSpan(width)
-    for r, s in zip(rows, shaped):
-        assert span.insert(s) == ref.insert(r)
+    ref = DenseEchelonSpan(width)
+    grew = [ref.insert(r) for r in rows]
+    if form == "constructor":  # the maps inserted in order by the constructor
+        span = EchelonSpan(width, shaped)
+    else:
+        span = EchelonSpan(width)
+        assert [span.insert(s) for s in shaped] == grew
     assert span.rank == ref.rank and span.pivots == ref.pivots
     assert [_made_dense(r, width) for r in span.rows] == ref.rows
     assert all(type(x) is Fraction and x for r in span.rows for x in r.values())

@@ -9,6 +9,7 @@ from foliatk import Polynomial, VariableSet, VariableSetError
 from foliatk.poly import BLOCK, GREVLEX, LEX, ExactPoint, random_polynomial
 
 from conftest import P
+from oracle import reference_compose
 
 
 COT2 = VariableSet(("x", "y")).cotangent()
@@ -172,6 +173,20 @@ def test_evaluation_is_ring_homomorphism(seed):
              for name in COT2.names}
     assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
     assert (f + g).evaluate(point) == f.evaluate(point) + g.evaluate(point)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_the_term_by_term_reference(seed):
+    rnd = random.Random(seed)
+    f = _rand_poly(rnd)
+    # images on a chart of its own, a zero image and a constant one included
+    out = VariableSet(("u", "v")).cotangent()
+    images = {name: random_polynomial(rnd, out, max_base_degree=2, max_fiber_degree=1,
+                                      terms=rnd.randint(0, 3)) for name in COT2.names}
+    got, want = f.compose(out, images), reference_compose(f, out, images)
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # the same term order, so the same bytes
 
 
 @given(st.integers(0, 10_000))

@@ -1,20 +1,25 @@
-"""Scene load: one parse per distinct (text, chart) within a load, and the
+"""Scene load: one parse per distinct (text, chart) within a load, the
 metric checks on the evaluated cometric, against the symbolic references in
-``oracle.py``."""
+``oracle.py``, and the numeric scene fields under any JSON value."""
 
+import argparse
+import copy
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliatk import SceneError
+from foliatk.cli import render_report, run_command
 from foliatk.errors import MetricError, ParseError
 from foliatk.expressions import MAX_TERM_PRODUCTS, parse_expression
 from foliatk.geometry import MetricData, SymTensor2
 from foliatk.poly import Polynomial, VariableSet
 from foliatk.scene import load_scene
 
+from conftest import SCENES
 from oracle import reference_metric_verdicts, reference_poly_mat_mul
 
 OVERSIZED = "(x+1)^300 + (x+1)^300 + (x+1)^300"  # each power alone is allowed
@@ -163,3 +168,56 @@ def test_identity_verdict_matches_the_matrix_product(case):
     else:
         with pytest.raises(MetricError, match="not the identity"):
             MetricData(cometric, metric)
+
+
+# -- the numeric fields under any JSON value ---------------------------------
+
+_HUGE = 10 ** 5000  # past the limit on integer-string conversion
+_VALUES = st.one_of(
+    st.booleans(),
+    st.sampled_from(["", "x", "1/0", "1/2", "-3", "1e400", "1e-3x", "nan", "1e9999999"]),
+    st.sampled_from([0.0, -0.0, 0.5, 2.5, -1.0, 1e-300, 1e308,
+                     float("inf"), float("-inf"), float("nan")]),
+    st.integers(-3, 3),
+    st.sampled_from([_HUGE, -_HUGE]),
+    st.recursive(st.one_of(st.integers(-2, 2), st.just("1")),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=5),
+)
+# scene: (commands, paths of its numeric fields); every command loads the
+# whole scene, and the last ones read the points and the flow as well
+_NUMERIC_FIELDS = {
+    "rotation_srf_r2": (
+        ("lift-ideal", "point-report", "flow-monitor", "geodesic-check"),
+        (("chart", "dimension"), ("points", "unit_x"), ("points", "unit_x", 0),
+         ("sample_points",), ("sample_points", 0), ("sample_points", 0, 1),
+         ("flow", "q"), ("flow", "q", 1), ("flow", "p"), ("flow", "p", 0),
+         ("flow", "t_end"), ("flow", "dt"))),
+    "submersion_r3_to_r2": (
+        ("check-riemannian", "pullback"),
+        (("chart", "dimension"), ("submersion", "base_indices"),
+         ("submersion", "base_indices", 1), ("sample_points", 0, 2))),
+}
+_CALLS = [(scene, command, path) for scene, (commands, paths) in _NUMERIC_FIELDS.items()
+          for command in commands for path in paths]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(_CALLS), _VALUES)
+@example(("rotation_srf_r2", "flow-monitor", ("flow", "t_end")), _HUGE)
+@example(("rotation_srf_r2", "flow-monitor", ("flow", "dt")), True)
+def test_numeric_scene_fields_get_a_report_and_never_exit_3(call, value):
+    scene, command, path = call
+    data = json.loads((SCENES / f"{scene}.json").read_text(encoding="utf-8"))
+    data["sample_points"] = [["1"] + ["0"] * (data["chart"]["dimension"] - 1)]
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = copy.deepcopy(value)
+    args = argparse.Namespace(point="unit_x", candidate=[], tol=None, dt=None, t_end=None,
+                              order="block")
+    report, code = run_command(command, data, args)
+    assert code in (0, 1, 2), report["detail"]
+    assert json.loads(render_report(report))["verdict"] == ("pass", "fail", "error")[code]
+    # a bool or a 5000-digit integer is never a number a scene may hold
+    if isinstance(value, bool) or (type(value) is int and abs(value) == _HUGE):
+        assert code == 2 and report["detail"]["error_type"] == "SceneError"
