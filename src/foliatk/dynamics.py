@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import FlowDivergedError, PreconditionError, VariableSetError
-from .geometry import MetricData, cotangent_lift, hamiltonian
+from .geometry import MetricData, hamiltonian
 from .ipoisson import IdealPresentation
 from .poly import Polynomial
 
@@ -478,10 +478,9 @@ def geodesic_orthogonality_check(
     store_every: int = 10,
 ) -> MonitorReport:
     """Track the lifted generators along the geodesic flow from an orthogonal start."""
-    cot = fol.chart.cotangent()
-    lifts = [cotangent_lift(g, cot) for g in fol.generators]
-    h = hamiltonian(metric, cot)
+    lifts = fol.lift_presentation
+    h = hamiltonian(metric, lifts.chart)
     return _monitor(
-        lifts, h, start, t_end, dt, start_tol, store_every,
+        lifts.generators, h, start, t_end, dt, start_tol, store_every,
         "start covector is not orthogonal to the leaf",
     )

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by every subsystem."""
+"""Exception hierarchy shared by every subsystem, and what a message may echo."""
+
+
+def excerpt(text: str) -> str:
+    """``repr(text)``, or past 80 characters its first and last 40 around an
+    ellipsis: all that an error message echoes of an input."""
+    return repr(text) if len(text) <= 80 else f"{text[:40]!r}...{text[-40:]!r}"
 
 
 class FoliatkError(Exception):

@@ -33,7 +33,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, excerpt
 from .poly import Polynomial, VariableSet, power
 
 MAX_NESTING = 100
@@ -70,7 +70,7 @@ def _literal(text: str, pos: int) -> int | Fraction:
     except ValueError as exc:  # more digits than int() accepts
         raise ParseError(str(exc), pos) from None
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", pos) from None
+        raise ParseError(f"zero denominator in {excerpt(text)}", pos) from None
 
 
 class _Parser:
@@ -94,7 +94,7 @@ class _Parser:
         value = self.expr()
         kind, text, pos = self.tokens[-1]
         if kind != "end":
-            raise ParseError(f"unexpected {text!r}", pos)
+            raise ParseError(f"unexpected {excerpt(text)}", pos)
         return value
 
     def expr(self) -> Polynomial:
@@ -171,7 +171,7 @@ class _Parser:
             return Polynomial.constant(self.varset, _literal(text, pos))
         if kind == "name":
             if text not in self.varset.names:
-                raise ParseError(f"undeclared variable {text!r}", pos)
+                raise ParseError(f"undeclared variable {excerpt(text)}", pos)
             return Polynomial.variable(self.varset, text)
         if text == "(":
             if self.depth == MAX_NESTING:
@@ -180,10 +180,10 @@ class _Parser:
             value = self.expr()
             if not self.next_op(")"):
                 _, found, at = self.tokens[-1]
-                raise ParseError(f"expected ')', found {found or 'end of input'!r}", at)
+                raise ParseError(f"expected ')', found {excerpt(found or 'end of input')}", at)
             self.depth -= 1
             return value
-        raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
+        raise ParseError(f"unexpected {excerpt(text or 'end of input')}", pos)
 
 
 def parse_expression(text: str, varset: VariableSet) -> Polynomial:

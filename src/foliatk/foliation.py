@@ -16,13 +16,16 @@ layer:
   the evaluated syzygies;
 * the isotropy algebra is the kernel of evaluation inside the fiber, with
   the bracket class of two representatives read off their division by ``G``
-  as ``sum_k c_k(q) R_k(q)``.
+  as ``sum_k c_k(q) R_k(q)``.  Its basis is one ordered pass over the kernel:
+  the units of the generators vanishing at ``q`` (its one-entry vectors) in
+  generator order, then the rest in column order, each kept when it enlarges
+  the evaluated syzygy span.
 
 The point layer is sparse.  The echelon rows of :mod:`~foliatk.linalg` are
-``{index: value}`` maps, a unit candidate is a one-entry map, and a bracket
-class is accumulated as a map of its nonzero entries, so a zero class is an
-empty map, skipped before any solve, and its structure constants are one
-shared zero row.  :class:`PointReport` keeps dense tuples.
+``{index: value}`` maps, and a bracket class is accumulated as a map of its
+nonzero entries, so a zero class is an empty map, skipped before any solve,
+whose structure constants share one zero row.  :class:`PointReport` keeps
+dense tuples.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .sampling import candidate_points
 Point = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_point(chart: VariableSet, point: Sequence) -> Point:
@@ -163,24 +165,17 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     big_n = fol.n_generators
 
     syz_span = EchelonSpan(big_n, [s.evaluate_seq(exact) for s in fol.syzygies])
-    fdim = big_n - syz_span.rank
+    syz_rows = syz_span.rows[:]
+    fdim = big_n - len(syz_rows)
 
     # kernel of c |-> sum_a c_a X_a(q)
-    values = [g.evaluate_seq(exact) for g in fol.generators]
-    kernel = nullspace(list(zip(*values)), big_n)
+    kernel = nullspace(list(zip(*(g.evaluate_seq(exact) for g in fol.generators))), big_n)
     tdim = big_n - len(kernel)
 
-    # basis of ker(ev_q) modulo the evaluated syzygies, preferring generator classes
-    selection = EchelonSpan(big_n, syz_span.rows)
-    basis: list[tuple[Fraction, ...]] = []
-    for a in range(big_n):
-        if not any(values[a]) and selection.insert({a: _ONE}):
-            unit = [_ZERO] * big_n
-            unit[a] = _ONE
-            basis.append(tuple(unit))
-    for cand in kernel:
-        if selection.insert(cand):
-            basis.append(cand)
+    # basis of ker(ev_q) modulo the evaluated syzygies: the one-entry kernel vectors
+    # (units of the generators vanishing at q) in generator order, then the rest in column order
+    kernel.sort(key=lambda v: sum(map(bool, v)) != 1)
+    basis = [v for v in kernel if syz_span.insert(v)]
     idim = len(basis)
     if tdim + idim != fdim:
         raise AmbiguousQuotientError(
@@ -188,7 +183,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
         )
 
     # factored once; every bracket below is solved against the same frame
-    frame = CoordinateFrame(syz_span.rows + basis, big_n)
+    frame = CoordinateFrame(syz_rows + basis, big_n)
     # a zero bracket class has zero coordinates, so its rows share one zero
     # row and only nonzero classes are solved, stored and negated
     zero_row = (_ZERO,) * idim

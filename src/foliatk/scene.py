@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .errors import FoliatkError, SceneError
+from .errors import FoliatkError, SceneError, excerpt
 from .expressions import parse_expression
 from .foliation import FoliationModule
 from .geometry import MetricData, SymTensor2, VectorField
@@ -112,12 +112,12 @@ def parse_coordinate(value, context: str) -> Fraction:
     power = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
     length = exponent.start() if exponent else len(text)
     if len(power) > 9 or length + int(power or 0) > MAX_COORDINATE_DIGITS:
-        raise SceneError(f"{context}: coordinate {text[:40]!r} could pass "
+        raise SceneError(f"{context}: coordinate {excerpt(text)} could pass "
                          f"{MAX_COORDINATE_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SceneError(f"{context}: cannot read {text[:40]!r} as a rational coordinate") \
+        raise SceneError(f"{context}: cannot read {excerpt(text)} as a rational coordinate") \
             from exc
 
 
@@ -240,7 +240,7 @@ def load_scene(source) -> Scene:
             data = json.loads(Path(source).read_text(encoding="utf-8") if found else str(source))
         except (OSError, ValueError) as exc:  # a JSON integer past the digit limit too
             kind = "file" if found else "path or JSON text"
-            raise SceneError(f"cannot read scene {kind} {str(source)!r}: {exc}") from exc
+            raise SceneError(f"cannot read scene {kind} {excerpt(str(source))}: {exc}") from exc
     if not isinstance(data, Mapping):
         raise SceneError("scene must be a JSON object")
     try:

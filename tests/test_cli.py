@@ -442,6 +442,35 @@ def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     assert "scene.json" in report["detail"]["message"]
 
 
+def test_unreadable_scene_text_is_quoted_in_a_bounded_excerpt():
+    data = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
+    data["notes"] = ["n" * 6000]
+    report, code = run_command("lift-ideal", json.dumps(data)[:-1])  # the last brace dropped
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    message = report["detail"]["message"]
+    assert message.startswith("cannot read scene path or JSON text '{")
+    assert len(message) < 200
+
+
+def test_a_long_missing_scene_path_keeps_its_file_name_in_a_bounded_message(tmp_path):
+    report, code = run_command("lift-ideal", str(tmp_path / ("d" * 200) / "scene.json"))
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    message = report["detail"]["message"]
+    assert "/scene.json'" in message and len(message) < 200
+
+
+def test_point_report_refuses_a_non_involutive_module():
+    scene = {
+        "chart": {"coordinates": ["x", "y"]},
+        "cometric": [["1", "0"], ["0", "1"]],
+        "foliation": [["0", "x^2"], ["y^2", "0"]],
+    }
+    report, code = run_command("point-report", scene, ns(point="0,0"))
+    assert code == 2 and report["verdict"] == "error"
+    assert report["detail"]["error_type"] == "PreconditionError"
+    assert "the foliation is not involutive" in report["detail"]["message"]
+
+
 @pytest.mark.parametrize("scene, path, entry, where", [
     ("rotation_srf_r2", ("sample_points",), ["1", "2", "3"], "scene.sample_points[1]"),
     ("rotation_srf_r2", ("sample_points",), ["1"], "scene.sample_points[1]"),
@@ -537,11 +566,13 @@ def test_malformed_scene_values_are_scene_errors(tmp_path, capsys, path, value):
     ("so3_moment", "flow-monitor", ("flow", "dt"), "1e400", "flow.dt "),
     ("so3_moment", "flow-monitor", ("flow", "t_end"), 10 ** 5000, "flow.t_end: "),
     ("so3_moment", "lift-ideal", ("points", "origin"), [0, 10 ** 5000, 0], "points.origin[1]: "),
+    ("so3_moment", "lift-ideal", ("cometric", 0), ["1", "1", "0"],
+     "scene.cometric: matrix not symmetric at (0,1)"),
 ], ids=["point-exponent", "sample-point-exponent", "flow-q-past-float-range", "flow-p-infinite",
         "dimension-float", "dimension-string", "base-indices-float", "base-indices-bool",
         "base-indices-string", "flow-t-end-bool", "flow-dt-bool", "flow-dt-unreadable",
         "flow-t-end-infinite", "flow-dt-past-float-range", "flow-t-end-5000-digits",
-        "point-5000-digits"])
+        "point-5000-digits", "cometric-not-symmetric"])
 def test_out_of_contract_scene_numbers_are_refused_by_key(scene, command, path, value, where):
     data = json.loads((SCENES / f"{scene}.json").read_text(encoding="utf-8"))
     target = data

@@ -108,6 +108,19 @@ def test_zero_denominator_is_a_parse_error_at_the_literal():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, start", [
+    ("w" * 5000, "undeclared variable 'wwww"),
+    ("x " + "9" * 4000, "unexpected '9999"),
+    ("(x " + "9" * 4000, "expected ')', found '9999"),
+    ("9" * 4000 + "/0", "zero denominator in '9999"),
+], ids=["undeclared-variable", "unexpected", "expected-parenthesis", "zero-denominator"])
+def test_an_error_quotes_a_bounded_excerpt_of_a_long_token(text, start):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, COT2)
+    assert str(err.value).startswith(start)
+    assert len(str(err.value)) < 200
+
+
 def test_exponent_with_too_many_digits_is_a_parse_error_at_the_exponent():
     with pytest.raises(ParseError, match="digits") as err:
         parse_expression("x^" + "9" * 5000, COT2)

@@ -165,6 +165,34 @@ def test_point_reports_depend_only_on_the_syzygy_module(name):
         assert fiber_dim(other, point) == fiber_dim(fol, point)
 
 
+def test_isotropy_basis_takes_generator_classes_first():
+    # d_x - (d_x + y d_y) + y d_y = 0 leaves one isotropy class at the origin;
+    # the unit of the vanishing y d_y represents it, not the kernel vector
+    # (-1, 1, 0) that comes first in column order
+    fol = FoliationModule(R2, (VF(R2, "1", "0"), VF(R2, "1", "y"), VF(R2, "0", "y")))
+    rep = isotropy_algebra(fol, (0, 0))
+    assert (rep.tangent_dim, rep.fiber_dim, rep.isotropy_dim) == (1, 2, 1)
+    assert rep.isotropy_basis == ((0, 0, 1),)
+    assert rep == reference_isotropy_algebra(fol, (0, 0))
+
+
+def test_a_point_where_the_rank_drops_has_isotropy():
+    # the module has rank 2, but at (1, 0) only x d_x is nonzero: a regular-point
+    # shortcut taken whenever the tangent dimension is positive would miss y d_y
+    fol = FoliationModule(R2, (VF(R2, "x", "0"), VF(R2, "0", "y")))
+    rep = isotropy_algebra(fol, (1, 0))
+    assert (rep.tangent_dim, rep.fiber_dim, rep.isotropy_dim) == (1, 2, 1)
+    assert (tangent_dim(fol, (1, 0)), fiber_dim(fol, (1, 0))) == (1, 2)
+
+
+def test_isotropy_brackets_outside_the_module_are_refused():
+    # [x^2 d_y, y^2 d_x] = 2 x y (x d_x - y d_y) is no combination of the two
+    fol = FoliationModule(R2, (VF(R2, "0", "x^2"), VF(R2, "y^2", "0")))
+    with pytest.raises(PreconditionError, match="bracket of isotropy representatives leaves "
+                                                "the module; the foliation is not involutive"):
+        isotropy_algebra(fol, (0, 0))
+
+
 # -- the sparse point layer against the dense reference ---------------------------
 #
 # isotropy_algebra skips the solve of a zero bracket class and shares one zero;
