@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .dynamics import FlowState, geodesic_orthogonality_check, monitor_ideal_preservation
-from .errors import FoliatkError, InternalCheckError, SceneError
+from .errors import FoliatkError, InternalCheckError, SceneError, excerpt
 from .foliation import involutivity_check, isotropy_algebra, module_equal
 from .geometry import OneForm
 from .groebner import Certificate, CheckResult, ModuleElement
@@ -133,7 +133,7 @@ def _resolve_candidates(pool: Mapping[str, Polynomial], names: Sequence[str],
     picked = []
     for name in names[:count]:
         if name not in pool:
-            raise SceneError(f"candidate {name!r} not declared in the scene")
+            raise SceneError(f"candidate {excerpt(name)} not declared in the scene")
         picked.append(pool[name])
     return picked
 
@@ -478,7 +478,8 @@ def render_report(report: dict) -> str:
     Reports hold only dicts with str keys, lists, str, int, bool and None;
     anything else raises ``TypeError``.  A list met again at the same depth,
     such as the generator list that every certificate of one check shares,
-    is rendered once per call.
+    is rendered once per call.  A list of records of one shape, such as a
+    flow trace, is rendered through one ``%`` template (see ``_records``).
     """
     return _emit(report, 0, {}) + "\n"
 
@@ -497,7 +498,9 @@ def _emit(obj, depth: int, memo: dict) -> str:
             try:  # most lists hold only strings
                 body = ("," + pad).join(map(encode_basestring, obj))
             except TypeError:
-                body = ("," + pad).join([_emit(x, depth + 1, memo) for x in obj])
+                body = _records(obj, depth + 1)
+                if body is None:
+                    body = ("," + pad).join([_emit(x, depth + 1, memo) for x in obj])
             text = memo[key] = "[" + pad + body + "\n" + "  " * depth + "]"
         return text
     if kind is dict:
@@ -515,6 +518,59 @@ def _emit(obj, depth: int, memo: dict) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"a report cannot hold {kind.__name__}")
+
+
+def _records(obj: list, depth: int) -> str | None:
+    """The joined body of a list of records at ``depth``, or None if it is not one.
+
+    A list of records is a list of dicts with one key set of str keys, whose
+    values are str, or lists of str of one length per key.  The keys and the
+    padding of the first record are encoded once into a ``%`` template, a
+    ``%`` in a key escaped, and each record is then one ``%`` over its
+    encoded values.  Any other list, or a record that differs from the first
+    in keys, value type or list length, returns None and takes the generic
+    path, which renders it or raises its ``TypeError``.
+    """
+    first = obj[0]
+    if first.__class__ is not dict or not first or any(k.__class__ is not str for k in first):
+        return None
+    shape = []  # (key, None for a str or the length of its list), keys sorted
+    slots = []
+    pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    for k in sorted(first):
+        value = first[k]
+        if value.__class__ is str:
+            shape.append((k, None))
+            slot = "%s"
+        elif value.__class__ is list:
+            shape.append((k, len(value)))
+            slot = ("[" + inner + ("," + inner).join(["%s"] * len(value)) + pad + "]"
+                    if value else "[]")
+        else:
+            return None
+        slots.append(encode_basestring(k).replace("%", "%%") + ": " + slot)
+    template = "{" + pad + ("," + pad).join(slots) + "\n" + "  " * depth + "}"
+    names = first.keys()
+    out = []
+    try:
+        for record in obj:
+            if record.__class__ is not dict or record.keys() != names:
+                return None
+            values = []
+            for k, length in shape:
+                value = record[k]
+                if length is None:
+                    if value.__class__ is not str:
+                        return None
+                    values.append(encode_basestring(value))
+                elif value.__class__ is list and len(value) == length:
+                    values += map(encode_basestring, value)
+                else:
+                    return None
+            out.append(template % tuple(values))
+    except TypeError:  # a list item that is not a str
+        return None
+    return (",\n" + "  " * depth).join(out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

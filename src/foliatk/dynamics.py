@@ -38,6 +38,13 @@ of the unmoved coordinates is tested once, into ``fin``, which the loop's
 test reads before the moved names: ``and`` of the same tests is the same
 boolean, and the failing state is listed in full as before.
 
+An energy that reads only unmoved coordinates takes no drift in the loop:
+``e`` is ``e0`` at every step, so ``abs(e - e0)`` is ``0.0``, or nan for an
+infinite or nan start, and ``nan > drift`` is false, so the drift stays
+``0.0`` either way.  The running maximum of a generator of that kind is still
+taken at every step, because the order of its comparisons decides which nan
+the maximum keeps.
+
 A flow run is one generated function, ``flow(v0, ..., v{2n-1}, steps,
 start_tol, store_every, append)``, holding the whole loop on positional
 locals: the four rk4 stages inlined (or the leapfrog half-steps, for a
@@ -292,9 +299,9 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
     would fail the same way: the step's rates and increments under ``if
     steps:`` in a ``try`` returning ``(_STEP_OVERFLOW, 0, ())``, followed by
     ``fin``, the finiteness of the unmoved coordinates, which the loop tests
-    first; the sums of the sample only in the start sample.  Every float
-    operation, exit code, step index and returned state is as without the
-    hoist.
+    first; the sums of the sample only in the start sample, with no drift
+    taken for such an energy.  Every float operation that reaches a result,
+    exit code, step index and returned state is as without the hoist.
     """
     width = h.varset.n_vars
     v = _names("v", width)
@@ -327,6 +334,11 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
         finite.insert(0, "fin")
     if first:
         body += _block("if steps:", first)
+    # a sum reading only unmoved coordinates keeps its value at the start
+    moving = [(f, target) for f, target in sums if not _reads(f) <= set(unmoved)]
+    drift_lines = []
+    if any(target == "e" for _, target in moving):
+        drift_lines = ["t = abs(e - e0)", *_block("if t > drift:", ["drift = t"])]
     body += _block("for i in range(steps + 1):", [
         *_block("if i < steps:", [
             *_guarded(step, _STEP_OVERFLOW, "i"),
@@ -334,11 +346,9 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
                 f"return {_NON_FINITE}, i, [{', '.join(n)}]",
             ]),
         ]),
-        # a sum reading only unmoved coordinates keeps its value at the start
-        *sampled([(f, target) for f, target in sums if not _reads(f) <= set(unmoved)]),
+        *sampled(moving),
         *maxima,
-        "t = abs(e - e0)",
-        *_block("if t > drift:", ["drift = t"]),
+        *drift_lines,
         *_block("if i % store_every == 0 or i == steps:", [
             f"append((i * {dt!r}, {_tuple(values)}, e))",
         ]),

@@ -58,7 +58,7 @@ from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence, Sized, Union
 
-from .errors import VariableSetError
+from .errors import VariableSetError, excerpt
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -110,10 +110,11 @@ class VariableSet:
             )
         names = self.base + self.fiber
         if len(set(names)) != len(names):
-            raise VariableSetError(f"variable names not unique: {names}")
+            repeated = next(name for name in names if names.count(name) > 1)
+            raise VariableSetError(f"variable name {excerpt(str(repeated))} is not unique")
         for name in names:
             if not _NAME_RE.match(name):
-                raise VariableSetError(f"invalid variable name: {name!r}")
+                raise VariableSetError(f"invalid variable name: {excerpt(name)}")
 
     def __eq__(self, other) -> bool:
         # charts are compared on every coercion and division; most are the same object

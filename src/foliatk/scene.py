@@ -121,6 +121,13 @@ def parse_coordinate(value, context: str) -> Fraction:
             from exc
 
 
+def _member(section: str, name) -> str:
+    """The context ``section.name`` of a scene key, the name past 80
+    characters as its :func:`excerpt`."""
+    name = str(name)
+    return f"{section}.{name}" if len(name) <= 80 else f"{section}.{excerpt(name)}"
+
+
 def _point(coords, context: str) -> tuple[Fraction, ...]:
     return tuple(parse_coordinate(v, f"{context}[{i}]")
                  for i, v in enumerate(_array(coords, context)))
@@ -289,18 +296,18 @@ def _build_scene(data: Mapping) -> Scene:
             raise SceneError(f"{fol_key} declared without {key}")
 
     for name, coords_ in data.get("points", {}).items():
-        pt = _point(coords_, f"points.{name}")
+        pt = _point(coords_, _member("points", name))
         if len(pt) != chart.dimension:
-            raise SceneError(f"point {name!r} has the wrong dimension")
+            raise SceneError(f"point {excerpt(str(name))} has the wrong dimension")
         scene.points[name] = pt
 
     for name, expr in data.get("candidates", {}).items():
-        scene.candidates[name] = _parse(expr, cot, f"candidates.{name}", memo)
+        scene.candidates[name] = _parse(expr, cot, _member("candidates", name), memo)
     for name, expr in data.get("target_candidates", {}).items():
         if scene.submersion is None:
             raise SceneError("target_candidates declared without a submersion")
         scene.target_candidates[name] = _parse(
-            expr, scene.submersion.target.cotangent(), f"target_candidates.{name}", memo
+            expr, scene.submersion.target.cotangent(), _member("target_candidates", name), memo
         )
 
     if data.get("flow") is not None:

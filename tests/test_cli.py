@@ -452,6 +452,37 @@ def test_unreadable_scene_text_is_quoted_in_a_bounded_excerpt():
     assert len(message) < 200
 
 
+LONG_NAME = "q" + "a" * 4999
+
+
+def _with_long_name(scene, edit):
+    data = json.loads((SCENES / f"{scene}.json").read_text(encoding="utf-8"))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("scene, edit, command, candidates", [
+    ("so3_moment", lambda d: d["candidates"].update({LONG_NAME: "1/0"}), "lift-ideal", []),
+    ("submersion_r3_to_r2", lambda d: d["target_candidates"].update({LONG_NAME: "p_u +"}),
+     "lift-ideal", []),
+    ("so3_moment", lambda d: d["points"].update({LONG_NAME: ["x", "0", "0"]}), "lift-ideal", []),
+    ("so3_moment", lambda d: d["points"].update({LONG_NAME: ["0"]}), "lift-ideal", []),
+    ("so3_moment", lambda d: d["chart"].update(coordinates=["q1", "q2", "-" + LONG_NAME]),
+     "lift-ideal", []),
+    ("so3_moment", lambda d: d["chart"].update(coordinates=["q1", LONG_NAME, LONG_NAME]),
+     "lift-ideal", []),
+    ("so3_moment", lambda d: None, "normalizer-check", [LONG_NAME]),
+], ids=["candidate", "target-candidate", "point-coordinate", "point-dimension",
+        "invalid-coordinate", "repeated-coordinate", "undeclared-candidate"])
+def test_a_5000_character_key_name_is_quoted_in_a_bounded_message(scene, edit, command,
+                                                                   candidates):
+    report, code = run_command(command, _with_long_name(scene, edit), ns(candidate=candidates))
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    message = report["detail"]["message"]
+    # the name is quoted as an excerpt: its first and last 40 characters
+    assert "aaa'...'aaa" in message and len(message) < 200
+
+
 def test_a_long_missing_scene_path_keeps_its_file_name_in_a_bounded_message(tmp_path):
     report, code = run_command("lift-ideal", str(tmp_path / ("d" * 200) / "scene.json"))
     assert code == 2 and report["detail"]["error_type"] == "SceneError"

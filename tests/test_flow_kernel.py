@@ -406,6 +406,32 @@ def test_the_so3_moment_loop_recomputes_no_energy_and_tests_no_unmoved_momentum(
         assert any(s.strip().startswith("g0 =") for s in loop), label
 
 
+def test_an_energy_of_unmoved_momenta_takes_no_drift_in_the_loop():
+    # so3_moment's geodesic energy 1/2*|p|^2 reads only the unmoved momenta
+    (_, gens, h, start), = [f for f in scene_flows("so3_moment") if f[0] == "geodesic-check"]
+    source = flow_source(h, gens, 1e-3)
+    assert not any(re.search(r"\be0\b", s) for s in _loop(source))
+    assert "drift = 0.0" in source
+    # e0 = inf, so abs(e - e0) would be nan at every step; nan > drift is false
+    chart = VariableSet(("x", "y")).cotangent()
+    h, gens = P("p_x*p_y", chart), [P("x - y", chart)]
+    start = FlowState((0.0, 0.0), (1e200, 1e200), 0.0)
+    assert not any(re.search(r"\be0\b", s) for s in _loop(flow_source(h, gens, 1e-2)))
+    got = dynamics._monitor(gens, h, start, 1.0, 1e-2, INF, 10, "")
+    assert got.samples[0][2] == INF and got.energy_drift == 0.0
+    assert repr(got) == repr(reference_monitor(gens, h, start, 1.0, 1e-2, INF, 10))
+    # the non-finite start that completes: an infinite unmoved momentum, no steps
+    coords, h, gens, q, p, t_end, dt, start_tol, store_every, _ = FLOW_EXITS[
+        "unmoved-inf-no-steps"]
+    chart = VariableSet(coords).cotangent()
+    h, gens = P(h, chart), [P(g, chart) for g in gens]
+    start = FlowState(q, p, 0.0)
+    got = dynamics._monitor(gens, h, start, t_end, dt, start_tol, store_every, "")
+    assert got.energy_drift == 0.0
+    assert repr(got) == repr(reference_monitor(gens, h, start, t_end, dt, start_tol,
+                                               store_every))
+
+
 def test_a_5000_term_polynomial_compiles_and_matches():
     # one flat sum of a few thousand terms exhausts the compiler's recursion limit
     rng = random.Random(5000)

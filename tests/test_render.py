@@ -2,7 +2,9 @@
 
 ``render_report`` must print exactly what ``json.dumps(report, sort_keys=True,
 indent=2, ensure_ascii=False) + "\\n"`` prints, on every report the CLI makes
-and on any value of the types reports hold.
+and on any value of the types reports hold.  A list of records of one shape
+goes through a ``%`` template; any list that is not one must render, or
+raise, exactly as on the generic path.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foliatk import cli
 from foliatk.cli import _f, render_report, run_command
 
 from conftest import SCENES
@@ -75,6 +78,88 @@ def reports(draw):
 @settings(max_examples=150, deadline=None)
 def test_emitter_matches_json_dumps_on_report_shaped_values(report):
     assert render_report(report) == _oracle(report)
+
+
+KEYS = TEXT | st.sampled_from(["%", "%s", "%%", "%(a)s", "100%", "\u2028", "\u00e9\u2603"])
+NOT_STR = st.none() | st.booleans() | st.integers() | st.just(0.5)
+
+
+@st.composite
+def record_lists(draw):
+    """A list of records of one shape at a drawn depth; perhaps one record
+    differs in its key set, a value type, an inner length or a key type."""
+    lengths = draw(st.dictionaries(KEYS, st.none() | st.integers(0, 3), min_size=1, max_size=4))
+
+    def value(length):
+        if length is None:
+            return draw(TEXT)
+        return draw(st.lists(TEXT, min_size=length, max_size=length))
+
+    records = [{k: value(n) for k, n in lengths.items()} for _ in range(draw(st.integers(0, 4)))]
+    if records and draw(st.booleans()):
+        at = draw(st.integers(0, len(records) - 1))
+        record = records[at]
+        key = draw(st.sampled_from(sorted(record)))
+        change = draw(st.sampled_from(
+            ["add key", "drop key", "value type", "inner length", "inner item", "key type",
+             "not a dict"]))
+        if change == "add key":
+            record[draw(KEYS)] = draw(TEXT)
+        elif change == "drop key":
+            del record[key]
+        elif change == "value type":
+            record[key] = draw(NOT_STR | VALUES)
+        elif change == "inner length":
+            record[key] = value(draw(st.integers(0, 4)))
+        elif change == "inner item":
+            record[key] = [*value(draw(st.integers(0, 2))), draw(NOT_STR)]
+        elif change == "key type":
+            record[draw(st.integers())] = draw(TEXT)
+        else:
+            records[at] = draw(VALUES)
+    obj = records
+    for _ in range(draw(st.integers(0, 3))):
+        obj = [obj] if draw(st.booleans()) else {draw(KEYS): obj}
+    return obj
+
+
+def _generic(report):
+    """``render_report`` without the record template, or the TypeError it raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_records", lambda obj, depth: None)
+        try:
+            return render_report(report)
+        except TypeError as exc:
+            return exc
+
+
+@given(record_lists())
+@settings(max_examples=300, deadline=None)
+def test_record_lists_render_as_json_dumps_or_raise_the_generic_type_error(obj):
+    report = {"monitor": {"samples": obj}}
+    want = _generic(report)
+    if isinstance(want, TypeError):
+        with pytest.raises(TypeError) as got:
+            render_report(report)
+        assert str(got.value) == str(want)
+    else:
+        assert want == _oracle(report)
+        assert render_report(report) == want
+
+
+def test_a_percent_in_a_record_key_is_escaped_in_the_template():
+    records = [{"50%%": "a", "b": ["c", "%s"]}, {"50%%": "d%", "b": ["e", "f"]}]
+    text = render_report({"r": records})
+    assert text == _oracle({"r": records})
+    assert '"50%%": "d%"' in text
+    assert cli._records(records, 2) in text
+
+
+def test_a_flow_trace_takes_the_record_template():
+    report, _ = run_command("flow-monitor", SCENES / "so3_moment.json")
+    samples = report["monitor"]["samples"]
+    body = cli._records(samples, 3)
+    assert body is not None and body in _oracle(report)
 
 
 @pytest.mark.parametrize("value", [
