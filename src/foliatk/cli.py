@@ -517,6 +517,8 @@ def _emit(obj, depth: int, memo: dict) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
+    if isinstance(obj, str):  # a str subclass, as json.dumps renders it
+        return encode_basestring(obj)
     raise TypeError(f"a report cannot hold {kind.__name__}")
 
 
@@ -593,7 +595,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # opened before the command runs, so a path that cannot be written runs nothing
     try:
         out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
-    except OSError as exc:
+    except OSError as exc:  # the path quoted once, as an excerpt
+        exc = type(exc)(f"cannot write {excerpt(args.json_out)}: {exc.strerror}")
         sys.stdout.write(render_report(_error_report(args.command, args.order, exc)))
         return 2
     with out or nullcontext():

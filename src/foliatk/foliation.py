@@ -18,8 +18,9 @@ layer:
   the bracket class of two representatives read off their division by ``G``
   as ``sum_k c_k(q) R_k(q)``.  Its basis is one ordered pass over the kernel:
   the units of the generators vanishing at ``q`` (its one-entry vectors) in
-  generator order, then the rest in column order, each kept when it enlarges
-  the evaluated syzygy span.
+  generator order, then the rest in column order, each kept, with a tag,
+  when it enlarges the evaluated syzygy span.  Every bracket class is then
+  solved on that one span.
 
 The point layer is sparse.  The echelon rows of :mod:`~foliatk.linalg` are
 ``{index: value}`` maps, and a bracket class is accumulated as a map of its
@@ -48,7 +49,7 @@ from .groebner import (
     module_membership,
     syzygy_basis,
 )
-from .linalg import CoordinateFrame, EchelonSpan, nullspace, solve_coordinates, subtract_scaled
+from .linalg import EchelonSpan, nullspace, solve_coordinates, subtract_scaled
 from .poly import BLOCK, ExactPoint, Polynomial, VariableSet, sum_of_products
 from .sampling import candidate_points
 
@@ -164,26 +165,28 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     exact = ExactPoint(pt)
     big_n = fol.n_generators
 
-    syz_span = EchelonSpan(big_n, [s.evaluate_seq(exact) for s in fol.syzygies])
-    syz_rows = syz_span.rows[:]
-    fdim = big_n - len(syz_rows)
-
-    # kernel of c |-> sum_a c_a X_a(q)
-    kernel = nullspace(list(zip(*(g.evaluate_seq(exact) for g in fol.generators))), big_n)
+    # kernel of c |-> sum_a c_a X_a(q), the evaluated generators as columns
+    kernel = nullspace([g.evaluate_seq(exact) for g in fol.generators], fol.chart.dimension)
     tdim = big_n - len(kernel)
 
+    span = EchelonSpan(big_n, [s.evaluate_seq(exact) for s in fol.syzygies])
+    fdim = big_n - span.rank
+
     # basis of ker(ev_q) modulo the evaluated syzygies: the one-entry kernel vectors
-    # (units of the generators vanishing at q) in generator order, then the rest in column order
-    kernel.sort(key=lambda v: sum(map(bool, v)) != 1)
-    basis = [v for v in kernel if syz_span.insert(v)]
+    # (units of the generators vanishing at q) in generator order, then the rest in
+    # column order; basis vector i goes into the span with tag big_n + i, so every
+    # bracket below is solved on the same span
+    kernel.sort(key=lambda v: len(v) != 1)
+    basis = []
+    for v in kernel:
+        if span.insert({**v, big_n + len(basis): 1}):
+            basis.append(tuple(v.get(a, _ZERO) for a in range(big_n)))
     idim = len(basis)
     if tdim + idim != fdim:
         raise AmbiguousQuotientError(
             f"exactness failed at {pt}: tangent {tdim} + isotropy {idim} != fiber {fdim}"
         )
 
-    # factored once; every bracket below is solved against the same frame
-    frame = CoordinateFrame(syz_rows + basis, big_n)
     # a zero bracket class has zero coordinates, so its rows share one zero
     # row and only nonzero classes are solved, stored and negated
     zero_row = (_ZERO,) * idim
@@ -217,13 +220,12 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
                 subtract_scaled(w, -ck, row)
             if not w:
                 continue
-            coords = solve_coordinates(frame, w)
+            coords = solve_coordinates(span, w)
             if coords is None:
                 raise AmbiguousQuotientError(
                     f"bracket class at {pt} not expressible in the computed presentation"
                 )
-            tail = coords[frame.size - idim:]
-            consts[u][v] = tuple(tail)
+            tail = consts[u][v] = tuple(coords.get(i, _ZERO) for i in range(idim))
             consts[v][u] = tuple(-c if c else _ZERO for c in tail)
 
     return PointReport(

@@ -6,9 +6,14 @@ those entries.  Every entry point takes a dense sequence or such a map, so a
 caller whose vectors are mostly zero (evaluated syzygies, bracket classes,
 unit vectors) never builds or scans the zeros.  A row's pivot is its smallest
 nonzero column, as in dense elimination, so the pivots and the row values are
-exactly the dense ones.  One sparse row update, :func:`subtract_scaled`,
-serves the reduction, :func:`nullspace`'s back-substitution and the bracket
-classes of :mod:`~foliatk.foliation`.
+exactly the dense ones.
+
+Columns from a span's ``width`` on are tags: row operations carry them, but
+a tag never holds a pivot, so a vector that reduces to tags alone reads off
+its coordinates over the tagged vectors.  :func:`nullspace` tags the columns
+of its matrix, with no back-substitution, and :func:`solve_coordinates`
+reads a span's tags.  One sparse row update, :func:`subtract_scaled`, serves
+the reduction and the bracket classes of :mod:`~foliatk.foliation`.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ class EchelonSpan:
 
     ``rows[i]`` maps columns to the nonzero entries of the ``i``-th row,
     which is 1 at its pivot ``pivots[i]``, its smallest column, and 0 at the
-    pivots of the rows before it.  ``vectors`` are inserted in order.
+    pivots of the rows before it; columns from ``width`` on are tags, never
+    pivots.  ``vectors`` are inserted in order.
     """
 
     def __init__(self, width: int, vectors: Sequence[Vector] = ()):
@@ -70,77 +76,56 @@ class EchelonSpan:
                 subtract_scaled(vec, f, row)
         return vec
 
-    def insert(self, vec: Vector) -> bool:
-        """Add a vector; returns True iff it enlarged the span."""
-        v = self._reduce(_sparse(vec))
-        if not v:
+    def _keep(self, v: dict[int, Fraction]) -> bool:
+        """Keep a reduced vector as a row unless only tags are left in it."""
+        piv = min(v, default=self.width)  # every tag lies past every column
+        if piv >= self.width:
             return False
-        piv = min(v)
         inv = _ONE / v[piv]
         self.rows.append({k: x * inv for k, x in v.items()})
         self.pivots.append(piv)
         return True
 
+    def insert(self, vec: Vector) -> bool:
+        """Add a vector; returns True iff it enlarged the span and was kept."""
+        return self._keep(self._reduce(_sparse(vec)))
+
     def contains(self, vec: Vector) -> bool:
-        return not self._reduce(_sparse(vec))
+        """Whether nothing is left below ``width`` once ``vec`` is reduced."""
+        return min(self._reduce(_sparse(vec)), default=self.width) >= self.width
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def nullspace(rows: Sequence[Vector], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : M v = 0}: one vector per free column of the reduced echelon form.
+def nullspace(columns: Sequence[Vector], height: int) -> list[dict[int, Fraction]]:
+    """Kernel basis of the matrix with these columns: one ``{index: value}``
+    map per column that depends on those before it.
 
-    Back-substitution runs from the last pivot: a row is zero at the pivots
-    inserted before it, so clearing its pivot never refills an earlier one.
+    Column ``a`` is reduced with tag ``height + a``.  The tags left read
+    ``e_a - sum_(p<a) c_p e_p``: the one kernel vector with support in ``a``
+    and the pivot columns before it, which is the reduced-echelon one.
     """
-    span = EchelonSpan(width, rows)
-    for k in reversed(range(span.rank)):
-        row, piv = span.rows[k], span.pivots[k]
-        for other in span.rows[:k]:
-            f = other.get(piv)
-            if f is not None:
-                subtract_scaled(other, f, row)
-    reduced = dict(zip(span.pivots, span.rows))
+    span = EchelonSpan(height)
     basis = []
-    for fc in range(width):
-        if fc in reduced:
-            continue
-        v = [_ZERO] * width
-        v[fc] = _ONE
-        for pc, row in reduced.items():
-            x = row.get(fc)
-            if x is not None:
-                v[pc] = -x
-        basis.append(tuple(v))
+    for a, col in enumerate(columns):
+        v = _sparse(col)
+        v[height + a] = _ONE
+        if not span._keep(span._reduce(v)):
+            basis.append({k - height: x for k, x in v.items()})
     return basis
 
 
-class CoordinateFrame:
-    """Rows factored once, tagged with unit vectors, for many coordinate solves.
-
-    Row ``i`` is stored as ``basis[i] + e_i`` in an :class:`EchelonSpan`;
-    reducing ``vec + 0`` against it leaves ``0 + (-c)`` exactly when
-    ``vec = sum c_i * basis[i]``.
-    """
-
-    def __init__(self, basis: Sequence[Vector], width: int):
-        self.width = width
-        self.size = len(basis)
-        self.span = EchelonSpan(width + self.size,
-                                [{**_sparse(b), width + i: _ONE} for i, b in enumerate(basis)])
-
-
-def solve_coordinates(frame: CoordinateFrame, vec: Vector) -> list[Fraction] | None:
-    """Coordinates of ``vec`` in the span of the frame's rows, or None."""
-    width = frame.width
-    coords = [_ZERO] * frame.size
-    for k, x in frame.span._reduce(_sparse(vec)).items():
-        if k < width:
-            return None
-        coords[k - width] = -x
-    return coords
+def solve_coordinates(span: EchelonSpan, vec: Vector) -> dict[int, Fraction] | None:
+    """``{i: c_i}`` with ``vec = sum c_i * t_i`` modulo the span's untagged
+    rows, ``t_i`` the vector inserted with tag ``width + i``; None when
+    ``vec`` is outside the span."""
+    width = span.width
+    v = span._reduce(_sparse(vec))
+    if min(v, default=width) < width:
+        return None
+    return {k - width: -x for k, x in v.items()}
 
 
 def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:

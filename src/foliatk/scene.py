@@ -247,7 +247,9 @@ def load_scene(source) -> Scene:
             data = json.loads(Path(source).read_text(encoding="utf-8") if found else str(source))
         except (OSError, ValueError) as exc:  # a JSON integer past the digit limit too
             kind = "file" if found else "path or JSON text"
-            raise SceneError(f"cannot read scene {kind} {excerpt(str(source))}: {exc}") from exc
+            # an OSError's text repeats the path; its reason alone does not
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise SceneError(f"cannot read scene {kind} {excerpt(str(source))}: {reason}") from exc
     if not isinstance(data, Mapping):
         raise SceneError("scene must be a JSON object")
     try:

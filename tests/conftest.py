@@ -10,10 +10,30 @@ from foliatk import (
     SymTensor2,
     VariableSet,
     VectorField,
+    cli,
     parse_expression,
 )
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+# the longest message an error report may carry: it quotes inputs as excerpts
+MAX_ERROR_MESSAGE = 300
+
+
+@pytest.fixture(autouse=True)
+def bounded_error_messages(monkeypatch):
+    """Fail any test in which an error report's message runs past the bound."""
+    report_error = cli._error_report
+
+    def bounded(*args, **kwargs):
+        report = report_error(*args, **kwargs)
+        message = report["detail"]["message"]
+        assert len(message) <= MAX_ERROR_MESSAGE, (
+            f"an error message of {len(message)} characters: {message[:200]!r}...")
+        return report
+
+    monkeypatch.setattr(cli, "_error_report", bounded)
+
 
 # (scene, key) of every foliation a shipped scene declares
 FOLIATIONS = [

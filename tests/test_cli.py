@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ import pytest
 import foliatk
 from foliatk import VariableSet, cli, foliation, ipoisson, parse_expression
 from foliatk.cli import main, render_report, run_command
-from foliatk.errors import InternalCheckError
+from foliatk.errors import InternalCheckError, excerpt
 
-from conftest import SCENES
+from conftest import MAX_ERROR_MESSAGE, SCENES
 
 
 def ns(**kw):
@@ -158,7 +159,7 @@ def test_unwritable_json_out_is_an_error_report_and_runs_nothing(tmp_path, capsy
         stdout = capsys.readouterr().out
         report = json.loads(stdout)  # one report, no traceback
         assert code == 2 and report["verdict"] == "error" and not ran
-        assert str(bad) in report["detail"]["message"]
+        assert excerpt(str(bad)) in report["detail"]["message"]
     assert not (tmp_path / "missing").exists()
 
 
@@ -440,6 +441,39 @@ def test_unreadable_scene_path_is_an_error_report(tmp_path, capsys, content):
     assert code == 2 and report["verdict"] == "error"
     assert report["detail"]["error_type"] == "SceneError"
     assert "scene.json" in report["detail"]["message"]
+
+
+@pytest.fixture
+def long_dir(tmp_path):
+    """A directory whose path runs past 1,000 characters."""
+    path = tmp_path
+    while len(str(path)) < 1000:
+        path /= "d" * 200
+    path.mkdir(parents=True)
+    return str(path)
+
+
+def test_an_os_error_quotes_the_scene_path_once_as_an_excerpt(long_dir):
+    report, code = run_command("lift-ideal", long_dir)
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    message = report["detail"]["message"]
+    assert message == f"cannot read scene file {excerpt(long_dir)}: {os.strerror(errno.EISDIR)}"
+    assert len(message) < 200
+
+
+def test_an_os_error_quotes_the_json_out_path_once_as_an_excerpt(long_dir, capsys):
+    code = main(["lift-ideal", "--scene", str(SCENES / "so3_moment.json"), "--json-out", long_dir])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["detail"]["error_type"] == "IsADirectoryError"
+    message = report["detail"]["message"]
+    assert message == f"cannot write {excerpt(long_dir)}: {os.strerror(errno.EISDIR)}"
+    assert len(message) < 200
+
+
+def test_an_error_message_past_the_bound_fails_the_test():
+    cli._error_report("lift-ideal", "block", ValueError("x" * MAX_ERROR_MESSAGE))
+    with pytest.raises(AssertionError):
+        cli._error_report("lift-ideal", "block", ValueError("x" * (MAX_ERROR_MESSAGE + 1)))
 
 
 def test_unreadable_scene_text_is_quoted_in_a_bounded_excerpt():

@@ -162,6 +162,18 @@ def test_a_flow_trace_takes_the_record_template():
     assert body is not None and body in _oracle(report)
 
 
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("report", [
+    {"a": [_Text("x")]}, {_Text("k"): "v"}, {"a": _Text("x\u2028\"")},
+    {"r": [{"k": _Text("x")}, {"k": "y"}]}, {"r": [{"k": "y"}, {"k": _Text("x")}]},
+], ids=["list item", "key", "value", "first record value", "record value"])
+def test_a_str_subclass_renders_as_json_dumps_renders_it_wherever_it_sits(report):
+    assert render_report(report) == _oracle(report)
+
+
 @pytest.mark.parametrize("value", [
     1.5, float("nan"), (1, 2), {1, 2}, b"bytes", {1: "a"}, {"a": "b", 2: "c"},
     {"a": [0.5]}, ["a", "b", 2.0], [["a"], ("b",)],
