@@ -595,8 +595,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     # opened before the command runs, so a path that cannot be written runs nothing
     try:
         out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
-    except OSError as exc:  # the path quoted once, as an excerpt
-        exc = type(exc)(f"cannot write {excerpt(args.json_out)}: {exc.strerror}")
+    except (OSError, ValueError) as exc:  # the path quoted once, as an excerpt
+        reason = exc.strerror if isinstance(exc, OSError) else exc  # ValueError: a NUL byte
+        exc = type(exc)(f"cannot write {excerpt(args.json_out)}: {reason}")
         sys.stdout.write(render_report(_error_report(args.command, args.order, exc)))
         return 2
     with out or nullcontext():

@@ -22,6 +22,17 @@ layer:
   when it enlarges the evaluated syzygy span.  Every bracket class is then
   solved on that one span.
 
+Two cases are decided exactly without that work.  Where the tangent rank at
+``q`` is the rank ``r`` of F (the dimension, or the number of lead positions
+of ``G``), an ``r``-minor of the generators is a unit near ``q`` and every
+``(r+1)``-minor vanishes, so F is free there: the fiber is the tangent space
+and the isotropy 0, with no syzygy read.  At the origin of a module of
+homogeneous generators, ``G``, ``R`` and a bracket's cofactors are homogeneous
+and evaluation keeps degree 0, so a bracket of degree ``D`` has a class only
+at generators of degree ``D``.  Where there are none and every monomial field
+of degree ``D`` is a lead multiple, F holds every field of degree ``D``: the
+bracket is in F with class zero, and is not computed.
+
 The point layer is sparse.  The echelon rows of :mod:`~foliatk.linalg` are
 ``{index: value}`` maps, and a bracket class is accumulated as a map of its
 nonzero entries, so a zero class is an empty map, skipped before any solve,
@@ -34,7 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import le
 from typing import Sequence
 
 from .errors import AmbiguousQuotientError, ChartMismatchError, PreconditionError
@@ -152,8 +164,16 @@ def tangent_dim(fol: FoliationModule, point: Sequence) -> int:
     return EchelonSpan(fol.chart.dimension, [g.evaluate_seq(exact) for g in fol.generators]).rank
 
 
+def _free_at(fol: FoliationModule, tdim: int) -> bool:
+    """Whether the tangent rank at a point is the rank of F, so F is free there."""
+    return tdim == fol.chart.dimension or tdim == len(fol.module_gb.table.by_pos)
+
+
 def fiber_dim(fol: FoliationModule, point: Sequence) -> int:
-    """dim F/I_q F = generator count minus the rank of the evaluated syzygies."""
+    """dim F/I_q F: the tangent rank where F is free, else N minus the syzygy rank."""
+    tdim = tangent_dim(fol, point)
+    if _free_at(fol, tdim):
+        return tdim
     exact = ExactPoint(_as_point(fol.chart, point))
     return fol.n_generators - EchelonSpan(
         fol.n_generators, [s.evaluate_seq(exact) for s in fol.syzygies]).rank
@@ -168,6 +188,8 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     # kernel of c |-> sum_a c_a X_a(q), the evaluated generators as columns
     kernel = nullspace([g.evaluate_seq(exact) for g in fol.generators], fol.chart.dimension)
     tdim = big_n - len(kernel)
+    if _free_at(fol, tdim):
+        return PointReport(pt, tdim, tdim, 0, (), ())
 
     span = EchelonSpan(big_n, [s.evaluate_seq(exact) for s in fol.syzygies])
     fdim = big_n - span.rank
@@ -198,8 +220,11 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
     # evaluated once, when a bracket first needs it, and keeps its nonzero
     # entries only
     row_values: dict[int, dict[int, Fraction]] = {}
+    decided = _decided_by_degree(fol, pt, reps)
     for u in range(idim):
         for v in range(u + 1, idim):
+            if decided(u, v):
+                continue
             bracket = lie_bracket(reps[u], reps[v])
             cofactors, remainder = gb.divide(bracket)
             if not remainder.is_zero():
@@ -236,6 +261,31 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
         structure_constants=tuple(tuple(plane) for plane in consts),
         isotropy_basis=tuple(basis),
     )
+
+
+def _decided_by_degree(fol: FoliationModule, pt: Point, reps: Sequence[VectorField]):
+    """``(u, v) -> bool``: whether degree alone makes the bracket class of ``reps[u]``
+    and ``reps[v]`` zero and puts their bracket in F (see the module docstring)."""
+    degrees = [{sum(e) for c in x.components for e in c.terms} for x in (*fol.generators, *reps)]
+    gen_degrees, rep_degrees = degrees[:fol.n_generators], degrees[fol.n_generators:]
+    if any(pt) or any(len(ds) != 1 for ds in gen_degrees):
+        return lambda u, v: False
+    by_pos, n_vars = fol.module_gb.table.by_pos, fol.chart.n_vars
+    full: dict[int, bool] = {}
+
+    def decided(u: int, v: int) -> bool:
+        if len(rep_degrees[u]) != 1 or len(rep_degrees[v]) != 1:
+            return False
+        # a representative vanishes at the origin, so it has degree >= 1
+        d = min(rep_degrees[u]) + min(rep_degrees[v]) - 1
+        if d not in full:  # no generator of degree d, and every monomial field a lead multiple
+            full[d] = {d} not in gen_degrees and all(
+                any(all(map(le, lead, m)) for _, lead, _ in by_pos.get(p, ()))
+                for p in range(fol.chart.dimension)
+                for m in (tuple(map(c.count, range(n_vars)))
+                          for c in combinations_with_replacement(range(n_vars), d)))
+        return full[d]
+    return decided
 
 
 def _combine(fol: FoliationModule, coeffs: Sequence[Fraction]) -> VectorField:

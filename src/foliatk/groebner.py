@@ -629,8 +629,9 @@ def syzygy_basis(
     :class:`GroebnerBasis`.  The relations are, in this order:
 
     * for each input ``i``, ``e_i - sum_k A_ik R_k`` where ``g_i = sum_k A_ik G_k``
-      is its division by ``G``; skipped when zero (an input that is a basis
-      element);
+      is its division by ``G``; skipped when zero, and not formed when ``g_i``
+      is a basis element up to a unit (``R_k = {i: c}``, ``c`` constant): it
+      divides as ``g_i = G_k / c``, so its relation is zero;
     * for each pair ``k < l`` of basis elements leading at the same position
       and kept by the chain rule, the lift ``sum_j s_j R_j`` of the syzygy
       ``s = m_k e_k - m_l e_l - a`` of ``G``, where ``a`` is the division of
@@ -663,9 +664,10 @@ def syzygy_basis(
             raise InternalCheckError("a module element left a remainder on its own Groebner basis")
         return [(a, rows[j]) for j, a in cofactors.items()]
 
+    units = {i for row in rows if len(row) == 1 for i, c in row.items() if c.total_degree() == 0}
     one = Polynomial.constant(varset, 1)
     relations = [_combine_rows(varset, [(one, {i: one})], lifted(g))
-                 for i, g in enumerate(inputs)]
+                 for i, g in enumerate(inputs) if i not in units]
 
     # pairs form only within a lead position
     for group in gb.table.by_pos.values():

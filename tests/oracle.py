@@ -22,7 +22,9 @@ entry, with the covariant metric as adjugate/determinant.
 Isotropy: the dense point layer that the sparse one in ``foliation.py``
 replaced.  It evaluates every component, zero or not, and solves every
 bracket class against the frame, zero or not, through the dense linear
-algebra below, not the package's.
+algebra below, not the package's.  It and the fiber dimension read the
+syzygies at every point: neither decides a regular point by the rank of the
+module, nor a bracket class at a graded origin by degree, as the package does.
 
 Linear algebra: the dense ``EchelonSpan``, ``nullspace``, ``CoordinateFrame``
 and ``solve_coordinates`` that the sparse row maps in ``linalg.py``
@@ -276,6 +278,15 @@ def reference_solve_coordinates(frame: DenseCoordinateFrame,
 
 def _dense_values(element: ModuleElement, exact: ExactPoint) -> tuple[Fraction, ...]:
     return tuple(c.evaluate_seq(exact) for c in element.components)
+
+
+def reference_fiber_dim(fol: FoliationModule, point: Sequence) -> int:
+    """dim F/I_q F = generator count minus the rank of the evaluated syzygies."""
+    exact = ExactPoint(_as_point(fol.chart, point))
+    span = DenseEchelonSpan(fol.n_generators)
+    for s in fol.syzygies:
+        span.insert(_dense_values(s, exact))
+    return fol.n_generators - span.rank
 
 
 def reference_isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
@@ -960,7 +971,9 @@ def reference_syzygy_basis(
     gens: Sequence[ModuleElement] | GroebnerBasis, order: MonomialOrder = BLOCK
 ) -> list[ModuleElement]:
     """``groebner.syzygy_basis`` as it was before each lead group's lcms were
-    tabulated: the chain test recomputes every lcm it compares."""
+    tabulated: the chain test recomputes every lcm it compares, and every
+    input's relation is formed by a division, a unit multiple of a basis
+    element's included."""
     gb = gens if isinstance(gens, GroebnerBasis) else module_groebner(gens, order)
     inputs, basis, rows = gb.input_generators, gb.generators, gb.rows
     n = len(inputs)

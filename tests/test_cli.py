@@ -470,6 +470,17 @@ def test_an_os_error_quotes_the_json_out_path_once_as_an_excerpt(long_dir, capsy
     assert len(message) < 200
 
 
+def test_a_json_out_path_with_a_nul_byte_is_an_error_report(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_command", lambda *a: ran.append(a))
+    path = "a\x00b"
+    code = main(["lift-ideal", "--scene", str(SCENES / "so3_moment.json"), "--json-out", path])
+    report = json.loads(capsys.readouterr().out)  # one report, no traceback
+    assert code == 2 and report["verdict"] == "error" and not ran
+    assert report["detail"]["error_type"] == "ValueError"
+    assert report["detail"]["message"].startswith(f"cannot write {excerpt(path)}: ")
+
+
 def test_an_error_message_past_the_bound_fails_the_test():
     cli._error_report("lift-ideal", "block", ValueError("x" * MAX_ERROR_MESSAGE))
     with pytest.raises(AssertionError):

@@ -31,7 +31,7 @@ from foliatk.poly import BLOCK, random_polynomial
 from foliatk.scene import load_scene
 
 from conftest import FOLIATIONS, P, SCENES
-from oracle import reference_syzygies
+from oracle import reference_syzygies, reference_syzygy_basis
 from test_foliation import order_k_module
 
 R1 = VariableSet(("x",))
@@ -128,6 +128,48 @@ def test_schreyer_generates_the_relations_of_random_modules(seed, rank):
     _assert_syzygies(rows, gens)
     _assert_same_module(rows, reference_syzygies(gens))
     assert _unit(gens[0].varset, len(gens), zero_at) in rows
+
+
+def _module_with_unit_inputs(rnd, rank):
+    """Random elements, about half of them single terms with a coefficient, and
+    a unit multiple of one of them: some inputs are basis elements up to a
+    unit, and some are not."""
+    chart = rnd.choice((R2, R3)) if rank == 1 else R2
+    zero = Polynomial.zero(chart)
+    gens = []
+    for _ in range(rnd.randint(2, 4)):
+        if rnd.random() < 0.5:
+            comps = [zero] * rank
+            expo = tuple(rnd.randint(0, 2) for _ in range(chart.n_vars))
+            comps[rnd.randrange(rank)] = Polynomial.monomial(chart, expo, rnd.choice((1, 2, -3)))
+        else:
+            comps = [random_polynomial(rnd, chart, max_base_degree=2, terms=rnd.choice((1, 2)))
+                     for _ in range(rank)]
+        gens.append(ModuleElement(chart, tuple(comps)))
+    unit = Polynomial.constant(chart, rnd.choice((2, -1, Fraction(1, 3))))
+    gens.insert(rnd.randrange(len(gens) + 1), rnd.choice(gens).scale_by(unit))
+    return gens
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_skipping_unit_inputs_keeps_the_relations(seed, rank):
+    gens = _module_with_unit_inputs(random.Random(seed), rank)
+    rows, reference = syzygy_basis(gens), reference_syzygy_basis(gens)
+    _assert_syzygies(rows, gens)
+    _assert_same_module(rows, reference)
+    assert rows == reference  # each skipped relation was zero
+
+
+def test_an_input_that_is_a_basis_element_up_to_a_unit_is_not_divided(monkeypatch):
+    # G = (x e_1, y e_2) with rows {0: 1/2} and {1: 1}: only x e_1 is divided
+    gens = [_me(R2, "2*x", "0"), _me(R2, "0", "y"), _me(R2, "x", "0")]
+    gb = module_groebner(gens)
+    divided = []
+    divide = GroebnerBasis.divide
+    monkeypatch.setattr(GroebnerBasis, "divide", lambda self, v: divided.append(v) or divide(self, v))
+    assert syzygy_basis(gb) == [_me(R2, "-1/2", "0", "1")]
+    assert divided == [gens[2]]
 
 
 def test_coprime_rank_one_pair_gives_its_koszul_syzygy():
