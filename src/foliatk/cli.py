@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Mapping, Sequence
 from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import Mapping, Sequence
 
 from . import __version__
 from .dynamics import FlowState, geodesic_orthogonality_check, monitor_ideal_preservation
@@ -52,6 +52,47 @@ _START_TOL = 1e-12
 
 def _f(x: float) -> str:
     return "%.17g" % x
+
+
+class FlowTrace(Sequence):
+    """The samples of a flow monitor, kept as the kernel appended them.
+
+    ``samples`` are ``(t, generator values, energy)`` float tuples, every one
+    with as many generator values as the first.  Read as a sequence, sample
+    ``i`` is the record ``{"t": _f(t), "generators": [_f(v), ...], "energy":
+    _f(e)}``, built on each read; a trace equals a list of those records.
+    :func:`render_report` renders a trace as that list, one ``%`` per sample
+    with a ``"%.17g"`` slot per float, so no record or string is built.
+    """
+
+    __slots__ = ("samples",)
+
+    def __init__(self, samples: Sequence[tuple[float, Sequence[float], float]]):
+        self.samples = samples
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self.samples))[i]]
+        t, values, e = self.samples[i]
+        return {"t": _f(t), "generators": [_f(v) for v in values], "energy": _f(e)}
+
+    def __eq__(self, other) -> bool:  # also makes a trace unhashable, as a list is
+        return list(self) == list(other) if isinstance(other, (list, FlowTrace)) else NotImplemented
+
+    def render(self, depth: int) -> str:
+        """The trace as ``json.dumps`` indents a list of its records at ``depth``."""
+        if not self.samples:
+            return "[]"
+        pad, inner, deep = ("\n" + "  " * (depth + n) for n in (1, 2, 3))
+        width = len(self.samples[0][1])
+        slots = "[" + deep + ("," + deep).join(['"%.17g"'] * width) + inner + "]" if width else "[]"
+        template = ("{" + inner + '"energy": "%.17g",' + inner + '"generators": ' + slots + ","
+                    + inner + '"t": "%.17g"' + pad + "}")
+        body = ("," + pad).join([template % (e, *values, t) for t, values, e in self.samples])
+        return "[" + pad + body + "\n" + "  " * depth + "]"
 
 
 def _value_str(obj) -> object:
@@ -363,15 +404,13 @@ def _cmd_morita_span(scene: Scene, args, order):
 
 
 def _flow_detail(report, tol: float, dt: float, t_end: float, **detail):
-    """Detail, certificates, monitor and tolerances of a flow command."""
+    """Detail, certificates, monitor and tolerances of a flow command; the
+    monitor's ``samples`` are a :class:`FlowTrace` of the kernel's floats."""
     detail["passed"] = report.max_abs_generator <= tol
     monitor = {
         "max_abs_generator": _f(report.max_abs_generator),
         "energy_drift": _f(report.energy_drift),
-        "samples": [
-            {"t": _f(t), "generators": [_f(v) for v in values], "energy": _f(e)}
-            for t, values, e in report.samples
-        ],
+        "samples": FlowTrace(report.samples),
     }
     tolerances = {"tol": _f(tol), "dt": _f(dt), "t_end": _f(t_end), "start_tol": _f(_START_TOL)}
     return detail, [], monitor, tolerances
@@ -473,13 +512,13 @@ def _assemble(command, verdict, detail, certs, monitor, notes, order, tolerances
 
 def render_report(report: dict) -> str:
     """The report as JSON text: ``json.dumps(report, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"``, byte for byte.
+    ensure_ascii=False, default=list) + "\\n"``, byte for byte.
 
-    Reports hold only dicts with str keys, lists, str, int, bool and None;
-    anything else raises ``TypeError``.  A list met again at the same depth,
-    such as the generator list that every certificate of one check shares,
-    is rendered once per call.  A list of records of one shape, such as a
-    flow trace, is rendered through one ``%`` template (see ``_records``).
+    Reports hold only dicts with str keys, lists, str, int, bool, None and a
+    flow monitor's :class:`FlowTrace`, which renders as the list of its
+    records (``default=list``); anything else raises ``TypeError``.  A list
+    met again at the same depth, such as the generator list that every
+    certificate of one check shares, is rendered once per call.
     """
     return _emit(report, 0, {}) + "\n"
 
@@ -498,9 +537,7 @@ def _emit(obj, depth: int, memo: dict) -> str:
             try:  # most lists hold only strings
                 body = ("," + pad).join(map(encode_basestring, obj))
             except TypeError:
-                body = _records(obj, depth + 1)
-                if body is None:
-                    body = ("," + pad).join([_emit(x, depth + 1, memo) for x in obj])
+                body = ("," + pad).join([_emit(x, depth + 1, memo) for x in obj])
             text = memo[key] = "[" + pad + body + "\n" + "  " * depth + "]"
         return text
     if kind is dict:
@@ -517,62 +554,11 @@ def _emit(obj, depth: int, memo: dict) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
+    if kind is FlowTrace:
+        return obj.render(depth)
     if isinstance(obj, str):  # a str subclass, as json.dumps renders it
         return encode_basestring(obj)
     raise TypeError(f"a report cannot hold {kind.__name__}")
-
-
-def _records(obj: list, depth: int) -> str | None:
-    """The joined body of a list of records at ``depth``, or None if it is not one.
-
-    A list of records is a list of dicts with one key set of str keys, whose
-    values are str, or lists of str of one length per key.  The keys and the
-    padding of the first record are encoded once into a ``%`` template, a
-    ``%`` in a key escaped, and each record is then one ``%`` over its
-    encoded values.  Any other list, or a record that differs from the first
-    in keys, value type or list length, returns None and takes the generic
-    path, which renders it or raises its ``TypeError``.
-    """
-    first = obj[0]
-    if first.__class__ is not dict or not first or any(k.__class__ is not str for k in first):
-        return None
-    shape = []  # (key, None for a str or the length of its list), keys sorted
-    slots = []
-    pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    for k in sorted(first):
-        value = first[k]
-        if value.__class__ is str:
-            shape.append((k, None))
-            slot = "%s"
-        elif value.__class__ is list:
-            shape.append((k, len(value)))
-            slot = ("[" + inner + ("," + inner).join(["%s"] * len(value)) + pad + "]"
-                    if value else "[]")
-        else:
-            return None
-        slots.append(encode_basestring(k).replace("%", "%%") + ": " + slot)
-    template = "{" + pad + ("," + pad).join(slots) + "\n" + "  " * depth + "}"
-    names = first.keys()
-    out = []
-    try:
-        for record in obj:
-            if record.__class__ is not dict or record.keys() != names:
-                return None
-            values = []
-            for k, length in shape:
-                value = record[k]
-                if length is None:
-                    if value.__class__ is not str:
-                        return None
-                    values.append(encode_basestring(value))
-                elif value.__class__ is list and len(value) == length:
-                    values += map(encode_basestring, value)
-                else:
-                    return None
-            out.append(template % tuple(values))
-    except TypeError:  # a list item that is not a str
-        return None
-    return (",\n" + "  " * depth).join(out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -378,16 +378,20 @@ def _dense(row: Row, n: int, varset: VariableSet) -> tuple[Polynomial, ...]:
 def _combine_rows(varset: VariableSet, plus: Iterable[tuple[Polynomial, Row]],
                   minus: Iterable[tuple[Polynomial, Row]] = ()) -> Row:
     """``sum(c * row for c, row in plus) - sum(c * row for c, row in minus)``: each
-    index's entry is one :func:`sum_of_products` call, entries that cancel are
-    dropped, and the keys come out in increasing index order."""
+    index's entry is one :func:`sum_of_products` call, or ``c`` itself when its
+    only term is ``c`` times the constant 1 on the plus side; entries that
+    cancel are dropped, and the keys come out in increasing index order."""
     plus_at, minus_at = {}, {}  # index -> (c, entry) pairs of each side
     for at, terms in ((plus_at, plus), (minus_at, minus)):
         for c, row in terms:
             for i, t in row.items():
                 at.setdefault(i, []).append((c, t))
+    one = {(0,) * varset.n_vars: 1}  # the terms of the constant 1
     out: Row = {}
     for i in sorted(plus_at.keys() | minus_at.keys()):
-        entry = sum_of_products(varset, plus_at.get(i, ()), minus_at.get(i, ()))
+        pairs = plus_at.get(i, ())
+        entry = (pairs[0][0] if len(pairs) == 1 and i not in minus_at and pairs[0][1].terms == one
+                 else sum_of_products(varset, pairs, minus_at.get(i, ())))
         if entry.terms:
             out[i] = entry
     return out
@@ -443,14 +447,18 @@ def _monic(r: ModuleElement, rep: Row, keyf) -> tuple[ModuleElement, Row]:
             {j: p.scale(inv) for j, p in rep.items()})
 
 
+def _multipliers(table: DivisorTable, k: int, l: int, lcm: Exponents) -> list[Polynomial]:
+    """``[m_k, m_l]``, where ``m_k`` takes ``g_k``'s leading term to ``lcm`` with
+    coefficient 1, and likewise ``m_l``."""
+    return [Polynomial.monomial(table.varset, _sub(lcm, table.leads[j][1]),
+                                exact_quotient(1, table.leads[j][2])) for j in (k, l)]
+
+
 def _s_vector(table: DivisorTable, k: int, l: int,
               lcm: Exponents) -> tuple[Polynomial, Polynomial, ModuleElement]:
     """``(m_k, m_l, m_k g_k - m_l g_l)`` for two table elements leading at one
-    position, where ``m_k`` takes ``g_k``'s leading term to ``lcm`` with
-    coefficient 1, and likewise ``m_l``."""
-    (_, lk, ck), (_, ll, cl) = table.leads[k], table.leads[l]
-    mk = Polynomial.monomial(table.varset, _sub(lcm, lk), exact_quotient(1, ck))
-    ml = Polynomial.monomial(table.varset, _sub(lcm, ll), exact_quotient(1, cl))
+    position, with their :func:`_multipliers`."""
+    mk, ml = _multipliers(table, k, l, lcm)
     return mk, ml, ModuleElement(table.varset, tuple(
         sum_of_products(table.varset, [(mk, a)], [(ml, b)])
         for a, b in zip(table.elements[k].components, table.elements[l].components)))
@@ -635,7 +643,9 @@ def syzygy_basis(
     * for each pair ``k < l`` of basis elements leading at the same position
       and kept by the chain rule, the lift ``sum_j s_j R_j`` of the syzygy
       ``s = m_k e_k - m_l e_l - a`` of ``G``, where ``a`` is the division of
-      the S-vector ``m_k G_k - m_l G_l`` by ``G``; skipped when zero.
+      the S-vector ``m_k G_k - m_l G_l`` by ``G``; skipped when zero.  Of
+      two single-term elements the S-vector is exactly zero, so ``a = 0``
+      and no S-vector is formed or divided.
 
     The pair syzygies generate Syz(G) (Schreyer 1980), so with the input
     relations they generate Syz(g).  The chain rule is static and strict: it
@@ -668,6 +678,7 @@ def syzygy_basis(
     one = Polynomial.constant(varset, 1)
     relations = [_combine_rows(varset, [(one, {i: one})], lifted(g))
                  for i, g in enumerate(inputs) if i not in units]
+    single = [sum(len(c.terms) for c in g.components) == 1 for g in gb.table.elements]
 
     # pairs form only within a lead position
     for group in gb.table.by_pos.values():
@@ -679,7 +690,10 @@ def syzygy_basis(
                        and lcms[a][c] != lcm_kl and lcms[b][c] != lcm_kl
                        for c, (_, lj, _) in enumerate(group)):
                     continue
-                mk, ml, s = _s_vector(gb.table, k, l, lcm_kl)
-                relations.append(_combine_rows(varset, [(mk, rows[k])],
-                                               [(ml, rows[l]), *lifted(s)]))
+                if single[k] and single[l]:  # two terms: the S-vector is zero
+                    (mk, ml), lift = _multipliers(gb.table, k, l, lcm_kl), []
+                else:
+                    mk, ml, s = _s_vector(gb.table, k, l, lcm_kl)
+                    lift = lifted(s)
+                relations.append(_combine_rows(varset, [(mk, rows[k])], [(ml, rows[l]), *lift]))
     return [ModuleElement(varset, _dense(row, n, varset)) for row in relations if row]

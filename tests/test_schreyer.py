@@ -161,6 +161,17 @@ def test_skipping_unit_inputs_keeps_the_relations(seed, rank):
     assert rows == reference  # each skipped relation was zero
 
 
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
+def test_single_term_pairs_give_the_divided_relations_on_order_k_modules(k, n):
+    # every element of an order-k module is a single term: no pair's S-vector
+    # is formed, and the rows are those of dividing each zero S-vector
+    chart = VariableSet(tuple("xyz"[:n]))
+    gens = order_k_module(k, chart).elements()
+    rows = syzygy_basis(gens)
+    assert rows == reference_syzygy_basis(gens)
+    _assert_syzygies(rows, gens)
+
+
 def test_an_input_that_is_a_basis_element_up_to_a_unit_is_not_divided(monkeypatch):
     # G = (x e_1, y e_2) with rows {0: 1/2} and {1: 1}: only x e_1 is divided
     gens = [_me(R2, "2*x", "0"), _me(R2, "0", "y"), _me(R2, "x", "0")]
