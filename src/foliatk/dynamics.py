@@ -36,27 +36,30 @@ energy sum of that kind keeps the value of the start sample, which ran under
 its own overflow guard, and the loop does not recompute it.  The finiteness
 of the unmoved coordinates is tested once, into ``fin``, which the loop's
 test reads before the moved names: ``and`` of the same tests is the same
-boolean, and the failing state is listed in full as before.
+boolean, and the failing state is returned in full as before.
 
 An energy that reads only unmoved coordinates takes no drift in the loop:
 ``e`` is ``e0`` at every step, so ``abs(e - e0)`` is ``0.0``, or nan for an
 infinite or nan start, and ``nan > drift`` is false, so the drift stays
-``0.0`` either way.  The running maximum of a generator of that kind is still
-taken at every step, because the order of its comparisons decides which nan
-the maximum keeps.
+``0.0`` either way.
+
+A nan generator value is not a pass.  The kernel tests ``not x <= y``,
+which a nan passes as a larger value does: the start test refuses it, and in
+the running maximum ``not x > y``, inside the rarely taken branch, tells it
+from a larger value and returns the sample overflow (at a finite state, a
+nan can only come from ``inf - inf``).
 
 A flow run is one generated function, ``flow(v0, ..., v{2n-1}, steps,
 start_tol, store_every, append)``, holding the whole loop on positional
-locals: the four rk4 stages inlined (or the leapfrog half-steps, for a
-separable Hamiltonian), the finiteness check of the next state, the sample of
-the monitored generators and the energy, the running maxima and the
-decimated trace.  The step from a state is taken before the state is
-sampled, so a flow that diverges reports the step that diverged, as a stored
-trajectory would.  The function returns an exit code with the step index, and
-the errors are raised here; ``integrate_flow`` runs the same loop with the
-state itself as the sample.  Integration is fixed-step, so monitor values are
-reproducible.  A flow of more than ``MAX_FLOW_STEPS`` steps is refused
-before the first step.
+locals: the four rk4 stages inlined, the finiteness check of the next
+state, the sample of the monitored generators and the energy, the running
+maxima and the decimated trace.  The step from a state is taken before the
+state is sampled, so a flow that diverges reports the step that diverged, as
+a stored trajectory would.  The function returns an exit code with the step
+index, and the errors are raised here; ``integrate_flow`` runs the same loop
+with the state itself as the sample, and no start test or maximum.
+Integration is fixed-step, so monitor values are reproducible.  A flow of
+more than ``MAX_FLOW_STEPS`` steps is refused before the first step.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ class MonitorReport:
 # -- source generation -----------------------------------------------------------
 
 
-def _names(prefix: str, count: int, first: int = 0) -> list[str]:
-    return [f"{prefix}{i}" for i in range(first, first + count)]
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(count)]
 
 
 def _tuple(names: Sequence[str]) -> str:
@@ -148,12 +151,12 @@ def _sum_lines(poly: Polynomial, target: str, names: Sequence[str],
     return [f"{target} = {line}" for line in lines]
 
 
-def _partials(h: Polynomial) -> tuple[list[Polynomial], list[Polynomial]]:
-    """dH/dp_i and dH/dq^i, in chart order."""
+def _rates(h: Polynomial) -> list[tuple[Polynomial, bool]]:
+    """``(f, negate)`` per coordinate: dq^i/dt = dH/dp_i, dp_i/dt = -dH/dq^i."""
     varset = h.varset
     if not varset.has_fiber:
         raise VariableSetError("Hamiltonian must live on a cotangent chart")
-    return [h.diff(p) for p in varset.fiber], [h.diff(q) for q in varset.base]
+    return [(h.diff(p), False) for p in varset.fiber] + [(h.diff(q), True) for q in varset.base]
 
 
 def _reads(f: Polynomial) -> set[int]:
@@ -161,23 +164,11 @@ def _reads(f: Polynomial) -> set[int]:
     return {j for e in f.terms for j, k in enumerate(e) if k}
 
 
-def _rates(dh_dp, dh_dq) -> list[tuple[Polynomial, bool]]:
-    """``(f, negate)`` per coordinate: dq^i/dt = dH/dp_i, dp_i/dt = -dH/dq^i."""
-    return [(f, False) for f in dh_dp] + [(f, True) for f in dh_dq]
-
-
-def _rhs_lines(dh_dp, dh_dq, names: Sequence[str], out: str) -> list[str]:
-    """Statements leaving the rates at ``names`` in ``out0``, ``out1``..."""
-    lines = []
-    for i, (f, negate) in enumerate(_rates(dh_dp, dh_dq)):
-        lines += _sum_lines(f, f"{out}{i}", names, negate)
-    return lines
-
-
-def _rk4_lines(dh_dp, dh_dq, dt: float) -> tuple[list[str], list[str], list[str]]:
-    """The folded rk4 step: statements run once before the loop, the step, and
-    the names holding the next state."""
-    rates = _rates(dh_dp, dh_dq)
+def _rk4_lines(h: Polynomial, dt: float) -> tuple[list[str], list[str], list[str]]:
+    """The folded rk4 step from ``v0, v1...``: the statements run once before
+    the loop, the statements of each step, and the names holding the next
+    state, ``n{i}``, or ``v{i}`` for a coordinate the step leaves as it is."""
+    rates = _rates(h)
     width = len(rates)
     v = _names("v", width)
     # a zero dH/dq makes every stage of p -0.0, and x + -0.0 is x: p stays v
@@ -211,42 +202,6 @@ def _rk4_lines(dh_dp, dh_dq, dt: float) -> tuple[list[str], list[str], list[str]
     return once, lines, [v[i] if i in unmoved else f"n{i}" for i in range(width)]
 
 
-def _leapfrog_lines(dh_dp, dh_dq, dt: float) -> list[str]:
-    n = len(dh_dp)
-    q, p = _names("v", n), _names("v", n, n)
-    p_half, q_new, p_new = _names("ph", n), _names("n", n), _names("n", n, n)
-    half = repr(0.5 * dt)
-    lines = []
-    for i, f in enumerate(dh_dq):
-        lines += _sum_lines(f, f"s{i}", q + p)
-    lines += [f"{p_half[i]} = {p[i]} - {half} * s{i}" for i in range(n)]
-    for i, f in enumerate(dh_dp):
-        lines += _sum_lines(f, f"s{i}", q + p_half)
-    lines += [f"{q_new[i]} = {q[i]} + {dt!r} * s{i}" for i in range(n)]
-    for i, f in enumerate(dh_dq):
-        lines += _sum_lines(f, f"s{i}", q_new + p_half)
-    return lines + [f"{p_new[i]} = {p_half[i]} - {half} * s{i}" for i in range(n)]
-
-
-def _step_lines(h: Polynomial, dt: float,
-                method: str) -> tuple[list[str], list[str], list[str]]:
-    """Statements taking the state ``dt`` on from ``v0, v1...``, and the names of the result.
-
-    The first list holds the statements whose values are the same at every
-    step, run once before the first; the second, the statements of each step.
-    A result name is ``n{i}``, or ``v{i}`` for a coordinate the step leaves as
-    it is.
-    """
-    dh_dp, dh_dq = _partials(h)
-    if method == "rk4":
-        return _rk4_lines(dh_dp, dh_dq, dt)
-    if method == "leapfrog":
-        if not _is_separable(h):
-            raise PreconditionError("leapfrog needs a separable Hamiltonian T(p) + V(q)")
-        return [], _leapfrog_lines(dh_dp, dh_dq, dt), _names("n", len(dh_dp) + len(dh_dq))
-    raise PreconditionError(f"unknown integration method {method!r}")
-
-
 def _sample_sums(h: Polynomial,
                  generators: Sequence[Polynomial] | None) -> list[tuple[Polynomial, str]]:
     """``(polynomial, target)`` per sampled value: the generator values in
@@ -273,26 +228,26 @@ def _def(name: str, params: Sequence[str], body: Sequence[str]) -> str:
     return "".join(f"{s}\n" for s in _block(f"def {name}({', '.join(params)}):", body))
 
 
-def _load(source: str, *names: str) -> tuple[Callable, ...]:
+def _load(source: str, name: str) -> Callable:
     namespace: dict = {"isfinite": math.isfinite}
     exec(compile(source, _KERNEL_FILE, "exec"), namespace)
-    return tuple(namespace[name] for name in names)
+    return namespace[name]
 
 
-def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: float,
-                method: str = "rk4") -> str:
+def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: float) -> str:
     """Source of ``flow``, the whole monitored run over steps of ``dt``.
 
     ``flow(v0, ..., steps, start_tol, store_every, append)`` samples the
-    start, returns ``(_OFF_START, 0, values)`` if a generator value exceeds
-    ``start_tol`` in absolute value, and otherwise takes ``steps`` steps.
-    State ``i`` is sampled after the step from it, and ``(t, values,
+    start, returns ``(_OFF_START, 0, values)`` unless every generator value
+    is within ``start_tol`` in absolute value, and otherwise takes ``steps``
+    steps.  State ``i`` is sampled after the step from it, and ``(t, values,
     energy)`` goes to ``append`` when ``store_every`` divides ``i`` and at
     the last state.  The result is ``(_DONE, steps, (max_gen, drift))``, the
-    running maxima as builtin ``max`` takes them, or the exit code of the
-    first failure with its step index: ``_STEP_OVERFLOW``, ``_NON_FINITE``
-    (with the next state as a list) or ``_SAMPLE_OVERFLOW``.  With
-    ``generators`` None the sample is the state itself, energy ``0.0``.
+    running maxima, or the exit code of the first failure with its step
+    index: ``_STEP_OVERFLOW``, ``_NON_FINITE`` (with the next state as a
+    list) or ``_SAMPLE_OVERFLOW``, also for a nan generator value.  With
+    ``generators`` None the sample is the state itself, energy ``0.0``, and
+    the maximum stays ``0.0``.
 
     Statements that read only unmoved coordinates (see the module docstring)
     are hoisted out of the loop, each where its first evaluation in the loop
@@ -305,7 +260,7 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
     """
     width = h.varset.n_vars
     v = _names("v", width)
-    once, step, n = _step_lines(h, dt, method)
+    once, step, n = _rk4_lines(h, dt)
     moved = [(a, b) for a, b in zip(n, v) if a != b]
     unmoved = [i for i, (a, b) in enumerate(zip(n, v)) if a == b]
     sums = _sample_sums(h, generators)
@@ -317,13 +272,19 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
 
     body = ["i = 0", *sampled(sums)]
     maxima = []
-    if values:
-        off_start = " or ".join(f"abs({name}) > start_tol" for name in values)
+    if generators:
+        off_start = " or ".join(f"not abs({name}) <= start_tol" for name in values)
         body += _block(f"if {off_start}:", [f"return {_OFF_START}, 0, {_tuple(values)}"])
+
+        def raise_to(t: str, m: str) -> list[str]:
+            # the branch is taken for a larger t and for a nan t or m
+            nan = _block(f"if not {t} > {m}:", [f"return {_SAMPLE_OVERFLOW}, i, ()"])
+            return _block(f"if not {t} <= {m}:", [*nan, f"{m} = {t}"])
+
         maxima.append(f"m = abs({values[0]})")
         for name in values[1:]:
-            maxima += [f"t = abs({name})", *_block("if t > m:", ["m = t"])]
-        maxima += _block("if m > max_gen:", ["max_gen = m"])
+            maxima += [f"t = abs({name})", *raise_to("t", "m")]
+        maxima += raise_to("m", "max_gen")
     body += ["e0 = e", "max_gen = 0.0", "drift = 0.0"]
     # bound for a run of no steps, where the start takes no step but is handed on
     body += [f"{a} = {b}" for a, b in moved]
@@ -366,26 +327,20 @@ def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[float]], float]:
     """The polynomial as a function of a float vector in variable order."""
     width = poly.varset.n_vars
     body = _vals_lines(width) + _sum_lines(poly, "acc", _names("v", width)) + ["return acc"]
-    return _load(_def("evaluate", ["vals"], body), "evaluate")[0]
+    return _load(_def("evaluate", ["vals"], body), "evaluate")
 
 
 def hamiltonian_rhs(h: Polynomial) -> Callable[[Sequence[float]], list[float]]:
     """dq^i/dt = dH/dp_i, dp_i/dt = -dH/dq^i, compiled once."""
     width = h.varset.n_vars
-    body = _vals_lines(width) + _rhs_lines(*_partials(h), _names("v", width), "k")
+    body = _vals_lines(width)
+    for i, (f, negate) in enumerate(_rates(h)):
+        body += _sum_lines(f, f"k{i}", _names("v", width), negate)
     body.append(f"return [{', '.join(_names('k', width))}]")
-    return _load(_def("rhs", ["vals"], body), "rhs")[0]
+    return _load(_def("rhs", ["vals"], body), "rhs")
 
 
 # -- integration -------------------------------------------------------------------
-
-
-def _is_separable(h: Polynomial) -> bool:
-    n = h.varset.dimension
-    for e in h.terms:
-        if any(e[:n]) and any(e[n:]):
-            return False
-    return True
 
 
 def _steps(h: Polynomial, start: FlowState, t_end: float, dt: float) -> tuple[int, float]:
@@ -422,20 +377,26 @@ def _monitor(
     start_tol: float,
     store_every: int,
     precondition_label: str,
-    method: str = "rk4",
 ) -> MonitorReport:
-    """Compile the ``flow`` loop, run it from ``start`` and raise its failure."""
+    """Compile the ``flow`` loop, run it from ``start`` and raise its failure,
+    naming how many values failed and the first, not all of them."""
     steps, dt = _steps(h, start, t_end, dt)
-    (flow,) = _load(flow_source(h, generators, dt, method), "flow")
+    flow = _load(flow_source(h, generators, dt), "flow")
     samples = []
     code, i, data = flow(*start.q, *start.p, steps, start_tol, store_every, samples.append)
     if code == _OFF_START:
-        initial = [abs(v) for v in data]
-        raise PreconditionError(f"{precondition_label}: generator values at start are {initial}")
+        off = [j for j, v in enumerate(data) if not abs(v) <= start_tol]
+        raise PreconditionError(
+            f"{precondition_label}: {len(off)} of {len(data)} generator values at start are"
+            f" not within start_tol = {start_tol!r}; the first is generator {off[0]},"
+            f" |value| {abs(data[off[0]])!r}")
     if code == _STEP_OVERFLOW:
         raise FlowDivergedError(f"state overflowed near t={(i + 1) * dt:.6g}")
     if code == _NON_FINITE:
-        raise FlowDivergedError(f"non-finite state at t={(i + 1) * dt:.6g}: {data}")
+        bad = [j for j, v in enumerate(data) if not math.isfinite(v)]
+        raise FlowDivergedError(
+            f"non-finite state at t={(i + 1) * dt:.6g}: {len(bad)} of {len(data)} coordinates"
+            f" are not finite; the first is coordinate {bad[0]} = {data[bad[0]]!r}")
     if code == _SAMPLE_OVERFLOW:
         raise FlowDivergedError(f"monitored value overflowed at t={i * dt:.6g}")
     return MonitorReport(tuple(samples), *data)
@@ -446,14 +407,13 @@ def integrate_flow(
     start: FlowState,
     t_end: float,
     dt: float,
-    method: str = "rk4",
 ) -> list[FlowState]:
     """Fixed-step trajectory of the Hamiltonian flow; aborts on non-finite state.
 
     The trajectory is the run of the ``flow`` loop whose sample is the state
     itself, with every sample kept.
     """
-    report = _monitor(None, h, start, t_end, dt, math.inf, 1, "", method)
+    report = _monitor(None, h, start, t_end, dt, math.inf, 1, "")
     n = h.varset.dimension
     return [FlowState(vec[:n], vec[n:], t) for t, vec, _ in report.samples]
 

@@ -37,10 +37,11 @@ oversized exponent escapes it as ``ZeroDivisionError`` or ``ValueError``;
 everywhere else the package must give the same polynomial, or the same
 message and position.
 
-Flows: the closure interpreter and the stored-trajectory rk4, leapfrog and
-monitor loops that the generated flow kernels replaced.  They perform the
-same float operations in the same order, so the kernels must agree with them
-exactly.
+Flows: the closure interpreter and the stored-trajectory rk4 and monitor
+loops that the generated flow kernels replaced.  They perform the same float
+operations in the same order, so the kernels must agree with them exactly.
+The monitor refuses a nan generator value, at the start or after it, with a
+test of its own: a sample with a nan in it fails, whatever the maximum.
 
 Division and brackets: the division that built its per-position lead table
 on every call, which the divisor tables owned by a basis replaced, and the
@@ -660,40 +661,24 @@ def reference_rhs(h: Polynomial) -> Callable[[Sequence[float]], list[float]]:
     return rhs
 
 
-def _reference_states(h: Polynomial, start: FlowState, t_end: float, dt: float,
-                      method: str = "rk4"):
+def _reference_states(h: Polynomial, start: FlowState, t_end: float, dt: float):
     """The stored trajectory's states, yielded as reached; raises on divergence."""
     varset = h.varset
     n = varset.dimension
     steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     dt = t_end / steps if steps else dt
     yield FlowState(tuple(start.q), tuple(start.p), 0.0)
+    rhs = reference_rhs(h)
 
-    if method == "rk4":
-        rhs = reference_rhs(h)
-
-        def step(vec: list[float]) -> list[float]:
-            k1 = rhs(vec)
-            k2 = rhs([v + 0.5 * dt * d for v, d in zip(vec, k1)])
-            k3 = rhs([v + 0.5 * dt * d for v, d in zip(vec, k2)])
-            k4 = rhs([v + dt * d for v, d in zip(vec, k3)])
-            return [
-                v + dt * (a + 2 * b + 2 * c + d) / 6.0
-                for v, a, b, c, d in zip(vec, k1, k2, k3, k4)
-            ]
-
-    else:
-        dT = [reference_evaluator(h.diff(p_name)) for p_name in varset.fiber]
-        dV = [reference_evaluator(h.diff(q_name)) for q_name in varset.base]
-
-        def step(vec: list[float]) -> list[float]:
-            q, p = vec[:n], vec[n:]
-            p_half = [pi - 0.5 * dt * f(q + p) for pi, f in zip(p, dV)]
-            mid = q + p_half
-            q_new = [qi + dt * f(mid) for qi, f in zip(q, dT)]
-            state_new = q_new + p_half
-            p_new = [pi - 0.5 * dt * f(state_new) for pi, f in zip(p_half, dV)]
-            return q_new + p_new
+    def step(vec: list[float]) -> list[float]:
+        k1 = rhs(vec)
+        k2 = rhs([v + 0.5 * dt * d for v, d in zip(vec, k1)])
+        k3 = rhs([v + 0.5 * dt * d for v, d in zip(vec, k2)])
+        k4 = rhs([v + dt * d for v, d in zip(vec, k3)])
+        return [
+            v + dt * (a + 2 * b + 2 * c + d) / 6.0
+            for v, a, b, c, d in zip(vec, k1, k2, k3, k4)
+        ]
 
     vec = list(start.q) + list(start.p)
     for i in range(steps):
@@ -703,16 +688,17 @@ def _reference_states(h: Polynomial, start: FlowState, t_end: float, dt: float,
             raise FlowDivergedError(
                 f"state overflowed near t={(i + 1) * dt:.6g}"
             ) from None
-        if not all(math.isfinite(v) for v in vec):
+        bad = [(j, v) for j, v in enumerate(vec) if not math.isfinite(v)]
+        if bad:
             raise FlowDivergedError(
-                f"non-finite state at t={(i + 1) * dt:.6g}: {vec}"
+                f"non-finite state at t={(i + 1) * dt:.6g}: {len(bad)} of {len(vec)}"
+                f" coordinates are not finite; the first is coordinate {bad[0][0]} = {bad[0][1]!r}"
             )
         yield FlowState(tuple(vec[:n]), tuple(vec[n:]), (i + 1) * dt)
 
 
-def reference_flow(h: Polynomial, start: FlowState, t_end: float, dt: float,
-                   method: str = "rk4") -> list[FlowState]:
-    return list(_reference_states(h, start, t_end, dt, method))
+def reference_flow(h: Polynomial, start: FlowState, t_end: float, dt: float) -> list[FlowState]:
+    return list(_reference_states(h, start, t_end, dt))
 
 
 def reference_monitor(generators: Sequence[Polynomial], h: Polynomial, start: FlowState,
@@ -734,9 +720,13 @@ def reference_monitor(generators: Sequence[Polynomial], h: Polynomial, start: Fl
             raise FlowDivergedError(f"monitored value overflowed at t={state.t:.6g}") from None
 
     values, e0 = sample(FlowState(tuple(start.q), tuple(start.p), 0.0))
-    initial = [abs(v) for v in values]
-    if any(v > start_tol for v in initial):
-        raise PreconditionError(f"{precondition_label}: generator values at start are {initial}")
+    # a nan is not within any tolerance
+    off = [(j, abs(v)) for j, v in enumerate(values) if math.isnan(v) or abs(v) > start_tol]
+    if off:
+        raise PreconditionError(
+            f"{precondition_label}: {len(off)} of {len(values)} generator values at start are"
+            f" not within start_tol = {start_tol!r}; the first is generator {off[0][0]},"
+            f" |value| {off[0][1]!r}")
     trajectory = []
     failure = None
     try:
@@ -751,6 +741,8 @@ def reference_monitor(generators: Sequence[Polynomial], h: Polynomial, start: Fl
     # a failed step from the last state reached ends the run before that state is sampled
     for idx, state in enumerate(trajectory[:-1] if failure else trajectory):
         values, energy = sample(state)
+        if any(math.isnan(v) for v in values):
+            raise FlowDivergedError(f"monitored value overflowed at t={state.t:.6g}")
         max_gen = max(max_gen, max((abs(v) for v in values), default=0.0))
         drift = max(drift, abs(energy - e0))
         if idx % store_every == 0 or idx == last:

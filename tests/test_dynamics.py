@@ -102,19 +102,6 @@ def test_rk4_observed_order():
     assert e_coarse / e_fine >= 2 ** 3.8
 
 
-def test_leapfrog_on_separable_hamiltonian():
-    h = P("1/2*p_q^2 + 1/2*q^2", COT1)
-    traj = integrate_flow(h, FlowState((1.0,), (0.0,), 0.0), 1.0, 1e-3, method="leapfrog")
-    end = traj[-1]
-    assert abs(end.q[0] - math.cos(1.0)) < 1e-5
-
-
-def test_leapfrog_rejects_mixed_terms():
-    h = P("1/2*p_x^2 + 1/2*(1+x^2)*p_y^2", COT2)
-    with pytest.raises(PreconditionError):
-        integrate_flow(h, FlowState((0.0, 0.0), (1.0, 0.0), 0.0), 1.0, 1e-3, method="leapfrog")
-
-
 # -- monitors --------------------------------------------------------------------
 
 

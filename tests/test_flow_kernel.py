@@ -9,6 +9,7 @@ below tell the two apart.
 """
 
 import io
+import json
 import math
 import random
 import re
@@ -38,7 +39,7 @@ from foliatk.ipoisson import IdealPresentation
 from foliatk.poly import MonomialOrder
 from foliatk.scene import load_scene
 
-from conftest import P, SCENES
+from conftest import MAX_ERROR_MESSAGE, P, SCENES
 from oracle import reference_evaluator, reference_flow, reference_monitor
 
 FLOW_SCENES = ("so3_moment", "rotation_r3", "rotation_srf_r2", "rotation_nonmodule_r2")
@@ -49,7 +50,19 @@ NAN = float("nan")
 #        the monitor's error message as a pattern, None for a completed run)
 FLOW_EXITS = {
     "off-start": (("q",), "1/2*p_q^2", ["q"], (1.0,), (0.0,), 1.0, 1e-2, 1e-12, 10,
-                  r"start: generator values at start are \[1\.0\]"),
+                  r"start: 1 of 1 generator values at start are not within start_tol = 1e-12;"
+                  r" the first is generator 0, \|value\| 1\.0"),
+    "off-start-later": (("q",), "1/2*p_q^2", ["p_q", "q", "-q^2"], (-2.0,), (0.0,), 1.0, 1e-2,
+                        0.5, 10, r"start: 2 of 3 generator values at start are not within"
+                        r" start_tol = 0\.5; the first is generator 1, \|value\| 2\.0"),
+    # 0 * inf: a nan generator value is not within any tolerance
+    "nan-start": (("x", "y"), "1/2*p_x^2 + p_y", ["x*p_y"], (0.0, 0.0), (0.5, INF), 1.0, 1e-2,
+                  INF, 10, r"start: 1 of 1 generator values at start are not within"
+                  r" start_tol = inf; the first is generator 0, \|value\| nan"),
+    # x*y overflows to inf once x > 1.797 while the state stays finite, and
+    # inf - inf is a nan generator value
+    "nan-sample": (("x", "y", "z"), "p_x", ["x", "x*y - x*z"], (1.79, 1e308, 1e308),
+                   (0.0, 0.0, 0.0), 1.0, 1e-2, INF, 10, r"monitored value overflowed at t=0\.01"),
     # x^200 overflows in C pow once |x| > 34.6, while the state stays finite
     "start-sample-overflow": (("x",), "1/2*p_x^2", ["x^200"], (40.0,), (10.0,), 1.0, 1e-2, INF,
                               10, r"monitored value overflowed at t=0"),
@@ -60,7 +73,8 @@ FLOW_EXITS = {
                       r"state overflowed near t=0\.\d+"),
     # dx/dt = dy/dt = x*y: products only, so the state reaches inf without OverflowError
     "non-finite": (("x", "y"), "x*y*p_x + x*y*p_y", ["x - y"], (1.0, 1.0), (0.0, 0.0), 2.0,
-                   1e-2, INF, 10, r"non-finite state at t=[\d.]+: \[.*\]"),
+                   1e-2, INF, 10, r"non-finite state at t=[\d.]+: 4 of 4 coordinates are not"
+                   r" finite; the first is coordinate 0 = inf"),
     "negative-zero-start": (("q",), "1/2*p_q^2", ["p_q"], (-0.0,), (-0.0,), 0.1, 1e-2, INF, 3,
                             None),
     # 50 steps: the last state is stored though 7 does not divide 50
@@ -76,9 +90,11 @@ FLOW_EXITS = {
                                          INF, 10, r"monitored value overflowed at t=0"),
     # the moved x and y stay finite: only the start test of the unmoved p_y fails
     "unmoved-inf": (("x", "y"), "1/2*p_x^2 + p_y", ["x"], (0.0, 0.0), (0.5, INF), 1.0, 1e-2,
-                    INF, 10, r"non-finite state at t=0\.01: \[0\.005, 0\.01, 0\.5, inf\]"),
+                    INF, 10, r"non-finite state at t=0\.01: 1 of 4 coordinates are not finite;"
+                    r" the first is coordinate 3 = inf"),
     "unmoved-nan": (("x", "y"), "1/2*p_x^2 + p_y", ["x"], (0.0, 0.0), (0.5, NAN), 1.0, 1e-2,
-                    INF, 10, r"non-finite state at t=0\.01: \[0\.005, 0\.01, 0\.5, nan\]"),
+                    INF, 10, r"non-finite state at t=0\.01: 1 of 4 coordinates are not finite;"
+                    r" the first is coordinate 3 = nan"),
     "unmoved-inf-no-steps": (("x", "y"), "1/2*p_x^2 + p_y", ["x"], (0.0, 0.0), (0.5, INF), 0.0,
                              1e-2, INF, 10, None),
     # the energy 1/2*p_x^2 reads only the unmoved p_x; (1e200)^2 overflows
@@ -122,14 +138,10 @@ def scene_flows(name):
     ]
 
 
-def random_poly(rng, varset, n_terms, max_exp, separable=False):
-    n = varset.dimension
+def random_poly(rng, varset, n_terms, max_exp):
     terms = {}
     while len(terms) < n_terms:
         e = [rng.randint(0, max_exp) for _ in range(varset.n_vars)]
-        if separable:
-            half = rng.randrange(2)
-            e = [k if (i < n) == bool(half) else 0 for i, k in enumerate(e)]
         terms[tuple(e)] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 8))
     return Polynomial(varset, terms)
 
@@ -168,9 +180,6 @@ def test_random_hamiltonians_match_the_reference(seed):
     )
     assert_identical(outcome(dynamics._monitor, gens, h, start, 0.0, 1e-2, float("inf"), 3, ""),
                      outcome(reference_monitor, gens, h, start, 0.0, 1e-2, float("inf"), 3))
-    sep = random_poly(rng, chart, rng.randint(1, 6), 3, separable=True)
-    assert_identical(outcome(integrate_flow, sep, start, 1.0, 1e-2, method="leapfrog"),
-                     outcome(reference_flow, sep, start, 1.0, 1e-2, method="leapfrog"))
 
 
 def test_divergence_message_matches_the_reference():
@@ -223,15 +232,18 @@ def test_running_maximum_follows_builtin_max_through_nan_and_inf(order):
     pool = [P("x*y - x*z", chart), P("x*y", chart), P("x", chart)]
     gens = [pool[k] for k in order]
     start = FlowState((1.5, 1e308, 1e308), (1.0, 0.0, 0.0), 0.0)
-    got = dynamics._monitor(gens, h, start, 1.0, 0.1, INF, 3, "")
+    # a nan generator value is refused wherever it stands among the values
+    got = outcome(dynamics._monitor, gens, h, start, 1.0, 0.1, INF, 3, "")
+    assert got == ("FlowDivergedError", "monitored value overflowed at t=0.3")
+    assert got == outcome(reference_monitor, gens, h, start, 1.0, 0.1, INF, 3)
+    # without the nan generator, the maximum is builtin max through inf
+    gens = [pool[k] for k in order if k]
+    got = dynamics._monitor(gens, h, start, 1.0, 0.1, INF, 1, "")
     # nan != nan, so the reports can only be compared by repr
-    assert repr(got) == repr(reference_monitor(gens, h, start, 1.0, 0.1, INF, 3))
-    values = [v for _, vals, _ in got.samples for v in vals]
-    assert any(math.isnan(v) for v in values) and INF in values
-    assert math.isnan(got.samples[-1][2])
-    # builtin max keeps a nan met first and skips one met later
-    assert (got.max_abs_generator == INF) == (order[0] != 0)
-    assert math.isfinite(got.energy_drift)
+    assert repr(got) == repr(reference_monitor(gens, h, start, 1.0, 0.1, INF, 1))
+    values = [abs(v) for _, vals, _ in got.samples for v in vals]
+    assert got.max_abs_generator == max(values) == INF
+    assert math.isnan(got.samples[-1][2]) and math.isfinite(got.energy_drift)
 
 
 def test_large_hamiltonian_compiles_and_matches():
@@ -280,9 +292,6 @@ def test_kernel_source_holds_no_scene_text():
                     assert tok.string.isdigit() or repr(float(tok.string)) == tok.string
                 else:
                     assert tok.type != tokenize.STRING
-    separable = P("1/2*p_q^2 + lambda_^4", cot)
-    leapfrog = flow_source(separable, lifts, 1e-3, "leapfrog")
-    assert not any(re.search(rf"\b{re.escape(name)}\b", leapfrog) for name in names)
 
 
 def test_step_cap_is_checked_before_the_first_step(monkeypatch):
@@ -308,13 +317,9 @@ ZERO_OR_UNIFORM = st.one_of(st.sampled_from([0.0, -0.0]),
 
 
 @st.composite
-def sparse_poly(draw, chart, max_terms, separable=False):
+def sparse_poly(draw, chart, max_terms):
     """Terms over a drawn subset of the variables, so that partials can be zero."""
-    n = chart.dimension
     used = draw(st.lists(st.booleans(), min_size=chart.n_vars, max_size=chart.n_vars))
-    if separable:
-        side = draw(st.booleans())
-        used = [u and (i < n) == side for i, u in enumerate(used)]
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         e = tuple(draw(st.integers(0, 3)) if u else 0 for u in used)
@@ -328,38 +333,45 @@ def signed_zero_flows(draw):
     n = chart.dimension
     h = draw(sparse_poly(chart, 4))
     gens = draw(st.lists(sparse_poly(chart, 2), max_size=2))
-    sep = draw(sparse_poly(chart, 2, separable=True)) + draw(sparse_poly(chart, 2, separable=True))
     values = draw(st.lists(ZERO_OR_UNIFORM, min_size=2 * n, max_size=2 * n))
-    return h, gens, sep, FlowState(tuple(values[:n]), tuple(values[n:]), 0.0)
+    return h, gens, FlowState(tuple(values[:n]), tuple(values[n:]), 0.0)
 
 
-def _flow_case(coords, h, gens, sep, values):
+def _flow_case(coords, h, gens, values):
     chart = VariableSet(coords).cotangent()
     n = chart.dimension
-    return (P(h, chart), [P(g, chart) for g in gens], P(sep, chart),
-            FlowState(values[:n], values[n:], 0.0))
+    return P(h, chart), [P(g, chart) for g in gens], FlowState(values[:n], values[n:], 0.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(signed_zero_flows())
 # zero dH/dp: the kernel must still turn the -0.0 start of x0 into 0.0
-@example(_flow_case(("x0", "x1"), "7/4*x1^2", [], "0", (-0.0, 0.0, 0.0, 0.0)))
-@example(_flow_case(("x0",), "-3*x0^2*p_x0", ["p_x0"], "-1/2*p_x0^2", (-0.0, -0.0)))
+@example(_flow_case(("x0", "x1"), "7/4*x1^2", [], (-0.0, 0.0, 0.0, 0.0)))
+@example(_flow_case(("x0",), "-3*x0^2*p_x0", ["p_x0"], (-0.0, -0.0)))
 # unmoved momenta that start non-finite or whose powers overflow
-@example(_flow_case(("x0", "x1"), "1/2*p_x0^2 + p_x1", ["x0*p_x1"], "1/2*p_x0^2",
-                    (0.0, -0.0, 0.5, INF)))
-@example(_flow_case(("x0", "x1"), "1/2*p_x0^2 + p_x1", ["x0*p_x1"], "1/2*p_x0^2",
-                    (0.0, -0.0, NAN, 0.5)))
-@example(_flow_case(("x0",), "1/2*p_x0^2", ["x0"], "1/2*p_x0^2", (-0.0, 1e200)))
-@example(_flow_case(("x0",), "p_x0^200", [], "p_x0^200", (0.0, 40.0)))
+@example(_flow_case(("x0", "x1"), "1/2*p_x0^2 + p_x1", ["x0*p_x1"], (0.0, -0.0, 0.5, INF)))
+@example(_flow_case(("x0", "x1"), "1/2*p_x0^2 + p_x1", ["x0*p_x1"], (0.0, -0.0, NAN, 0.5)))
+@example(_flow_case(("x0",), "1/2*p_x0^2", ["x0"], (-0.0, 1e200)))
+@example(_flow_case(("x0",), "p_x0^200", [], (0.0, 40.0)))
 def test_signed_zero_flows_match_the_reference(case):
-    h, gens, sep, start = case
+    h, gens, start = case
     assert_identical(outcome(integrate_flow, h, start, 0.05, 1e-2),
                      outcome(reference_flow, h, start, 0.05, 1e-2))
     assert_identical(outcome(dynamics._monitor, gens, h, start, 0.05, 1e-2, INF, 2, ""),
                      outcome(reference_monitor, gens, h, start, 0.05, 1e-2, INF, 2))
-    assert_identical(outcome(integrate_flow, sep, start, 0.05, 1e-2, method="leapfrog"),
-                     outcome(reference_flow, sep, start, 0.05, 1e-2, method="leapfrog"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_zero_flows(), st.sampled_from([0.0, 0.05]))
+# 0 * inf is a nan generator value at the start
+@example(_flow_case(("x0", "x1"), "1/2*p_x0^2 + p_x1", ["x0*p_x1"], (0.0, -0.0, 0.5, INF)), 0.0)
+# x0 * 1e308 turns inf after one step, and inf - inf a nan generator value
+@example(_flow_case(("x0", "x1"), "p_x0", ["x0*x1 - x0*p_x1"], (1.79, 1e308, 0.0, 1e308)), 0.05)
+def test_a_returned_monitor_bounds_every_stored_generator_value(case, t_end):
+    h, gens, start = case
+    got = outcome(dynamics._monitor, gens, h, start, t_end, 1e-2, INF, 1, "")
+    if isinstance(got, MonitorReport):
+        assert all(got.max_abs_generator >= abs(v) for _, values, _ in got.samples for v in values)
 
 
 def _step(source):
@@ -455,3 +467,34 @@ def test_shipped_flow_reports_match_the_reference_bytes(name, command, monkeypat
     want, want_code = run_command(command, path)
     assert len(calls) == 1 and code == want_code
     assert render_report(report) == render_report(want)
+
+
+def _scene_with_flow(name, q, p):
+    scene = json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
+    scene["flow"] = {"q": q, "p": p, "t_end": 2.0, "dt": 0.001}
+    return json.dumps(scene)
+
+
+@pytest.mark.parametrize("command, label", [
+    ("flow-monitor", "start is not on the zero set"),
+    ("geodesic-check", "start covector is not orthogonal to the leaf"),
+], ids=["flow-monitor", "geodesic-check"])
+@pytest.mark.parametrize("scene, q, p, message", [
+    # the state stays finite, and a generator value turns nan at t=0.798
+    ("so3_moment", ["1e154", "1e154", "0"], ["1e154", "1e154", "0"],
+     r"monitored value overflowed at t=0\.798"),
+    # the first generator value is nan at the start
+    ("so3_moment", ["1e200", "1e200", "0"], ["1e150", "1e150", "0"],
+     r"{label}: 1 of 3 generator values at start are not within start_tol = 1e-12;"
+     r" the first is generator 0, \|value\| nan"),
+    # all 30 order-3 lifts are nonzero here, and 30 values would take over 600 characters
+    ("order_3_n3", ["1/3", "1/7", "1/11"], ["1", "2", "3"],
+     r"{label}: 30 of 30 generator values at start are not within start_tol = 1e-12;"
+     r" the first is generator 0, \|value\| 0\.03703703703703703"),
+], ids=["nan-in-the-loop", "nan-at-the-start", "order-3-off-start"])
+def test_a_flow_refusal_exits_2_with_a_bounded_message(command, label, scene, q, p, message):
+    report, code = run_command(command, _scene_with_flow(scene, q, p))
+    assert (code, report["verdict"]) == (2, "error"), report
+    text = report["detail"]["message"]
+    assert re.fullmatch(message.format(label=re.escape(label)), text), text
+    assert len(text) <= MAX_ERROR_MESSAGE

@@ -6,12 +6,15 @@ of the ``scenes`` benchmark workload, and the three ideal commands that honor
 ``--order`` again under ``grevlex`` and ``lex``.  A change that alters report
 bytes on purpose re-records the digests and says why in CHANGES.md::
 
-    PYTHONPATH=src python tests/test_report_digests.py
+    PYTHONPATH=src python tests/test_report_digests.py --write
+
+Run as a script without ``--write``, it prints its usage and writes nothing.
 """
 
 import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from foliatk.cli import render_report, run_command
@@ -42,6 +45,8 @@ def test_report_bytes_match_recorded_digests():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write  (re-records {DIGESTS.name})")
     calls = json.loads(DIGESTS.read_text(encoding="utf-8"))
     for c in calls:
         c["sha256"] = _digest(c)
