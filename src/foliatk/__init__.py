@@ -3,6 +3,7 @@
 from .errors import (
     AmbiguousQuotientError,
     ChartMismatchError,
+    DigitLimitError,
     FlowDivergedError,
     FoliatkError,
     InternalCheckError,

@@ -475,6 +475,8 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
         scene = load_scene(scene_source)
         notes = scene.notes
         detail, certs, *flow = _COMMANDS[command](scene, args, order)
+        # formatting can refuse a value no report can print
+        cert_dicts = _cert_dicts(certs)
     except Exception as exc:
         # a failed internal check, or an exception the package does not raise
         # on purpose, is a fault of the program, not of the input
@@ -482,7 +484,7 @@ def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
         return _error_report(command, args.order, exc, notes), 3 if internal else 2
     monitor, tolerances = flow or (None, {})
     passed = detail.get("passed", True)
-    report = _assemble(command, "pass" if passed else "fail", detail, _cert_dicts(certs),
+    report = _assemble(command, "pass" if passed else "fail", detail, cert_dicts,
                        monitor, notes, args.order, tolerances)
     return report, 0 if passed else 1
 

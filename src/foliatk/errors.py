@@ -39,6 +39,11 @@ class FlowDivergedError(FoliatkError):
     """A numeric trajectory produced a non-finite state."""
 
 
+class DigitLimitError(FoliatkError):
+    """A computed value has more digits than ``sys.get_int_max_str_digits()``
+    lets a report print."""
+
+
 class ParseError(FoliatkError):
     """Expression syntax error; carries the offending position."""
 

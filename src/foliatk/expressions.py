@@ -25,6 +25,18 @@ expanding for many seconds.
 Parentheses nest at most ``MAX_NESTING`` deep.  The parser recurses once
 per level, so deeper input is a parse error rather than an exhausted
 interpreter stack.
+
+Most texts are a parenthesis-free sum of monomials, and
+:func:`parse_expression` reads those in one pass (``_flat_sum``): each
+factor is one match of the tokenizer's own patterns, and its value goes
+straight into the term map.  That is exact.  A product of signed powers of
+literals and variables is one monomial, and the recursive parser adds each
+term's monomial to the running sum in text order, dropping a sum that
+cancels, which is the term order of the one map.  The pass cannot refuse
+anything: a text it does not match to its end, one with an unreadable
+literal, or one whose literals could reach the digit limit or whose length
+could reach ``MAX_TERM_PRODUCTS`` goes to the recursive parser unchanged,
+which decides it, error and position included.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError, excerpt
-from .poly import Polynomial, VariableSet, power
+from .poly import Exponents, Polynomial, Scalar, VariableSet, normal_coefficient, power
 
 MAX_NESTING = 100
 # The most any shipped scene, ladder rung through (4,3), flow input or test
@@ -47,6 +59,22 @@ _TOKEN = re.compile(
     r"(?P<number>\d+(?:/\d+)?)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()])|(?P<space>\s+)|(?P<bad>.)",
     re.DOTALL,
 )
+
+
+# One factor of a flat sum and the operator after it: unary signs, a literal
+# or a name, an optional power, then '*', '+', '-' or the end.  The literal,
+# name and exponent are the tokenizer's patterns, and a match ends only at an
+# operator or at the end, so matches that tile a text token it the same way.
+_FACTOR = re.compile(r"([-+\s]*)(?:(\d+(?:/\d+)?)|([^\W\d]\w*))\s*(?:\^\s*(\d+)\s*)?([-+*]|\Z)")
+# A '*' makes one term product, and a power of d digits at most
+# 2*log2(10)*d < 7d, so no text this short reaches MAX_TERM_PRODUCTS.
+_FLAT_LENGTH = MAX_TERM_PRODUCTS // 7
+
+
+def _digit_limit() -> int:
+    """``sys.get_int_max_str_digits()``; 0, no limit, on interpreters older
+    than the limit itself."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -65,8 +93,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def _literal(text: str, pos: int) -> int | Fraction:
     """The literal's value in the polynomial module's normal form: ``int``
     without a ``/``, else a ``Fraction`` that the constructor normalises."""
+    numerator, slash, denominator = text.partition("/")
     try:
-        return Fraction(text) if "/" in text else int(text)
+        return Fraction(int(numerator), int(denominator)) if slash else int(text)
     except ValueError as exc:  # more digits than int() accepts
         raise ParseError(str(exc), pos) from None
     except ZeroDivisionError:
@@ -79,8 +108,7 @@ class _Parser:
         self.varset = varset
         self.depth = 0
         self.products = 0  # term products made by ``*`` and ``^`` so far
-        # 0 means no limit, as on interpreters older than the limit itself
-        self.digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.digit_limit = _digit_limit()
 
     def next_op(self, ops: str) -> str | None:
         """If the next token is one of the operators ``ops``, consume it and return it."""
@@ -186,12 +214,81 @@ class _Parser:
         raise ParseError(f"unexpected {excerpt(text or 'end of input')}", pos)
 
 
+def _flat_sum(text: str, varset: VariableSet) -> Polynomial | None:
+    """A parenthesis-free sum of monomials read in one pass, or None when the
+    recursive parser must decide the text.
+
+    ``bits`` bounds the bit length of every numerator and denominator the
+    recursive parser would make: a literal's power ``k`` adds ``k`` times the
+    literal's bit length, and each factor one more for the carries of the
+    sums.  Within ``3 * limit`` bits no coefficient can reach the digit limit
+    and no power can be refused, so past it the text goes back uncomputed.
+    """
+    if len(text) > _FLAT_LENGTH:
+        return None
+    names = varset.names
+    zero = (0,) * len(names)
+    # with no limit, the parser decides what passes the default one
+    budget = 3 * (_digit_limit() or sys.int_info.default_max_str_digits)
+    bits = 0
+    terms: dict[Exponents, Scalar] = {}
+    coeff, expo, negative, pos = 1, None, False, 0
+    while True:
+        m = _FACTOR.match(text, pos)
+        if m is None:
+            return None
+        signs, number, name, power, op = m.groups()
+        try:
+            k = _literal(power, 0) if power else 1
+            c = _literal(number, 0) if number else 1
+        except ParseError:  # a zero denominator, or more digits than int() reads
+            return None
+        bits += 1
+        if name:
+            if name not in names:
+                return None
+            if k:
+                expo = expo or list(zero)
+                expo[names.index(name)] += k
+        else:
+            bits += k * (c if c.__class__ is int else max(c.numerator, c.denominator)).bit_length()
+            if bits > budget:
+                return None
+            if k != 1:
+                c = c ** k
+            if c != 1:
+                coeff = c if coeff == 1 else coeff * c
+        if signs.count("-") & 1:
+            coeff = -coeff
+        if op == "*":
+            pos = m.end()
+            continue
+        if coeff:
+            key = tuple(expo) if expo else zero
+            s = terms.get(key)
+            s = (-coeff if negative else coeff) if s is None else s - coeff if negative else s + coeff
+            if s:
+                terms[key] = s if s.__class__ is int else normal_coefficient(s)
+            else:
+                del terms[key]
+        if bits > budget:
+            return None
+        if not op:
+            return Polynomial._trusted(varset, terms)
+        coeff, expo, negative, pos = 1, None, op == "-", m.end()
+
+
 def parse_expression(text: str, varset: VariableSet) -> Polynomial:
     """Parse an expression over the declared variables into canonical form.
 
     A coefficient with more digits than ``sys.get_int_max_str_digits()``
     allows could not be printed in a report, so it is a parse error, at the
-    ``*`` or exponent that made it, or at 0 when only a sum did.
+    ``*`` or exponent that made it, or at 0 when only a sum did.  A flat sum
+    of monomials is read in one pass; any other text, and any the pass
+    cannot decide, goes through :class:`_Parser`.
     """
-    parser = _Parser(text, varset)
-    return parser.check_digits(parser.parse(), 0)
+    value = _flat_sum(text, varset)
+    if value is None:
+        parser = _Parser(text, varset)
+        value = parser.check_digits(parser.parse(), 0)
+    return value

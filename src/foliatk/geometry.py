@@ -123,14 +123,15 @@ class SymTensor2:
         if self.kind not in ("covariant", "contravariant"):
             raise ValueError(f"unknown tensor kind {self.kind!r}")
         n = self.chart.dimension
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        entries = self.entries
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise VariableSetError("entry matrix must be n x n")
-        for i in range(n):
-            for j in range(n):
-                if self.entries[i][j].varset != self.chart:
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
+                if e.varset != self.chart:
                     raise ChartMismatchError("entry on a different chart")
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise MetricError("entries must be symmetric")
+                if j > i and e != entries[j][i]:
+                    raise MetricError(f"matrix not symmetric at ({i},{j})")
 
     @classmethod
     def euclidean(cls, chart: VariableSet, kind: str = "contravariant") -> "SymTensor2":
@@ -151,10 +152,12 @@ class MetricData:
 
     Construction checks that metric*cometric is the identity when both are
     given, entry by entry, each entry one product-sum, and that the cometric
-    is positive-definite at every sample point.  Positivity is Sylvester's
-    test on the cometric evaluated there, an exact rational matrix: its
-    leading minors are the symbolic ones evaluated, since evaluation is a
-    ring map, so no minor is expanded symbolically.
+    is positive-definite at every sample point, by default the origin.
+    Positivity is Sylvester's test on the cometric evaluated there, an exact
+    rational matrix: its leading minors are the symbolic ones evaluated,
+    since evaluation is a ring map, so no minor is expanded symbolically.
+    Each entry is read once per point, so none keeps an integer form; at the
+    origin only its constant term is touched.
     """
 
     cometric: SymTensor2
@@ -183,7 +186,7 @@ class MetricData:
         entries = self.cometric.entries
         for pt in pts:
             exact = ExactPoint(pt)
-            if not leading_minors_positive([[e.evaluate_seq(exact) for e in row]
+            if not leading_minors_positive([[e.evaluate_once(exact) for e in row]
                                             for row in entries]):
                 raise MetricError(f"cometric not positive-definite at {pt}")
 

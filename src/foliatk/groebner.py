@@ -24,7 +24,9 @@ element is a single term, as for the order-k modules and their lift ideals,
 no pair is queued at all.  The final inter-reduction divides each kept
 element's tail, the terms below its lead, through one table of all the kept
 elements; that makes the divisor choices of dividing the whole element by the
-others, since no kept lead divides another or any term below itself.
+others, since no kept lead divides another or any term below itself.  A
+single-term element has an empty tail, which divides to nothing, so it is
+kept with its row undivided, and a basis of single terms builds no table.
 
 The engine is sparse.  :func:`module_divide` returns only the nonzero
 cofactors, as ``{divisor index: cofactor}``; the representation rows of a
@@ -553,12 +555,18 @@ def _buchberger(
     # kept lead divides a kept lead, and every term a tail division meets at
     # the lead's position lies below the lead, so dividing the tail by all
     # kept elements picks the divisors that dividing the whole element by the
-    # others would.  A lead survives, so the final order is that of the kept
-    # leads, whose keys are distinct; each result is normalized monic.
-    kept_table = DivisorTable([basis[k] for k in kept], order)
-    kept_reps = [reps[k] for k in kept]
+    # others would.  A single-term element has no tail: it and its row stay
+    # as they are, and without a tail anywhere no table is built.  A lead
+    # survives, so the final order is that of the kept leads, whose keys are
+    # distinct; each result is normalized monic.
+    if not all(single[k] for k in kept):
+        kept_table = DivisorTable([basis[k] for k in kept], order)
+        kept_reps = [reps[k] for k in kept]
     final = []
     for k in reversed(kept):
+        if single[k]:  # an input may be a subclass; the basis holds plain elements
+            final.append(_monic(ModuleElement(varset, basis[k].components), reps[k], keyf))
+            continue
         pos, expo, coeff = leads[k]
         comps = basis[k].components
         below = dict(comps[pos].terms)

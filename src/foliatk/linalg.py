@@ -19,6 +19,7 @@ the reduction and the bracket classes of :mod:`~foliatk.foliation`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from .poly import Polynomial, sum_of_products
@@ -27,11 +28,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Vector = Union[Sequence[Fraction], dict[int, Fraction]]  # dense, or the nonzero entries
-
-
-def _fractions(vec: Sequence) -> list[Fraction]:
-    """A fresh list of the entries as ``Fraction``s; those that are stay as they are."""
-    return [x if x.__class__ is Fraction else Fraction(x) for x in vec]
 
 
 def _sparse(vec: Vector) -> dict[int, Fraction]:
@@ -129,24 +125,30 @@ def solve_coordinates(span: EchelonSpan, vec: Vector) -> dict[int, Fraction] | N
 
 
 def leading_minors_positive(m: Sequence[Sequence[Fraction]]) -> bool:
-    """Whether every leading principal minor of the square matrix ``m`` is positive.
+    """Whether every leading principal minor of the square rational matrix ``m``
+    is positive.
 
-    Elimination without row swaps has ``k``-th pivot ``D_k / D_(k-1)``, the
-    ratio of successive leading minors, so the minors are all positive exactly
-    when every pivot is; it stops at the first pivot that is not.
+    Scaling ``m`` by the common denominator ``D > 0`` of its entries scales
+    the ``k``-th leading minor by ``D^k``, so the integer matrix ``D m`` has
+    minors of the same signs.  Bareiss's fraction-free elimination without
+    row swaps has the ``k``-th leading minor as its ``k``-th pivot and
+    divides exactly by the pivot before it; it stops at the first pivot
+    that is not positive.
     """
-    a = [_fractions(row) for row in m]
+    den = lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
     n = len(a)
+    previous = 1
     for k in range(n):
         pivot = a[k][k]
         if pivot <= 0:
             return False
         top = a[k]
         for row in a[k + 1:]:
-            f = row[k] / pivot
-            if f:
-                for j in range(k + 1, n):
-                    row[j] -= f * top[j]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * top[j]) // previous
+        previous = pivot
     return True
 
 

@@ -51,6 +51,7 @@ reduction step, the fused reindex of ``geometry.cotangent_lift``, and
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,7 +59,7 @@ from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence, Sized, Union
 
-from .errors import VariableSetError, excerpt
+from .errors import DigitLimitError, VariableSetError, excerpt
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -669,7 +670,23 @@ def power(base: Polynomial, k: int,
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical expression string; re-parsing it yields an equal polynomial."""
+    """Canonical expression string; re-parsing it yields an equal polynomial.
+
+    A coefficient or exponent with more digits than
+    ``sys.get_int_max_str_digits()`` allows cannot be printed: that is a
+    :class:`DigitLimitError`.
+    """
+    try:
+        return _format_terms(p)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise DigitLimitError(f"a computed coefficient or exponent has more than "
+                              f"{sys.get_int_max_str_digits()} digits, "
+                              f"more than a report can print") from None
+
+
+def _format_terms(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     names = p.varset.names

@@ -8,8 +8,19 @@ explicit ``ideal`` section covers presentations that are not lift ideals.
 One load parses each distinct (text, chart) once: most entries of a scene are
 the literals ``0`` and ``1``, and polynomials are immutable, so every key
 holding a text shares its parse.  The memo lives for one :func:`load_scene`
-call and keeps only parses that succeeded, so a refused text is refused at
-the first key that holds it, with its own message and position.
+call, holds one text map per chart, which each section looks up once, and
+keeps only parses that succeeded, so a refused text is refused at the first
+key that holds it, with its own message and position.
+
+A load costs what the scene holds.  Nearly every text is a flat sum of
+monomials, which :func:`~foliatk.expressions.parse_expression` reads in one
+pass into the recursive parser's polynomial and term order, handing it every
+text whose outcome a limit could change; a path is opened before anything
+probes it; symmetry is checked once, by
+:class:`~foliatk.geometry.SymTensor2`; and positivity reads each cometric
+entry once per sample point, at the default origin its constant term alone.
+All of it keeps full validation: every malformed scene is refused at load,
+whatever the command.
 """
 
 from __future__ import annotations
@@ -148,23 +159,25 @@ def _flow_start(flow: Mapping, key: str) -> tuple[float, ...]:
                  for i, c in enumerate(_array(_require(flow, key, "flow"), f"flow.{key}")))
 
 
-def _parse_matrix(rows, varset: VariableSet, kind: str, context: str, memo: dict) -> SymTensor2:
+_Memo = dict[VariableSet, dict[str, Polynomial]]  # the parses of one load, by chart
+
+
+def _parse_matrix(rows, varset: VariableSet, kind: str, context: str, memo: _Memo) -> SymTensor2:
     n = varset.dimension
     rows = [_array(r, f"{context} row") for r in _array(rows, context)]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SceneError(f"{context}: matrix must be {n}x{n}")
-    entries = tuple(
-        tuple(_parse(cell, varset, context, memo) for cell in row) for row in rows
-    )
-    for i in range(n):
-        for j in range(n):
-            if entries[i][j] != entries[j][i]:
-                raise SceneError(f"{context}: matrix not symmetric at ({i},{j})")
-    return SymTensor2(varset, kind, entries)
+    parses = memo.setdefault(varset, {})
+    entries = tuple(tuple(_parse(cell, varset, context, parses) for cell in row) for row in rows)
+    try:
+        return SymTensor2(varset, kind, entries)
+    except FoliatkError as exc:  # not symmetric
+        raise SceneError(f"{context}: {exc}") from exc
 
 
-def _parse(text, varset: VariableSet, context: str, memo: dict) -> Polynomial:
-    """``text`` parsed on ``varset``; ``memo`` holds the parses of one load.
+def _parse(text, varset: VariableSet, context: str, parses: dict[str, Polynomial]) -> Polynomial:
+    """``text`` parsed on ``varset``; ``parses`` holds the texts this load
+    parsed on it.
 
     Only a parse that succeeded is kept, so every key holding a text that is
     refused (past ``MAX_TERM_PRODUCTS``, say) is refused, at the first one.
@@ -172,29 +185,29 @@ def _parse(text, varset: VariableSet, context: str, memo: dict) -> Polynomial:
     """
     if not isinstance(text, str):
         text = str(text)
-    key = (text, varset)
-    value = memo.get(key)
+    value = parses.get(text)
     if value is None:
         try:
-            value = memo[key] = parse_expression(text, varset)
+            value = parses[text] = parse_expression(text, varset)
         except FoliatkError as exc:
             raise SceneError(f"{context}: {exc}") from exc
     return value
 
 
-def _parse_foliation(rows, chart: VariableSet, context: str, memo: dict) -> FoliationModule:
+def _parse_foliation(rows, chart: VariableSet, context: str, memo: _Memo) -> FoliationModule:
     gens = []
+    parses = memo.setdefault(chart, {})
     for idx, comps in enumerate(_array(rows, context)):
         comps = _array(comps, f"{context}[{idx}]")
         if len(comps) != chart.dimension:
             raise SceneError(f"{context}: generator {idx} needs {chart.dimension} components")
         gens.append(VectorField(chart, tuple(
-            _parse(c, chart, f"{context}[{idx}]", memo) for c in comps
+            _parse(c, chart, f"{context}[{idx}]", parses) for c in comps
         )))
     return FoliationModule(chart, gens)
 
 
-def _parse_metric_data(data: Mapping, chart: VariableSet, context: str, memo: dict,
+def _parse_metric_data(data: Mapping, chart: VariableSet, context: str, memo: _Memo,
                        prefix: str = "") -> MetricData:
     """The metric from the keys ``{prefix}cometric``, ``{prefix}metric`` and
     ``{prefix}sample_points`` of ``data``; errors name them ``{context}.{key}``."""
@@ -222,7 +235,7 @@ def _parse_metric_data(data: Mapping, chart: VariableSet, context: str, memo: di
 
 
 def _parse_submersion(data: Mapping, chart: VariableSet, metric: MetricData,
-                      context: str, memo: dict) -> tuple[SubmersionData, VariableSet]:
+                      context: str, memo: _Memo) -> tuple[SubmersionData, VariableSet]:
     target = VariableSet(tuple(_array(_require(data, "target_coordinates", context),
                                       f"{context}.target_coordinates")))
     indices = tuple(_integer(i, f"{context}.base_indices[{k}]") for k, i in enumerate(
@@ -239,12 +252,20 @@ def load_scene(source) -> Scene:
     """Build a scene from a dict, a JSON string, or a path to a JSON file."""
     data = source
     if isinstance(source, (str, Path)):
+        found = True
         try:
-            found = Path(source).exists()
-        except OSError:  # JSON text can be longer than a file name may be
-            found = False
-        try:
-            data = json.loads(Path(source).read_text(encoding="utf-8") if found else str(source))
+            try:  # most sources are files: the path is probed only when it cannot be read
+                with open(source, encoding="utf-8") as handle:
+                    text = handle.read()
+            except (OSError, ValueError):
+                try:
+                    found = Path(source).exists()
+                except OSError:  # JSON text can be longer than a file name may be
+                    found = False
+                if found:  # a file that exists but cannot be read
+                    raise
+                text = str(source)
+            data = json.loads(text)
         except (OSError, ValueError) as exc:  # a JSON integer past the digit limit too
             kind = "file" if found else "path or JSON text"
             # an OSError's text repeats the path; its reason alone does not
@@ -269,7 +290,7 @@ def _build_scene(data: Mapping) -> Scene:
     except FoliatkError as exc:
         raise SceneError(str(exc)) from exc
     cot = chart.cotangent()
-    memo: dict[tuple[str, VariableSet], Polynomial] = {}
+    memo: _Memo = {}
 
     metric = _parse_metric_data(data, chart, "scene", memo)
 
@@ -281,7 +302,8 @@ def _build_scene(data: Mapping) -> Scene:
         scene.foliation_b = _parse_foliation(data["foliation_b"], chart, "foliation_b", memo)
 
     if data.get("ideal") is not None:
-        gens = [_parse(t, cot, "ideal", memo) for t in _array(data["ideal"], "ideal")]
+        parses = memo.setdefault(cot, {})
+        gens = [_parse(t, cot, "ideal", parses) for t in _array(data["ideal"], "ideal")]
         try:
             scene.ideal = IdealPresentation(cot, gens)
         except FoliatkError as exc:
@@ -303,13 +325,15 @@ def _build_scene(data: Mapping) -> Scene:
             raise SceneError(f"point {excerpt(str(name))} has the wrong dimension")
         scene.points[name] = pt
 
+    parses = memo.setdefault(cot, {})
     for name, expr in data.get("candidates", {}).items():
-        scene.candidates[name] = _parse(expr, cot, _member("candidates", name), memo)
+        scene.candidates[name] = _parse(expr, cot, _member("candidates", name), parses)
     for name, expr in data.get("target_candidates", {}).items():
         if scene.submersion is None:
             raise SceneError("target_candidates declared without a submersion")
+        target = scene.submersion.target.cotangent()
         scene.target_candidates[name] = _parse(
-            expr, scene.submersion.target.cotangent(), _member("target_candidates", name), memo
+            expr, target, _member("target_candidates", name), memo.setdefault(target, {})
         )
 
     if data.get("flow") is not None:

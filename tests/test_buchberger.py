@@ -91,8 +91,8 @@ def test_basis_rows_and_syzygies_match_the_reference(gens, order):
 
 def test_ladder_module_builds_one_reduction_table_and_divides_no_s_pair(monkeypatch):
     """On the (3,3) ladder module every generator is a single term, so every
-    S-vector is zero and no pair is divided; the inter-reduction divides each
-    kept element's tail through one table."""
+    S-vector is zero and no pair is divided, and no kept element has a tail,
+    so the inter-reduction divides nothing and builds no table of its own."""
     gens = tuple(load_scene(SCENES / "order_3_n3.json").foliation.generators)
     tables, divided = [], []
     init, divide = groebner.DivisorTable.__init__, groebner.module_divide
@@ -109,7 +109,7 @@ def test_ladder_module_builds_one_reduction_table_and_divides_no_s_pair(monkeypa
     monkeypatch.setattr(groebner, "module_divide", counting_divide)
     basis, _ = _buchberger(gens, BLOCK)
     assert len(basis) == len(gens) == 30
-    # the input's table, then the kept elements' table
-    assert tables == [30, 30]
-    # one tail division per kept element and none per S-pair
-    assert len(divided) == len(basis)
+    # the input's table only
+    assert tables == [30]
+    # no division per S-pair, and none per kept element
+    assert divided == []

@@ -481,6 +481,23 @@ def test_a_json_out_path_with_a_nul_byte_is_an_error_report(capsys, monkeypatch)
     assert report["detail"]["message"].startswith(f"cannot write {excerpt(path)}: ")
 
 
+@pytest.mark.parametrize("command", ["normalizer-check", "check-srf"])
+def test_a_computed_coefficient_past_the_digit_limit_is_an_error_report(command, tmp_path,
+                                                                         capsys):
+    """2^10000 has 3,011 digits and parses, but the certificates and brackets
+    built from it have coefficients that no report can print."""
+    data = json.loads((SCENES / "killing_band_r2.json").read_text(encoding="utf-8"))
+    data["foliation"][1][0] = "2^10000"
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main([command, "--scene", str(path), "--candidate", "H"])
+    out = capsys.readouterr()
+    assert code == 2 and out.err == ""  # one report, no traceback
+    report = json.loads(out.out)
+    assert report["verdict"] == "error" and report["detail"]["error_type"] == "DigitLimitError"
+    assert f"more than {sys.get_int_max_str_digits()} digits" in report["detail"]["message"]
+
+
 def test_an_error_message_past_the_bound_fails_the_test():
     cli._error_report("lift-ideal", "block", ValueError("x" * MAX_ERROR_MESSAGE))
     with pytest.raises(AssertionError):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from foliatk import ParseError, Polynomial, VariableSet, parse_expression
-from foliatk.expressions import MAX_NESTING, MAX_TERM_PRODUCTS
+from foliatk import DigitLimitError, ParseError, Polynomial, VariableSet, parse_expression
+from foliatk import poly
+from foliatk.expressions import MAX_NESTING, MAX_TERM_PRODUCTS, _flat_sum, _Parser
 from foliatk.poly import format_polynomial, random_polynomial
 
 from oracle import reference_parse_expression
@@ -85,6 +86,24 @@ def test_round_trip_with_large_coefficients():
     terms = {(3, 0, 2, 0): 10**30, (0, 0, 0, 0): -7}
     p = Polynomial(COT2, terms)
     assert parse_expression(format_polynomial(p), COT2) == p
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0, 0, 0): 10**5000},  # a coefficient past the limit
+    {(10**5000, 0, 0, 0): 1},  # an exponent past the limit
+], ids=["coefficient", "exponent"])
+def test_a_value_past_the_digit_limit_formats_to_a_digit_limit_error(terms):
+    with pytest.raises(DigitLimitError, match="coefficient or exponent has more than"):
+        format_polynomial(Polynomial(COT2, terms))
+
+
+def test_a_formatter_fault_is_not_a_digit_limit_error(monkeypatch):
+    def broken(p):
+        raise ValueError("a fault in the formatter")
+    monkeypatch.setattr(poly, "_format_terms", broken)
+    with pytest.raises(ValueError, match="a fault in the formatter") as info:
+        format_polynomial(Polynomial.zero(COT2))
+    assert not isinstance(info.value, DigitLimitError)
 
 
 def test_nesting_depth_is_bounded():
@@ -234,3 +253,72 @@ def test_parsing_is_linear_in_the_input(text):
     start = time.monotonic()
     parse_expression(text, COT2)
     assert time.monotonic() - start < 20.0
+
+
+# ---------------------------------------------------------------------------
+# the one-pass read of a flat sum against the recursive parser
+
+
+def _recursive(text, varset):
+    parser = _Parser(text, varset)
+    return parser.check_digits(parser.parse(), 0)
+
+
+def _result(parse, text):
+    """The terms in insertion order with their coefficient types, or the
+    error's type, message and position."""
+    try:
+        p = parse(text, COT2)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+    return list(p.terms.items()), [type(c) for c in p.terms.values()]
+
+
+_SIGNS = ("", "", "-", "+", "--", " - ", "-+")
+_ATOMS = ("x", "x", "y", "p_x", "p_y", "0", "1", "2", "3", "1/2", "2/4", "0/3", "6/3", "\u0663")
+_POWERS = ("", "", "^0", "^1", "^2", " ^ 3", "^12")
+# what a text may hold that the one pass does not decide, or that is wrong
+_BREAKS = ("(", ")", "?", "/", "^", "**", "w", "^-1", " 2", "1/0", "9" * 5000)
+
+
+def _flat_text(rng):
+    """A flat sum: signs, repeated variables, cancelling terms, ``0*x``, ``a/b``
+    literals and their powers; one text in four has a piece that breaks it."""
+    def term():
+        return rng.choice(("*", " * ")).join(
+            rng.choice(_SIGNS) + rng.choice(_ATOMS) + rng.choice(_POWERS)
+            for _ in range(rng.randint(1, 4)))
+    text = term()
+    for _ in range(rng.randint(0, 5)):
+        text += rng.choice(("+", "-", " + ", " - ")) + term()
+    if rng.randrange(4) == 0:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(_BREAKS) + text[at:]
+    return text
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_one_pass_read_is_the_recursive_parse(seed):
+    text = _flat_text(random.Random(seed))
+    expected = _result(_recursive, text)
+    assert _result(parse_expression, text) == expected
+    if "(" not in text and not isinstance(expected[0], type):
+        # every flat text that parses is decided in one pass
+        assert _flat_sum(text, COT2) is not None
+
+
+@pytest.mark.parametrize("text", [
+    "(x + y)*p_x",                          # parentheses
+    "-(x^2+y^2)*y",
+    "2^10000",                              # a literal power past the bit budget
+    "1^99999",
+    "x + 10^4000*10^4000",
+    "9" * 5000,                             # a literal past the digit limit
+    "x^" + "9" * 5000,                      # an exponent past it
+    "+".join(["x"] * 8000),                 # too long to bound its term products
+    "1/0", "x + w", "", "  ", "x +", "x**2", "x^2^3", "2 x", "x^-1", "x^1/2", "1 / 2", "x?",
+], ids=lambda text: repr(text) if len(text) <= 30 else f"{text[:12]!r}...{len(text)}")
+def test_a_text_the_one_pass_cannot_decide_goes_to_the_recursive_parser(text):
+    assert _flat_sum(text, COT2) is None
+    assert _result(parse_expression, text) == _result(_recursive, text)

@@ -5,13 +5,14 @@ metric checks on the evaluated cometric, against the symbolic references in
 import argparse
 import copy
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foliatk import SceneError
+from foliatk import SceneError, expressions
 from foliatk.cli import render_report, run_command
 from foliatk.errors import MetricError, ParseError
 from foliatk.expressions import MAX_TERM_PRODUCTS, parse_expression
@@ -21,6 +22,9 @@ from foliatk.scene import load_scene
 
 from conftest import SCENES
 from oracle import reference_metric_verdicts, reference_poly_mat_mul
+
+sys.path.insert(0, str(SCENES.parent / "perfbench"))
+import workloads  # noqa: E402
 
 OVERSIZED = "(x+1)^300 + (x+1)^300 + (x+1)^300"  # each power alone is allowed
 
@@ -32,6 +36,30 @@ def base(**extra):
     }
     data.update(extra)
     return data
+
+
+# ---------------------------------------------------------------------------
+# the one-pass read of flat texts
+
+
+def test_every_flat_text_of_the_shipped_scenes_and_rungs_is_read_in_one_pass(monkeypatch):
+    """Only a text with parentheses reaches the recursive parser: a flat text
+    that silently falls back to it fails here."""
+    recursive = []
+    init = expressions._Parser.__init__
+
+    def recording(self, text, varset):
+        recursive.append(text)
+        init(self, text, varset)
+
+    monkeypatch.setattr(expressions._Parser, "__init__", recording)
+    for path in sorted(SCENES.glob("*.json")):
+        load_scene(path)
+    # the two non-module generators of rotation_nonmodule_r2
+    assert recursive == ["-(x^2+y^2)*y", "(x^2+y^2)*x"]
+    for n, k in ((2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (3, 4)):
+        load_scene(workloads.ladder_scene(n, k, workloads.REGULAR_COORDS[:n]))
+    assert len(recursive) == 2
 
 
 # ---------------------------------------------------------------------------
