@@ -582,19 +582,35 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     # opened before the command runs, so a path that cannot be written runs nothing
     try:
-        out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
-    except (OSError, ValueError) as exc:  # the path quoted once, as an excerpt
-        reason = exc.strerror if isinstance(exc, OSError) else exc  # ValueError: a NUL byte
-        exc = type(exc)(f"cannot write {excerpt(args.json_out)}: {reason}")
-        sys.stdout.write(render_report(_error_report(args.command, args.order, exc)))
+        out = open(args.json_out, "wb") if args.json_out else None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        sys.stdout.buffer.write(_cannot_write(args, exc))
         return 2
     with out or nullcontext():
         report, code = run_command(args.command, args.scene, args)
-        text = render_report(report)
-        sys.stdout.write(text)
+        data = _encoded(report)
         if out:
-            out.write(text)
+            try:  # written and closed before stdout gets a report
+                with out:
+                    out.write(data)
+            except OSError as exc:  # such as a full disk
+                data, code = _cannot_write(args, exc), 2
+    sys.stdout.buffer.write(data)
     return code
+
+
+def _encoded(report: dict) -> bytes:
+    """The rendered report in UTF-8; a lone surrogate, which a JSON string may
+    hold and UTF-8 cannot, is written as its JSON escape ``\\udXXX``."""
+    return render_report(report).encode("utf-8", "backslashreplace")
+
+
+def _cannot_write(args: argparse.Namespace, exc: Exception) -> bytes:
+    """The encoded error report of a ``--json-out`` path that cannot be
+    written, quoting the path once, as an excerpt."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    exc = type(exc)(f"cannot write {excerpt(args.json_out)}: {reason}")
+    return _encoded(_error_report(args.command, args.order, exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

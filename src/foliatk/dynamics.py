@@ -38,10 +38,13 @@ of the unmoved coordinates is tested once, into ``fin``, which the loop's
 test reads before the moved names: ``and`` of the same tests is the same
 boolean, and the failing state is returned in full as before.
 
-An energy that reads only unmoved coordinates takes no drift in the loop:
-``e`` is ``e0`` at every step, so ``abs(e - e0)`` is ``0.0``, or nan for an
-infinite or nan start, and ``nan > drift`` is false, so the drift stays
-``0.0`` either way.
+The energy drift is nan once any sample's ``abs(e - e0)`` is nan, and stays
+nan.  It starts at ``abs(e0 - e0)``, which is ``0.0``, or nan for an
+infinite or nan start energy, and the loop tests ``not t <= drift``, which
+a nan passes as a larger value does; inside that rarely taken branch,
+``drift == drift`` keeps a nan drift.  An energy that reads only unmoved
+coordinates takes no drift in the loop: ``e`` is ``e0`` at every step, so
+``abs(e - e0)`` is the start's ``abs(e0 - e0)`` throughout.
 
 A nan generator value is not a pass.  The kernel tests ``not x <= y``,
 which a nan passes as a larger value does: the start test refuses it, and in
@@ -255,8 +258,9 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
     steps:`` in a ``try`` returning ``(_STEP_OVERFLOW, 0, ())``, followed by
     ``fin``, the finiteness of the unmoved coordinates, which the loop tests
     first; the sums of the sample only in the start sample, with no drift
-    taken for such an energy.  Every float operation that reaches a result,
-    exit code, step index and returned state is as without the hoist.
+    taken in the loop for such an energy.  Every float operation that
+    reaches a result, exit code, step index and returned state is as without
+    the hoist.
     """
     width = h.varset.n_vars
     v = _names("v", width)
@@ -285,7 +289,7 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
         for name in values[1:]:
             maxima += [f"t = abs({name})", *raise_to("t", "m")]
         maxima += raise_to("m", "max_gen")
-    body += ["e0 = e", "max_gen = 0.0", "drift = 0.0"]
+    body += ["e0 = e", "max_gen = 0.0", "drift = abs(e0 - e0)"]
     # bound for a run of no steps, where the start takes no step but is handed on
     body += [f"{a} = {b}" for a, b in moved]
     finite = [f"isfinite({a})" for a, _ in moved]
@@ -299,7 +303,8 @@ def flow_source(h: Polynomial, generators: Sequence[Polynomial] | None, dt: floa
     moving = [(f, target) for f, target in sums if not _reads(f) <= set(unmoved)]
     drift_lines = []
     if any(target == "e" for _, target in moving):
-        drift_lines = ["t = abs(e - e0)", *_block("if t > drift:", ["drift = t"])]
+        drift_lines = ["t = abs(e - e0)",
+                       *_block("if not t <= drift:", _block("if drift == drift:", ["drift = t"]))]
     body += _block("for i in range(steps + 1):", [
         *_block("if i < steps:", [
             *_guarded(step, _STEP_OVERFLOW, "i"),

@@ -283,14 +283,13 @@ class DivisorTable:
             raise VariableSetError("module rank or chart mismatch")
         i = len(self.elements)
         self.elements.append(d)
-        lead = None
-        for pos, comp in enumerate(d.components):
-            if comp.terms:
-                lexpo, lcoeff = comp.leading(self.order.key_function(d.varset))
-                lead = (pos, lexpo, lcoeff)
-                self.by_pos.setdefault(pos, []).append((i, lexpo, lcoeff))
-                break
-        self.leads.append(lead)
+        try:
+            (pos, lexpo), lcoeff = d.leading(self.order.key_function(d.varset))
+        except ValueError:  # a zero divisor
+            self.leads.append(None)
+            return
+        self.leads.append((pos, lexpo, lcoeff))
+        self.by_pos.setdefault(pos, []).append((i, lexpo, lcoeff))
 
 
 def module_divide(

@@ -266,7 +266,9 @@ def load_scene(source) -> Scene:
                     raise
                 text = str(source)
             data = json.loads(text)
-        except (OSError, ValueError) as exc:  # a JSON integer past the digit limit too
+        # a JSON integer past the digit limit is a ValueError, arrays or objects
+        # nested past the recursion limit a RecursionError
+        except (OSError, ValueError, RecursionError) as exc:
             kind = "file" if found else "path or JSON text"
             # an OSError's text repeats the path; its reason alone does not
             reason = exc.strerror if isinstance(exc, OSError) else exc

@@ -35,6 +35,15 @@ def bounded_error_messages(monkeypatch):
     monkeypatch.setattr(cli, "_error_report", bounded)
 
 
+@pytest.fixture(scope="session")
+def pinned_reports(tmp_path_factory):
+    """Every call the byte gate pins, run and rendered once per session: a list
+    of ``(group, key, exit code, report, rendered report)``; see
+    ``test_report_digests.py``."""
+    from test_report_digests import run_pinned
+    return run_pinned(tmp_path_factory.mktemp("pinned"))
+
+
 # (scene, key) of every foliation a shipped scene declares
 FOLIATIONS = [
     (path.stem, key)

@@ -744,7 +744,9 @@ def reference_monitor(generators: Sequence[Polynomial], h: Polynomial, start: Fl
         if any(math.isnan(v) for v in values):
             raise FlowDivergedError(f"monitored value overflowed at t={state.t:.6g}")
         max_gen = max(max_gen, max((abs(v) for v in values), default=0.0))
-        drift = max(drift, abs(energy - e0))
+        t = abs(energy - e0)
+        if math.isnan(t) or t > drift:  # a nan drift stays nan
+            drift = t
         if idx % store_every == 0 or idx == last:
             samples.append((state.t, values, energy))
     if failure:

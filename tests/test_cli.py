@@ -1,5 +1,6 @@
 import argparse
 import errno
+import io
 import json
 import os
 import subprocess
@@ -479,6 +480,76 @@ def test_a_json_out_path_with_a_nul_byte_is_an_error_report(capsys, monkeypatch)
     assert code == 2 and report["verdict"] == "error" and not ran
     assert report["detail"]["error_type"] == "ValueError"
     assert report["detail"]["message"].startswith(f"cannot write {excerpt(path)}: ")
+
+
+def _one_report(capsysbinary) -> dict:
+    """The one report on stdout, read as strict UTF-8; stderr must be empty."""
+    out = capsysbinary.readouterr()
+    assert out.err == b""
+    return json.loads(out.out.decode("utf-8"))
+
+
+class _FullWriter(io.BytesIO):
+    """A file that takes every write and fails at close, as a full disk does."""
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("device", [
+    pytest.param(True, id="dev-full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+    pytest.param(False, id="failing-close"),
+])
+def test_a_json_out_write_that_fails_is_one_error_report(device, tmp_path, monkeypatch,
+                                                         capsysbinary):
+    path = "/dev/full" if device else str(tmp_path / "report.json")
+    if not device:
+        monkeypatch.setattr(cli, "open", lambda *a: _FullWriter(), raising=False)
+    code = main(["lift-ideal", "--scene", str(SCENES / "rotation_r3.json"), "--json-out", path])
+    report = _one_report(capsysbinary)  # the error report alone, no pass report before it
+    assert code == 2 and report["verdict"] == "error"
+    assert report["detail"]["error_type"] == "OSError"
+    assert report["detail"]["message"] == f"cannot write {excerpt(path)}: {os.strerror(errno.ENOSPC)}"
+
+
+def test_a_lone_surrogate_in_a_note_is_written_as_its_json_escape(tmp_path, capsysbinary):
+    data = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
+    data["notes"] = ["\ud800"]
+    scene, out = tmp_path / "scene.json", tmp_path / "report.json"
+    scene.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["lift-ideal", "--scene", str(scene), "--json-out", str(out)])
+    stdout = capsysbinary.readouterr().out
+    assert b'"\\ud800"' in stdout and out.read_bytes() == stdout
+    report = json.loads(stdout.decode("utf-8"))
+    assert code == 0 and report["scene_notes"] == ["\ud800"]
+
+
+def test_a_lone_surrogate_in_a_key_name_is_echoed_as_its_json_escape(capsysbinary):
+    data = json.loads((SCENES / "so3_moment.json").read_text(encoding="utf-8"))
+    data["candidates"]["\ud800"] = "p_q1 +"
+    code = main(["lift-ideal", "--scene", json.dumps(data)])
+    report = _one_report(capsysbinary)
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert report["detail"]["message"].startswith("candidates.\ud800: ")
+
+
+@pytest.mark.parametrize("text", ["[" * 1200 + "]" * 1200, '{"a": ' * 1200 + "0" + "}" * 1200],
+                         ids=["arrays", "objects"])
+@pytest.mark.parametrize("as_file", [True, False], ids=["path", "json-text"])
+def test_a_scene_nested_past_the_recursion_limit_is_a_scene_error(text, as_file, tmp_path,
+                                                                  capsysbinary):
+    scene = '{"chart": ' + text + "}"
+    if as_file:
+        path = tmp_path / "scene.json"
+        path.write_text(scene, encoding="utf-8")
+        scene = str(path)
+    code = main(["lift-ideal", "--scene", scene])
+    report = _one_report(capsysbinary)
+    assert code == 2 and report["detail"]["error_type"] == "SceneError"
+    assert "recursion" in report["detail"]["message"]
 
 
 @pytest.mark.parametrize("command", ["normalizer-check", "check-srf"])

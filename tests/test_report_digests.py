@@ -1,53 +1,99 @@
-"""Report bytes stay fixed unless a change says why.
+"""Report bytes stay fixed unless a change says why: the one byte gate.
 
-``report_digests.json`` lists CLI calls over the shipped scenes with the
-sha256 of their rendered reports: every symbolic (scene, command, flags) call
-of the ``scenes`` benchmark workload, and the three ideal commands that honor
-``--order`` again under ``grevlex`` and ``lex``.  A change that alters report
-bytes on purpose re-records the digests and says why in CHANGES.md::
+``report_digests.json`` holds, per group, the sha256 of (call key, exit
+code, rendered report) for every call it pins, each run once per test
+session through the ``pinned_reports`` fixture (``conftest.py``), which
+``test_render.py`` reads too:
+
+* ``scenes``, ``ladder`` and ``flow``: every op of those benchmark workloads
+  at seed 7, built by ``perfbench/workloads.py`` as the benchmark builds them;
+* ``rungs``: the origin and regular ``point-report`` of the ladder rungs
+  (4,2), (4,3) and (3,4);
+* ``orders``: every ``scenes`` op of the three commands that honor
+  ``--order``, again under ``grevlex`` and under ``lex``.
+
+A change that alters those bytes on purpose re-records the manifest and says
+why in CHANGES.md::
 
     PYTHONPATH=src python tests/test_report_digests.py --write
 
 Run as a script without ``--write``, it prints its usage and writes nothing.
 """
 
-import argparse
 import hashlib
 import json
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 from foliatk.cli import render_report, run_command
 
 HERE = Path(__file__).resolve().parent
-SCENES = HERE.parent / "scenes"
-DIGESTS = HERE / "report_digests.json"
+ROOT = HERE.parent
+MANIFEST = HERE / "report_digests.json"
+SEED = 7
+POINT_RUNGS = ((4, 2), (4, 3), (3, 4))
+ORDER_COMMANDS = ("closure-check", "normalizer-check", "reduced-bracket")
+ORDERS = ("grevlex", "lex")
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+from checker import lift_values  # noqa: E402
 
 
-def _digest(call: dict) -> str:
-    args = argparse.Namespace(point=call["point"], candidate=list(call["candidates"]),
-                              tol=None, dt=None, t_end=None, order=call["order"])
-    report, _ = run_command(call["command"], SCENES / f"{call['scene']}.json", args)
-    return hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
+def pinned_calls(workdir: Path) -> list[tuple]:
+    """``(group, key, command, scene path, arguments)`` of every pinned call,
+    its scene files written under ``workdir``."""
+    scenes = ROOT / "scenes"
+    rungs = workloads.build_ladder(workdir / "rungs", random.Random(SEED), POINT_RUNGS)
+    groups = {
+        "scenes": workloads.build_scenes(workdir, scenes),
+        "ladder": workloads.build_ladder(workdir, random.Random(SEED)),
+        "flow": workloads.build_flow(workdir, random.Random(SEED), scenes, lift_values),
+        "rungs": [op for op in rungs if op.command == "point-report"],
+    }
+    calls = [(group, op.key, op.command, op.scene, op.namespace())
+             for group, ops in groups.items() for op in ops]
+    for op in groups["scenes"]:
+        if op.command in ORDER_COMMANDS:
+            for order in ORDERS:
+                args = op.namespace()
+                args.order = order
+                calls.append(("orders", f"{op.key} --order {order}", op.command, op.scene, args))
+    return calls
 
 
-def _key(call: dict) -> str:
-    flags = [f"--point {call['point']}"] if call["point"] else []
-    flags += [f"--candidate {c}" for c in call["candidates"]]
-    return " ".join([call["scene"], call["command"], *flags, f"--order {call['order']}"])
+def run_pinned(workdir: Path) -> list[tuple]:
+    """``(group, key, exit code, report, rendered report)`` of every pinned
+    call, each run and rendered once."""
+    pinned = []
+    for group, key, command, scene, args in pinned_calls(workdir):
+        report, code = run_command(command, scene, args)
+        pinned.append((group, key, code, report, render_report(report)))
+    return pinned
 
 
-def test_report_bytes_match_recorded_digests():
-    calls = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert len(calls) == 211
-    changed = [_key(c) for c in calls if _digest(c) != c["sha256"]]
+def digests(pinned) -> dict:
+    table: dict = {}
+    for group, key, code, _, text in pinned:
+        data = f"{key}\n{code}\n{text}".encode("utf-8")
+        table.setdefault(group, {})[key] = hashlib.sha256(data).hexdigest()
+    return table
+
+
+def test_report_bytes_match_recorded_digests(pinned_reports):
+    recorded = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    now = digests(pinned_reports)
+    assert {g: len(d) for g, d in now.items()} == {g: len(d) for g, d in recorded.items()}
+    changed = [f"{g}: {key}" for g, d in now.items() for key, sha in d.items()
+               if recorded[g].get(key) != sha]
     assert changed == []
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write  (re-records {DIGESTS.name})")
-    calls = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    for c in calls:
-        c["sha256"] = _digest(c)
-    DIGESTS.write_text(json.dumps(calls, indent=1) + "\n", encoding="utf-8")
+        sys.exit(f"usage: {sys.argv[0]} --write  (re-records {MANIFEST.name})")
+    with tempfile.TemporaryDirectory() as work:
+        table = digests(run_pinned(Path(work)))
+    MANIFEST.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
