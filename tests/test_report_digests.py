@@ -12,6 +12,9 @@ session through the ``pinned_reports`` fixture (``conftest.py``), which
 * ``orders``: every ``scenes`` op of the three commands that honor
   ``--order``, again under ``grevlex`` and under ``lex``.
 
+This module checks the ``orders`` group; ``test_bench_digests.py`` checks
+the four benchmark groups against the same manifest and the same run.
+
 A change that alters those bytes on purpose re-records the manifest and says
 why in CHANGES.md::
 
@@ -36,6 +39,8 @@ SEED = 7
 POINT_RUNGS = ((4, 2), (4, 3), (3, 4))
 ORDER_COMMANDS = ("closure-check", "normalizer-check", "reduced-bracket")
 ORDERS = ("grevlex", "lex")
+BENCH_GROUPS = ("scenes", "ladder", "flow", "rungs")
+ORDER_GROUPS = ("orders",)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
@@ -82,13 +87,19 @@ def digests(pinned) -> dict:
     return table
 
 
-def test_report_bytes_match_recorded_digests(pinned_reports):
+def changed_digests(pinned, groups) -> list[str]:
+    """``group: key`` of every call of ``groups`` whose digest differs from the
+    manifest's; the group sizes must match first."""
     recorded = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    now = digests(pinned_reports)
-    assert {g: len(d) for g, d in now.items()} == {g: len(d) for g, d in recorded.items()}
-    changed = [f"{g}: {key}" for g, d in now.items() for key, sha in d.items()
-               if recorded[g].get(key) != sha]
-    assert changed == []
+    now = digests(pinned)
+    assert set(now) == set(recorded)
+    assert {g: len(now[g]) for g in groups} == {g: len(recorded[g]) for g in groups}
+    return [f"{g}: {key}" for g in groups for key, sha in now[g].items()
+            if recorded[g].get(key) != sha]
+
+
+def test_report_bytes_match_recorded_digests(pinned_reports):
+    assert changed_digests(pinned_reports, ORDER_GROUPS) == []
 
 
 if __name__ == "__main__":
