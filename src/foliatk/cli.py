@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Mapping, Sequence
 from contextlib import nullcontext
@@ -21,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from . import __version__
-from .dynamics import FlowState, geodesic_orthogonality_check, monitor_ideal_preservation
+from .dynamics import START_TOL, FlowState, geodesic_orthogonality_check, monitor_ideal_preservation
 from .errors import FoliatkError, InternalCheckError, SceneError, excerpt
 from .foliation import involutivity_check, isotropy_algebra, module_equal
 from .geometry import OneForm
@@ -47,7 +48,6 @@ from .submersion import (
 )
 
 _TOL_DEFAULT = 1e-6
-_START_TOL = 1e-12
 
 
 def _f(x: float) -> str:
@@ -187,25 +187,21 @@ def _working_ideal(scene: Scene, order: MonomialOrder) -> IdealPresentation:
 
 
 def _flow_params(scene: Scene, args) -> tuple[FlowState, float, float, float]:
-    """Start state, horizon, step and pass threshold of a flow command.
+    """Start state, horizon, step and pass threshold of a flow command; a flag
+    overrides the scene's value.
 
-    A horizon or step that is not finite and positive would integrate zero
-    steps (a vacuous pass) or silently one step, and a step that does not
-    divide the horizon into a whole number of steps would be rewritten to one
-    that does while the report echoes the requested one, so each is an input
-    error, as is a tolerance that is not finite and nonnegative.
+    A horizon that is not finite and positive would integrate zero steps, a
+    vacuous pass, and a tolerance that is not finite and nonnegative is no
+    threshold, so each is an input error.  The step is refused by the
+    monitors, which own the step rule (``dynamics._steps``).
     """
     if scene.flow is None:
         raise SceneError("this command needs a 'flow' section in the scene")
     t_end = args.t_end if args.t_end is not None else scene.flow.t_end
     dt = args.dt if args.dt is not None else scene.flow.dt
     tol = args.tol if args.tol is not None else _TOL_DEFAULT
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise SceneError(f"{name} must be finite and positive, got {value!r}")
-    steps = t_end / dt  # an infinite count is refused by the dynamics step cap
-    if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
-        raise SceneError(f"dt {dt!r} does not divide t_end {t_end!r} into whole steps")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise SceneError(f"t_end must be finite and positive, got {t_end!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise SceneError(f"tol must be finite and nonnegative, got {tol!r}")
     return FlowState(scene.flow.q, scene.flow.p, 0.0), t_end, dt, tol
@@ -412,31 +408,29 @@ def _flow_detail(report, tol: float, dt: float, t_end: float, **detail):
         "energy_drift": _f(report.energy_drift),
         "samples": FlowTrace(report.samples),
     }
-    tolerances = {"tol": _f(tol), "dt": _f(dt), "t_end": _f(t_end), "start_tol": _f(_START_TOL)}
+    tolerances = {"tol": _f(tol), "dt": _f(dt), "t_end": _f(t_end), "start_tol": _f(START_TOL)}
     return detail, [], monitor, tolerances
 
 
 def _cmd_flow_monitor(scene: Scene, args, order):
-    ideal = _working_ideal(scene, order)
-    pool = dict(scene.candidates)
-    (ham,) = _resolve_candidates(pool, args.candidate or ["H"], 1, "flow-monitor")
+    ideal = scene.lift_or_explicit_ideal()
+    (ham,) = _resolve_candidates(scene.candidates, args.candidate or ["H"], 1, "flow-monitor")
     start, t_end, dt, tol = _flow_params(scene, args)
-    report = monitor_ideal_preservation(ideal, ham, start, t_end, dt, start_tol=_START_TOL)
+    report = monitor_ideal_preservation(ideal, ham, start, t_end, dt)
     return _flow_detail(report, tol, dt, t_end, hamiltonian=str(ham))
 
 
 def _cmd_geodesic_check(scene: Scene, args, order):
     fol = _need(scene, "foliation", "geodesic-check")
     start, t_end, dt, tol = _flow_params(scene, args)
-    report = geodesic_orthogonality_check(
-        fol, scene.metric, start, t_end, dt, start_tol=_START_TOL
-    )
+    report = geodesic_orthogonality_check(fol, scene.metric, start, t_end, dt)
     return _flow_detail(report, tol, dt, t_end)
 
 
 # commands whose working ideal honors --order; everything else pins the
-# fiber-block order its algorithm depends on
-_ORDER_COMMANDS = {"closure-check", "normalizer-check", "reduced-bracket", "flow-monitor"}
+# fiber-block order its algorithm depends on, or, as the flow commands,
+# reads no order at all
+_ORDER_COMMANDS = {"closure-check", "normalizer-check", "reduced-bracket"}
 
 _COMMANDS = {
     "check-involutive": _cmd_check_involutive,
@@ -584,8 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         out = open(args.json_out, "wb") if args.json_out else None
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
-        sys.stdout.buffer.write(_cannot_write(args, exc))
-        return 2
+        return _to_stdout(_cannot_write(args, exc), 2)
     with out or nullcontext():
         report, code = run_command(args.command, args.scene, args)
         data = _encoded(report)
@@ -595,7 +588,24 @@ def main(argv: Sequence[str] | None = None) -> int:
                     out.write(data)
             except OSError as exc:  # such as a full disk
                 data, code = _cannot_write(args, exc), 2
-    sys.stdout.buffer.write(data)
+    return _to_stdout(data, code)
+
+
+def _to_stdout(data: bytes, code: int) -> int:
+    """Write and flush ``data`` to stdout and return ``code``; a stdout that
+    cannot take the report (a full disk, a closed pipe) is one line on stderr
+    and exit 2, since no verdict reached it."""
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:  # the interpreter flushes stdout again at exit: let that go nowhere
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        sys.stderr.write(f"foliatk: cannot write the report to stdout: {exc.strerror or exc}\n")
+        return 2
     return code
 
 

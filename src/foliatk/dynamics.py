@@ -62,7 +62,8 @@ a stored trajectory would.  The function returns an exit code with the step
 index, and the errors are raised here; ``integrate_flow`` runs the same loop
 with the state itself as the sample, and no start test or maximum.
 Integration is fixed-step, so monitor values are reproducible.  A flow of
-more than ``MAX_FLOW_STEPS`` steps is refused before the first step.
+more than ``MAX_FLOW_STEPS`` steps, or whose ``dt`` does not divide its
+horizon into whole steps, is refused before the first step.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ from .ipoisson import IdealPresentation
 from .poly import Polynomial
 
 MAX_FLOW_STEPS = 1_000_000
+
+# the public monitors' bound on each generator value at the start, and the
+# stride of their stored trace
+START_TOL = 1e-12
+STORE_EVERY = 10
 
 _KERNEL_FILE = "<foliatk flow kernel>"
 
@@ -349,16 +355,18 @@ def hamiltonian_rhs(h: Polynomial) -> Callable[[Sequence[float]], list[float]]:
 
 
 def _steps(h: Polynomial, start: FlowState, t_end: float, dt: float) -> tuple[int, float]:
-    """Step count and uniform step; refuses a flow longer than ``MAX_FLOW_STEPS``.
+    """Step count and uniform step; refuses a flow longer than ``MAX_FLOW_STEPS``
+    and a ``dt`` that does not divide ``t_end`` into a whole number of steps.
 
-    The horizon is hit exactly: the step count is the nearest integer to
-    ``t_end/dt`` and the uniform step is ``t_end`` divided by it, so a
-    commensurable ``dt`` is used verbatim.
+    ``t_end/dt`` must be within a relative 1e-9 of its nearest integer, the
+    step count; the uniform step is ``t_end`` divided by it, so the horizon is
+    hit exactly and a commensurable ``dt`` is used verbatim.  A horizon of 0
+    takes no steps.
     """
     if not (dt > 0 and math.isfinite(dt)):
-        raise PreconditionError("dt must be finite and positive")
+        raise PreconditionError(f"dt must be finite and positive, got {dt!r}")
     if not t_end >= 0:
-        raise PreconditionError("t_end must be nonnegative")
+        raise PreconditionError(f"t_end must be nonnegative, got {t_end!r}")
     n = h.varset.dimension
     if len(start.q) != n or len(start.p) != n:
         raise PreconditionError("start state has the wrong dimension")
@@ -369,20 +377,16 @@ def _steps(h: Polynomial, start: FlowState, t_end: float, dt: float) -> tuple[in
         )
     if t_end == 0:
         return 0, dt
-    steps = max(1, round(ratio))
+    steps = round(ratio)
+    # a ratio that rounds to no steps is off by all of itself
+    if not steps or abs(ratio - steps) > 1e-9 * ratio:
+        raise PreconditionError(f"dt {dt!r} does not divide t_end {t_end!r} into whole steps")
     return steps, t_end / steps
 
 
-def _monitor(
-    generators: Sequence[Polynomial] | None,
-    h: Polynomial,
-    start: FlowState,
-    t_end: float,
-    dt: float,
-    start_tol: float,
-    store_every: int,
-    precondition_label: str,
-) -> MonitorReport:
+def _monitor(generators: Sequence[Polynomial] | None, h: Polynomial, start: FlowState,
+             t_end: float, dt: float, start_tol: float, store_every: int,
+             precondition_label: str) -> MonitorReport:
     """Compile the ``flow`` loop, run it from ``start`` and raise its failure,
     naming how many values failed and the first, not all of them."""
     steps, dt = _steps(h, start, t_end, dt)
@@ -407,55 +411,40 @@ def _monitor(
     return MonitorReport(tuple(samples), *data)
 
 
-def integrate_flow(
-    h: Polynomial,
-    start: FlowState,
-    t_end: float,
-    dt: float,
-) -> list[FlowState]:
+def integrate_flow(h: Polynomial, start: FlowState, t_end: float, dt: float) -> list[FlowState]:
     """Fixed-step trajectory of the Hamiltonian flow; aborts on non-finite state.
 
     The trajectory is the run of the ``flow`` loop whose sample is the state
-    itself, with every sample kept.
+    itself, with every sample kept; state ``i`` is at time ``start.t`` plus
+    the ``i`` steps elapsed.
     """
     report = _monitor(None, h, start, t_end, dt, math.inf, 1, "")
     n = h.varset.dimension
-    return [FlowState(vec[:n], vec[n:], t) for t, vec, _ in report.samples]
+    return [FlowState(vec[:n], vec[n:], start.t + t) for t, vec, _ in report.samples]
 
 
-def monitor_ideal_preservation(
-    ideal: IdealPresentation,
-    h: Polynomial,
-    start: FlowState,
-    t_end: float,
-    dt: float,
-    *,
-    start_tol: float = 1e-12,
-    store_every: int = 10,
-) -> MonitorReport:
-    """Track the ideal's generators along the flow of H from a zero-set point."""
+def monitor_ideal_preservation(ideal: IdealPresentation, h: Polynomial, start: FlowState,
+                               t_end: float, dt: float) -> MonitorReport:
+    """Track the ideal's generators along the flow of H from a zero-set point.
+
+    Each generator value at the start must be within ``START_TOL``; every
+    ``STORE_EVERY``-th state and the last are stored, at the time elapsed
+    since the start, whatever ``start.t`` is.
+    """
     if h.varset != ideal.chart:
         raise VariableSetError("Hamiltonian and ideal on different charts")
-    return _monitor(
-        ideal.generators, h, start, t_end, dt, start_tol, store_every,
-        "start is not on the zero set",
-    )
+    return _monitor(ideal.generators, h, start, t_end, dt, START_TOL, STORE_EVERY,
+                    "start is not on the zero set")
 
 
-def geodesic_orthogonality_check(
-    fol,
-    metric: MetricData,
-    start: FlowState,
-    t_end: float,
-    dt: float,
-    *,
-    start_tol: float = 1e-12,
-    store_every: int = 10,
-) -> MonitorReport:
-    """Track the lifted generators along the geodesic flow from an orthogonal start."""
+def geodesic_orthogonality_check(fol, metric: MetricData, start: FlowState,
+                                 t_end: float, dt: float) -> MonitorReport:
+    """Track the lifted generators along the geodesic flow from an orthogonal start.
+
+    The start and the stored samples are as in
+    :func:`monitor_ideal_preservation`, at the time elapsed since the start.
+    """
     lifts = fol.lift_presentation
     h = hamiltonian(metric, lifts.chart)
-    return _monitor(
-        lifts.generators, h, start, t_end, dt, start_tol, store_every,
-        "start covector is not orthogonal to the leaf",
-    )
+    return _monitor(lifts.generators, h, start, t_end, dt, START_TOL, STORE_EVERY,
+                    "start covector is not orthogonal to the leaf")

@@ -71,12 +71,6 @@ _FACTOR = re.compile(r"([-+\s]*)(?:(\d+(?:/\d+)?)|([^\W\d]\w*))\s*(?:\^\s*(\d+)\
 _FLAT_LENGTH = MAX_TERM_PRODUCTS // 7
 
 
-def _digit_limit() -> int:
-    """``sys.get_int_max_str_digits()``; 0, no limit, on interpreters older
-    than the limit itself."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) tokens, last first, so the parser pops the next one."""
     tokens = []
@@ -108,7 +102,7 @@ class _Parser:
         self.varset = varset
         self.depth = 0
         self.products = 0  # term products made by ``*`` and ``^`` so far
-        self.digit_limit = _digit_limit()
+        self.digit_limit = sys.get_int_max_str_digits()  # 0: no limit
 
     def next_op(self, ops: str) -> str | None:
         """If the next token is one of the operators ``ops``, consume it and return it."""
@@ -229,7 +223,7 @@ def _flat_sum(text: str, varset: VariableSet) -> Polynomial | None:
     names = varset.names
     zero = (0,) * len(names)
     # with no limit, the parser decides what passes the default one
-    budget = 3 * (_digit_limit() or sys.int_info.default_max_str_digits)
+    budget = 3 * (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits)
     bits = 0
     terms: dict[Exponents, Scalar] = {}
     coeff, expo, negative, pos = 1, None, False, 0

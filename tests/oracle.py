@@ -620,7 +620,7 @@ class _Parser:
 
 def reference_parse_expression(text: str, varset: VariableSet) -> Polynomial:
     value = _Parser(_tokenize(text), varset).parse()
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     if limit:
         for c in value.terms.values():
             for n in (abs(c.numerator), c.denominator):

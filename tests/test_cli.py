@@ -289,12 +289,25 @@ def test_order_flag_ignored_by_block_pinned_commands():
 
 
 @pytest.mark.parametrize("command", ["flow-monitor", "geodesic-check"])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_order_flag_leaves_flow_reports_byte_identical(command, order):
+    # a flow reads the generators, never a monomial order
+    block, code = run_command(command, SCENES / "so3_moment.json", ns(candidate=["H"]))
+    other, other_code = run_command(command, SCENES / "so3_moment.json",
+                                    ns(candidate=["H"], order=order))
+    assert code == other_code == 0
+    assert render_report(other) == render_report(block)
+
+
+@pytest.mark.parametrize("command", ["flow-monitor", "geodesic-check"])
 @pytest.mark.parametrize("flag", ["dt", "t_end"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
 def test_flow_step_and_horizon_must_be_finite_and_positive(command, flag, value):
     report, code = run_command(command, SCENES / "so3_moment.json", ns(**{flag: value}))
     assert code == 2 and report["verdict"] == "error"
-    assert report["detail"]["error_type"] == "SceneError"
+    # the monitors own the step rule; the horizon is the command's input check
+    want = "PreconditionError" if flag == "dt" else "SceneError"
+    assert report["detail"]["error_type"] == want
     assert flag in report["detail"]["message"]
 
 
@@ -415,9 +428,14 @@ def test_a_long_run_of_unary_minus_signs_parses():
     assert code in (0, 1) and report["verdict"] in ("pass", "fail")
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env() -> dict:
+    """The environment with this checkout's package first on ``PYTHONPATH``."""
     src = str(Path(foliatk.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _module_env()
     done = subprocess.run(
         [sys.executable, "-m", "foliatk", "check-srf", "--scene", "scenes/rotation_srf_r2.json"],
         cwd=SCENES.parent, env=env, capture_output=True, text=True, timeout=60,
@@ -513,6 +531,55 @@ def test_a_json_out_write_that_fails_is_one_error_report(device, tmp_path, monke
     assert code == 2 and report["verdict"] == "error"
     assert report["detail"]["error_type"] == "OSError"
     assert report["detail"]["message"] == f"cannot write {excerpt(path)}: {os.strerror(errno.ENOSPC)}"
+
+
+STDOUT_FULL = f"foliatk: cannot write the report to stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+class _FullStdout:
+    """A stdout on a full device with no file descriptor: the write of the
+    report, or the flush after it, fails."""
+
+    def __init__(self, failing):
+        self.failing = failing
+        self.buffer = self
+
+    def write(self, data):
+        self._step("write")
+
+    def flush(self):
+        self._step("flush")
+
+    def _step(self, name):
+        if name == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_stdout_that_cannot_be_written_is_exit_2_and_one_line_on_stderr(failing, monkeypatch,
+                                                                          capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    code = main(["check-srf", "--scene", str(SCENES / "rotation_srf_r2.json")])
+    assert code == 2  # not 1: no verdict reached stdout
+    assert capsys.readouterr().err == STDOUT_FULL
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_python_dash_m_with_stdout_on_a_full_device_exits_2_without_a_traceback(unbuffered):
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # the write fails, else the flush after it
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "foliatk", "check-srf", "--scene", "scenes/rotation_srf_r2.json"],
+            cwd=SCENES.parent, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert (done.returncode, done.stderr) == (2, STDOUT_FULL)
 
 
 def test_a_lone_surrogate_in_a_note_is_written_as_its_json_escape(tmp_path, capsysbinary):

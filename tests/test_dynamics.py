@@ -57,7 +57,8 @@ def test_euclidean_flow_is_straight_line():
 
 def test_harmonic_oscillator_period():
     h = P("1/2*p_q^2 + 1/2*q^2", COT1)
-    traj = integrate_flow(h, FlowState((1.0,), (0.0,), 0.0), 2 * math.pi, 1e-3)
+    # 6283 steps: a step must divide the horizon into whole steps
+    traj = integrate_flow(h, FlowState((1.0,), (0.0,), 0.0), 2 * math.pi, 2 * math.pi / 6283)
     end = traj[-1]
     assert abs(end.q[0] - 1.0) < 1e-6
     assert abs(end.p[0]) < 1e-6
@@ -69,6 +70,36 @@ def test_invalid_step_rejected():
         integrate_flow(h, FlowState((0.0,), (1.0,), 0.0), 1.0, 0.0)
     with pytest.raises(PreconditionError):
         integrate_flow(h, FlowState((0.0,), (1.0,), 0.0), -1.0, 1e-3)
+
+
+@pytest.mark.parametrize("dt", [0.6, 5.0])
+def test_a_step_that_does_not_divide_the_horizon_is_refused_before_the_first_step(dt):
+    # 1.0/0.6 and 1.0/5 steps: rounded, they would silently change the step
+    ideal, h = so3_setup()
+    start = FlowState((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
+    rotation = FoliationModule(R3, (VF(R3, "-y", "x", "0"),))
+    runs = [
+        lambda: integrate_flow(h, start, 1.0, dt),
+        lambda: monitor_ideal_preservation(ideal, h, start, 1.0, dt),
+        lambda: geodesic_orthogonality_check(rotation, euclidean(R3), start, 1.0, dt),
+    ]
+    for run in runs:
+        with pytest.raises(PreconditionError, match="does not divide t_end 1.0 into whole steps"):
+            run()
+
+
+def test_a_trajectory_is_timed_from_its_start():
+    h = P("1/2*p_q^2 + 1/2*q^2", COT1)
+    from_zero = integrate_flow(h, FlowState((1.0,), (0.0,), 0.0), 0.3, 0.1)
+    from_two = integrate_flow(h, FlowState((1.0,), (0.0,), 2.0), 0.3, 0.1)
+    assert [s.t for s in from_two] == [2.0 + s.t for s in from_zero]
+    assert from_two[0].t == 2.0 and from_two[-1].t == pytest.approx(2.3)
+    assert [(s.q, s.p) for s in from_two] == [(s.q, s.p) for s in from_zero]
+    # the monitors' traces are in the time elapsed since the start
+    ideal, h = so3_setup()
+    report = monitor_ideal_preservation(
+        ideal, h, FlowState((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0), 1.0, 1e-3)
+    assert report.samples[0][0] == 0.0 and report.samples[-1][0] == pytest.approx(1.0)
 
 
 def test_divergence_aborts():
@@ -212,7 +243,6 @@ def test_normalizer_members_preserve_zero_sets():
 def test_trace_is_decimated():
     ideal, h = so3_setup()
     report = monitor_ideal_preservation(
-        ideal, h, FlowState((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0), 1.0, 1e-3,
-        store_every=10,
+        ideal, h, FlowState((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0), 1.0, 1e-3
     )
     assert len(report.samples) == 101  # every 10th of 1000 steps, endpoints included

@@ -26,7 +26,7 @@ def _oracle(report) -> str:
 
 def test_emitter_matches_json_dumps_on_every_digest_call(pinned_reports):
     # the byte gate's calls over the shipped scenes, under every order
-    shipped = [(key, report, text) for group, key, _, report, text in pinned_reports
+    shipped = [(key, report, text) for group, key, _, _, report, text in pinned_reports
                if group in ("scenes", "orders")]
     assert len(shipped) == 222
     for key, report, text in shipped:

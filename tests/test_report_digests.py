@@ -15,6 +15,13 @@ session through the ``pinned_reports`` fixture (``conftest.py``), which
 This module checks the ``orders`` group; ``test_bench_digests.py`` checks
 the four benchmark groups against the same manifest and the same run.
 
+Beside the bytes, the same reports pass a semantic gate, so that a verdict
+that flips cannot hide in a re-recorded manifest: ``perfbench/checker.py``
+checks every report against its op's exit code, verdict and invariant
+details, and re-expands every certificate against a target rebuilt from the
+scene.  An ``orders`` report is checked against the op of the same call under
+``block``: the same exit code, verdict and ``passed``.
+
 A change that alters those bytes on purpose re-records the manifest and says
 why in CHANGES.md::
 
@@ -23,6 +30,7 @@ why in CHANGES.md::
 Run as a script without ``--write``, it prints its usage and writes nothing.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -44,44 +52,44 @@ ORDER_GROUPS = ("orders",)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
-from checker import lift_values  # noqa: E402
+import checker  # noqa: E402
 
 
 def pinned_calls(workdir: Path) -> list[tuple]:
-    """``(group, key, command, scene path, arguments)`` of every pinned call,
-    its scene files written under ``workdir``."""
+    """``(group, key, workloads.Op, arguments)`` of every pinned call, its
+    scene files written under ``workdir``; an ``orders`` call carries the op
+    of the same call under ``block``."""
     scenes = ROOT / "scenes"
     rungs = workloads.build_ladder(workdir / "rungs", random.Random(SEED), POINT_RUNGS)
     groups = {
         "scenes": workloads.build_scenes(workdir, scenes),
         "ladder": workloads.build_ladder(workdir, random.Random(SEED)),
-        "flow": workloads.build_flow(workdir, random.Random(SEED), scenes, lift_values),
+        "flow": workloads.build_flow(workdir, random.Random(SEED), scenes, checker.lift_values),
         "rungs": [op for op in rungs if op.command == "point-report"],
     }
-    calls = [(group, op.key, op.command, op.scene, op.namespace())
-             for group, ops in groups.items() for op in ops]
+    calls = [(group, op.key, op, op.namespace()) for group, ops in groups.items() for op in ops]
     for op in groups["scenes"]:
         if op.command in ORDER_COMMANDS:
             for order in ORDERS:
                 args = op.namespace()
                 args.order = order
-                calls.append(("orders", f"{op.key} --order {order}", op.command, op.scene, args))
+                calls.append(("orders", f"{op.key} --order {order}", op, args))
     return calls
 
 
 def run_pinned(workdir: Path) -> list[tuple]:
-    """``(group, key, exit code, report, rendered report)`` of every pinned
-    call, each run and rendered once."""
+    """``(group, key, workloads.Op, exit code, report, rendered report)`` of
+    every pinned call, each run and rendered once."""
     pinned = []
-    for group, key, command, scene, args in pinned_calls(workdir):
-        report, code = run_command(command, scene, args)
-        pinned.append((group, key, code, report, render_report(report)))
+    for group, key, op, args in pinned_calls(workdir):
+        report, code = run_command(op.command, op.scene, args)
+        pinned.append((group, key, op, code, report, render_report(report)))
     return pinned
 
 
 def digests(pinned) -> dict:
     table: dict = {}
-    for group, key, code, _, text in pinned:
+    for group, key, _, code, _, text in pinned:
         data = f"{key}\n{code}\n{text}".encode("utf-8")
         table.setdefault(group, {})[key] = hashlib.sha256(data).hexdigest()
     return table
@@ -100,6 +108,32 @@ def changed_digests(pinned, groups) -> list[str]:
 
 def test_report_bytes_match_recorded_digests(pinned_reports):
     assert changed_digests(pinned_reports, ORDER_GROUPS) == []
+
+
+def semantic_problems(pinned, groups) -> list[str]:
+    """``group: key: problem`` for every report of ``groups`` that
+    ``checker.check`` refuses; an ``orders`` report is held to its ``block``
+    op's exit code, verdict and ``passed`` only, since a reduced
+    representative is a normal form of its order."""
+    scenes: dict = {}
+    problems = []
+    for group, key, op, code, _, text in pinned:
+        if group not in groups:
+            continue
+        if group == "orders":
+            op = dataclasses.replace(op, detail={k: v for k, v in op.detail.items()
+                                                 if k == "passed"})
+        problems += [f"{group}: {key}: {why}" for why in checker.check(op, code, text, scenes)]
+    return problems
+
+
+def test_every_pinned_benchmark_report_passes_the_checker(pinned_reports):
+    assert semantic_problems(pinned_reports, BENCH_GROUPS) == []
+
+
+def test_every_order_report_keeps_its_block_verdict_and_re_expands(pinned_reports):
+    assert sum(group == "orders" for group, *_ in pinned_reports) == 76
+    assert semantic_problems(pinned_reports, ORDER_GROUPS) == []
 
 
 if __name__ == "__main__":
