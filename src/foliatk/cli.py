@@ -49,6 +49,11 @@ from .submersion import (
 
 _TOL_DEFAULT = 1e-6
 
+# the value of every flag a command reads when it is not given: ``main``'s
+# parser and ``run_command`` both read this mapping
+_FLAG_DEFAULTS = {"point": None, "candidate": [], "tol": None, "dt": None,
+                  "t_end": None, "order": "block"}
+
 
 def _f(x: float) -> str:
     return "%.17g" % x
@@ -455,9 +460,11 @@ _COMMANDS = {
 
 
 def run_command(command: str, scene_source, args=None) -> tuple[dict, int]:
-    """Dispatch a command against a scene; returns (report, exit_code)."""
-    args = args or argparse.Namespace(point=None, candidate=[], tol=None, dt=None,
-                                      t_end=None, order="block")
+    """Dispatch a command against a scene; returns (report, exit_code).
+
+    ``args`` holds the flags; one it lacks takes its value from
+    ``_FLAG_DEFAULTS``, and the caller's namespace is not changed."""
+    args = argparse.Namespace(**{**_FLAG_DEFAULTS, **vars(args or argparse.Namespace())})
     notes: tuple[str, ...] = ()
     try:
         if command not in _COMMANDS:
@@ -565,13 +572,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--scene", required=True, help="path to a JSON scene file")
     parser.add_argument("--point", help="scene point name or comma-separated rationals")
-    parser.add_argument("--candidate", action="append", default=[],
+    parser.add_argument("--candidate", action="append",
                         help="candidate name (repeat for binary operations)")
     parser.add_argument("--tol", type=float, help="pass threshold for numeric monitors")
     parser.add_argument("--dt", type=float, help="integrator step override")
     parser.add_argument("--t-end", dest="t_end", type=float, help="integration horizon override")
-    parser.add_argument("--order", choices=["grevlex", "lex", "block"], default="block")
+    parser.add_argument("--order", choices=["grevlex", "lex", "block"])
     parser.add_argument("--json-out", help="also write the report to this file")
+    parser.set_defaults(**_FLAG_DEFAULTS)
     args = parser.parse_args(argv)
 
     # opened before the command runs, so a path that cannot be written runs nothing

@@ -171,10 +171,10 @@ def _free_at(fol: FoliationModule, tdim: int) -> bool:
 
 def fiber_dim(fol: FoliationModule, point: Sequence) -> int:
     """dim F/I_q F: the tangent rank where F is free, else N minus the syzygy rank."""
-    tdim = tangent_dim(fol, point)
+    exact = ExactPoint(_as_point(fol.chart, point))
+    tdim = EchelonSpan(fol.chart.dimension, [g.evaluate_seq(exact) for g in fol.generators]).rank
     if _free_at(fol, tdim):
         return tdim
-    exact = ExactPoint(_as_point(fol.chart, point))
     return fol.n_generators - EchelonSpan(
         fol.n_generators, [s.evaluate_seq(exact) for s in fol.syzygies]).rank
 
@@ -235,7 +235,7 @@ def isotropy_algebra(fol: FoliationModule, point: Sequence) -> PointReport:
             # the class as {index: value}, entries that cancel dropped
             w: dict[int, Fraction] = {}
             for k, c in cofactors.items():
-                ck = c.evaluate_once(exact)
+                ck = c.evaluate_seq(exact)
                 if not ck:
                     continue
                 row = row_values.get(k)

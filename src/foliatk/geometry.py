@@ -156,8 +156,6 @@ class MetricData:
     Positivity is Sylvester's test on the cometric evaluated there, an exact
     rational matrix: its leading minors are the symbolic ones evaluated,
     since evaluation is a ring map, so no minor is expanded symbolically.
-    Each entry is read once per point, so none keeps an integer form; at the
-    origin only its constant term is touched.
     """
 
     cometric: SymTensor2
@@ -186,7 +184,7 @@ class MetricData:
         entries = self.cometric.entries
         for pt in pts:
             exact = ExactPoint(pt)
-            if not leading_minors_positive([[e.evaluate_once(exact) for e in row]
+            if not leading_minors_positive([[e.evaluate_seq(exact) for e in row]
                                             for row in entries]):
                 raise MetricError(f"cometric not positive-definite at {pt}")
 

@@ -207,24 +207,19 @@ class ModuleElement:
         z = Polynomial.zero(varset)
         return cls(varset, (z,) * rank)
 
-    # where the result equals a component as it is, that component is reused:
-    # most components of a syzygy row are zero
-
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
-        return self.__class__(self.varset, tuple(
-            a + b if b.terms else a for a, b in zip(self.components, other.components)))
+        return self.__class__(self.varset, tuple(map(add, self.components, other.components)))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check(other)
-        return self.__class__(self.varset, tuple(
-            a - b if b.terms else a for a, b in zip(self.components, other.components)))
+        return self.__class__(self.varset, tuple(map(sub, self.components, other.components)))
 
     def __neg__(self) -> "ModuleElement":
         return self.__class__(self.varset, tuple(-a for a in self.components))
 
     def scale_by(self, p: Polynomial) -> "ModuleElement":
-        return self.__class__(self.varset, tuple(p * a if a.terms else a for a in self.components))
+        return self.__class__(self.varset, tuple(p * a for a in self.components))
 
     def _check(self, other: "ModuleElement"):
         if other.varset != self.varset or other.rank != self.rank:

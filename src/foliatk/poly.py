@@ -16,20 +16,19 @@ chart, exactly one fiber variable per base variable.  The fiber grading (total
 degree in the fiber variables) is the grading used by every membership
 criterion downstream.
 
-Exact evaluation runs on integers, by one of two paths.  A polynomial
-evaluated many times keeps, built once on first use, its *integer form*: the
-common denominator ``D`` of its coefficients, the integer numerators, and
-for each term its nonzero ``(variable, exponent)`` pairs and its degree.  An
+Construction sets the chart and the term map only; everything derived
+from them is built on first use and kept in a slot that stays unset until
+then.  Exact evaluation has one path, on integers.  A polynomial keeps, built
+once when it is first evaluated exactly, its *integer form*: the common
+denominator ``D`` of its coefficients, the integer numerators, and for each
+term its nonzero ``(variable, exponent)`` pairs and its degree.  An
 :class:`ExactPoint` clears a rational point once to integer numerators
 ``a_i`` over one common denominator ``d``.  The value is then
 ``sum c_e a^e d^(deg-|e|)`` over ``D d^deg``, where ``deg`` is the total
 degree: terms with a zero coordinate are skipped before any multiplication,
 the powers of ``d`` drop out when ``d = 1``, and a zero test reads the
 integer sum alone.
-Callers that evaluate many polynomials at one point convert it once.  A
-polynomial read only once, such as a fresh division cofactor, is evaluated
-by :meth:`Polynomial.evaluate_once`, which skips the terms with a zero
-coordinate and builds no form.
+Callers that evaluate many polynomials at one point convert it once.
 
 Derivatives are prepared the same way.  A polynomial keeps, built on first
 use in one pass over its terms, the tuple of all its first partials
@@ -217,7 +216,8 @@ class MonomialOrder:
 
     def key_function(self, varset: VariableSet) -> Callable[[Exponents], object]:
         """Sort key of the order on ``varset``; one function object per order and
-        chart dimension, so the leading terms cached under it stay valid."""
+        chart dimension, so a :class:`~foliatk.groebner.DivisorTable` does not
+        rebuild the block order's closure for every divisor it appends."""
         return _key_function(self.kind, varset.dimension)
 
 
@@ -242,7 +242,7 @@ BLOCK = MonomialOrder("block")
 class Polynomial:
     """Canonical sparse polynomial over a fixed :class:`VariableSet`."""
 
-    __slots__ = ("varset", "terms", "_hash", "_lead", "_int", "_partials")
+    __slots__ = ("varset", "terms", "_int", "_partials")
 
     def __init__(self, varset: VariableSet, terms: Mapping[Exponents, Scalar] | None = None):
         clean: dict[Exponents, Scalar] = {}
@@ -257,8 +257,6 @@ class Polynomial:
             clean[e] = c
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
 
     @classmethod
     def _trusted(cls, varset: VariableSet, terms: dict[Exponents, Scalar]) -> "Polynomial":
@@ -272,8 +270,6 @@ class Polynomial:
         p = object.__new__(cls)
         object.__setattr__(p, "varset", varset)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
-        object.__setattr__(p, "_lead", None)
         return p
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
@@ -318,11 +314,7 @@ class Polynomial:
         return self.varset == other.varset and self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.varset, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.varset, frozenset(self.terms.items())))
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
@@ -454,35 +446,6 @@ class Polynomial:
         num, den = self._integer_value(values)
         return Fraction(num, den)
 
-    def evaluate_once(self, point: ExactPoint) -> Fraction:
-        """The exact value at ``point`` of a polynomial that is read only once.
-
-        Equal to ``evaluate_seq(point)``, but no integer form is built or kept:
-        a term with a zero coordinate is skipped before its coefficient is
-        read, so at the origin only the constant term is touched.
-        """
-        a, d = point.nums, point.den
-        if len(a) != self.varset.n_vars:
-            _check_length(self.varset, a)
-        live = []
-        for e, c in self.terms.items():
-            m, deg = 1, 0
-            for i, k in enumerate(e):
-                if k:
-                    if not a[i]:
-                        break
-                    m *= a[i] ** k
-                    deg += k
-            else:
-                live.append((c, m, deg))
-        if not live:
-            return Fraction(0)
-        den = lcm(*(c.denominator for c, _, _ in live))
-        degree = max(deg for _, _, deg in live)
-        total = sum(c.numerator * (den // c.denominator) * m * d ** (degree - deg)
-                    for c, m, deg in live)
-        return Fraction(total, den * d ** degree)
-
     def vanishes_at(self, point: ExactPoint) -> bool:
         """Exact zero test; reads the integer sum and builds no ``Fraction``."""
         return not self._integer_value(point)[0]
@@ -593,13 +556,9 @@ class Polynomial:
     # -- division helpers --------------------------------------------------
 
     def leading(self, keyf: Callable[[Exponents], object]) -> tuple[Exponents, Scalar]:
-        """Leading exponent and coefficient under ``keyf``, computed once per key."""
-        lead = self._lead
-        if lead is None or lead[0] is not keyf:
-            expo = max(self.terms, key=keyf)
-            lead = (keyf, expo, self.terms[expo])
-            object.__setattr__(self, "_lead", lead)
-        return lead[1], lead[2]
+        """Leading exponent and coefficient under ``keyf``."""
+        expo = max(self.terms, key=keyf)
+        return expo, self.terms[expo]
 
     # -- printing ----------------------------------------------------------
 

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,10 +19,7 @@ from foliatk.errors import InternalCheckError, excerpt
 from conftest import MAX_ERROR_MESSAGE, SCENES
 
 
-def ns(**kw):
-    base = dict(point=None, candidate=[], tol=None, dt=None, t_end=None, order="block")
-    base.update(kw)
-    return argparse.Namespace(**base)
+ns = argparse.Namespace  # run_command takes every flag a namespace lacks from its defaults
 
 
 def test_check_srf_on_rotation_scene():
@@ -842,3 +840,61 @@ def test_obstruction_searches_are_looked_up_when_a_check_runs(monkeypatch):
     assert code == 1 and calls == ["find_obstruction_point"]
     report, code = run_command("morita-span", SCENES / "morita_mismatch_r3.json")
     assert code == 1 and "find_module_obstruction" in calls
+
+
+# every valid (scene, command, flags) call over the shipped scenes
+SCENE_CALLS = json.loads((SCENES.parent / "perfbench" / "expected_scenes.json")
+                         .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_namespace_without_flags_takes_the_flag_defaults(command):
+    scene = SCENES / f"{next(c['scene'] for c in SCENE_CALLS if c['command'] == command)}.json"
+    want_report, want_code = run_command(command, scene)
+    report, code = run_command(command, scene, argparse.Namespace())
+    assert code == want_code and render_report(report) == render_report(want_report)
+
+
+def test_a_namespace_missing_some_flags_is_not_a_fault():
+    args = argparse.Namespace(point=None)
+    assert run_command("lift-ideal", SCENES / "so3_moment.json", args)[1] == 0
+    assert vars(args) == {"point": None}
+    args = argparse.Namespace(order="block", candidate=[])
+    assert run_command("flow-monitor", SCENES / "so3_moment.json", args)[1] == 0
+
+
+# scenes with a generator list of two or more entries; order_2_n3 and
+# order_3_n3, the slow tail, are left out to keep the budget
+SHUFFLED_SCENES = ("killing_band_r2", "nonclosed_ideal_r2", "order_1_n2", "order_1_n3",
+                   "order_2_n2", "order_3_n2", "so3_moment")
+GENERATOR_LISTS = ("foliation", "foliation_b", "target_foliation", "target_foliation_b", "ideal")
+SHUFFLE_BUDGET_S = 0.5
+
+
+def _outcome(command, scene_text, call):
+    args = argparse.Namespace(point=call["point"], candidate=list(call["candidates"]))
+    report, code = run_command(command, scene_text, args)
+    detail = report["detail"]
+    return (code, report["verdict"], detail.get("passed"),
+            [detail.get(k) for k in ("tangent_dim", "fiber_dim", "isotropy_dim")])
+
+
+def test_verdicts_and_point_dimensions_do_not_depend_on_generator_order():
+    rng = random.Random(7)
+    shuffled = {}
+    for name in SHUFFLED_SCENES:
+        data = json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
+        lists = [data[key] for key in GENERATOR_LISTS if data.get(key)]
+        before = json.dumps(lists)
+        while json.dumps(lists) == before:  # until some list is out of its order
+            for gens in lists:
+                rng.shuffle(gens)
+        shuffled[name] = json.dumps(data)
+    calls = [c for c in SCENE_CALLS if c["scene"] in shuffled]
+    start = time.monotonic()
+    for call in calls:
+        original = (SCENES / f"{call['scene']}.json").read_text(encoding="utf-8")
+        assert (_outcome(call["command"], shuffled[call["scene"]], call)
+                == _outcome(call["command"], original, call)), call
+    elapsed = time.monotonic() - start
+    assert len(calls) > 50 and elapsed < SHUFFLE_BUDGET_S, (len(calls), elapsed)

@@ -67,15 +67,6 @@ def test_integer_evaluator_matches_the_fraction_loop(case):
     assert p.vanishes_at(exact) == (want == 0)
 
 
-@settings(max_examples=300, deadline=None)
-@given(poly_and_point())
-def test_read_once_evaluation_matches_and_keeps_no_integer_form(case):
-    p, point = case
-    got = p.evaluate_once(ExactPoint(point))
-    assert got == reference_evaluate(p, point) and type(got) is Fraction
-    assert not hasattr(p, "_int")
-
-
 def test_exact_point_clears_to_one_denominator():
     pt = ExactPoint((F(1, 2), F(-2, 3), 0, 5, "5/7"))
     assert pt.den == 42 and pt.nums == (21, -28, 0, 210, 30)
