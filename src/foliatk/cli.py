@@ -520,8 +520,8 @@ def render_report(report: dict) -> str:
     Reports hold only dicts with str keys, lists, str, int, bool, None and a
     flow monitor's :class:`FlowTrace`, which renders as the list of its
     records (``default=list``); anything else raises ``TypeError``.  A list
-    met again at the same depth, such as the generator list that every
-    certificate of one check shares, is rendered once per call.
+    met again at the same depth (the generator list every certificate of a
+    check shares) is rendered once per call, and so is a key set's order.
     """
     return _emit(report, 0, {}) + "\n"
 
@@ -541,16 +541,23 @@ def _emit(obj, depth: int, memo: dict) -> str:
                 body = ("," + pad).join(map(encode_basestring, obj))
             except TypeError:
                 body = ("," + pad).join([_emit(x, depth + 1, memo) for x in obj])
-            text = memo[key] = "[" + pad + body + "\n" + "  " * depth + "]"
+            text = memo[key] = f"[{pad}{body}\n{'  ' * depth}]"
         return text
     if kind is dict:
         if not obj:
             return "{}"
-        pad = "\n" + "  " * (depth + 1)
-        # encode_basestring raises TypeError on a key that is not a str
-        body = ("," + pad).join([encode_basestring(k) + ": " + _emit(obj[k], depth + 1, memo)
-                                 for k in sorted(obj)])
-        return "{" + pad + body + "\n" + "  " * depth + "}"
+        key = (tuple(obj), depth)  # a key set met again, such as every certificate's
+        heads = memo.get(key)
+        if heads is None:
+            pad = "\n" + "  " * (depth + 1)
+            # encode_basestring raises TypeError on a key that is not a str
+            heads = memo[key] = [(k, f"{',' if n else '{'}{pad}{encode_basestring(k)}: ")
+                                 for n, k in enumerate(sorted(obj))]
+        parts = []  # one join copies each value's text once, however long
+        for k, head in heads:
+            parts += head, _emit(obj[k], depth + 1, memo)
+        parts.append("\n" + "  " * depth + "}")
+        return "".join(parts)
     if kind is int:
         return int.__repr__(obj)
     if kind is bool:

@@ -212,13 +212,17 @@ class MetricData:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^i = sum_j X^j dY^i/dq^j - Y^j dX^i/dq^j."""
+    """[X, Y]^i = sum_j X^j dY^i/dq^j - Y^j dX^i/dq^j, over the nonzero X^j and
+    Y^j only: no partials of a zero component are built."""
     if x.chart != y.chart:
         raise ChartMismatchError("vector fields on different charts")
-    chart, xs, ys = x.chart, x.components, y.components
-    return VectorField(chart, tuple(
-        sum_of_products(chart, zip(xs, yc.partials()), zip(ys, xc.partials()))
-        for xc, yc in zip(xs, ys)))
+    chart = x.chart
+    xs = [(j, c) for j, c in enumerate(x.components) if c.terms]
+    ys = [(j, c) for j, c in enumerate(y.components) if c.terms]
+    return VectorField._trusted(chart, tuple(  # components on the chart both fields share
+        sum_of_products(chart, [(xj, yc.partials()[j]) for j, xj in xs] if yc.terms else (),
+                        [(yj, xc.partials()[j]) for j, yj in ys] if xc.terms else ())
+        if xc.terms or yc.terms else xc for xc, yc in zip(x.components, y.components)))
 
 
 def cotangent_lift(x: VectorField, cot: VariableSet | None = None) -> Polynomial:

@@ -195,6 +195,14 @@ class ModuleElement:
     def __hash__(self) -> int:
         return hash((self.varset, self.components))
 
+    @classmethod
+    def _trusted(cls, varset: VariableSet, components: tuple[Polynomial, ...]) -> "ModuleElement":
+        """Wrap components that are already on ``varset``, without checking them."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "varset", varset)
+        object.__setattr__(e, "components", components)
+        return e
+
     @property
     def rank(self) -> int:
         return len(self.components)
@@ -242,7 +250,7 @@ class ModuleElement:
 
 
 def _rank_one(f: Polynomial) -> ModuleElement:
-    return ModuleElement(f.varset, (f,))
+    return ModuleElement._trusted(f.varset, (f,))
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +265,22 @@ class DivisorTable:
     divides nothing.  ``by_pos[pos]`` lists ``(i, exponent, coefficient)``
     for the divisors leading at ``pos``, in list order.  Every divisor shares
     one chart and rank; :meth:`append` extends the table in place.
+
+    The memo ``found[pos][expo]``, filled at a division's first search for
+    that term, holds the ``by_pos`` entry of the first divisor whose lead
+    divides it, or ``None``: one entry per distinct term divided through the
+    table.  :meth:`append` clears it, since a new divisor, as Buchberger
+    appends between divisions, may divide a term that none did before.
     """
 
-    __slots__ = ("order", "elements", "leads", "by_pos", "varset", "rank")
+    __slots__ = ("order", "elements", "leads", "by_pos", "varset", "rank", "found")
 
     def __init__(self, divisors: Sequence[ModuleElement], order: MonomialOrder):
         self.order = order
         self.elements: list[ModuleElement] = []
         self.leads: list[tuple[int, Exponents, Scalar] | None] = []
         self.by_pos: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
+        self.found: dict[int, dict[Exponents, tuple[int, Exponents, Scalar] | None]] = {}
         self.varset: VariableSet | None = None
         self.rank = 0
         for d in divisors:
@@ -276,6 +291,7 @@ class DivisorTable:
             self.varset, self.rank = d.varset, len(d.components)
         elif d.varset != self.varset or len(d.components) != self.rank:
             raise VariableSetError("module rank or chart mismatch")
+        self.found.clear()
         i = len(self.elements)
         self.elements.append(d)
         try:
@@ -297,7 +313,10 @@ def module_divide(
     ``{divisor index: cofactor}`` in index order, and the remainder.  Ties in
     divisor selection go to the first divisor in list order whose leading
     term divides, which makes certificates reproducible.  The remainder has
-    no term divisible by any divisor leading term.
+    no term divisible by any divisor leading term.  That divisor is read from
+    the table's memo (``DivisorTable.found``), so a term met again through one
+    table is searched once; a lone remaining term at a position is taken
+    without computing its order key.
     """
     if not isinstance(divisors, DivisorTable):
         divisors = DivisorTable(divisors, order)
@@ -310,7 +329,7 @@ def module_divide(
     keyf = order.key_function(varset)
     # a term at position ``pos`` is divisible only by a divisor leading there;
     # each list keeps list order, so the first divisor that divides wins
-    elements, by_pos = divisors.elements, divisors.by_pos
+    elements, by_pos, found = divisors.elements, divisors.by_pos, divisors.found
     cofactors: dict[int, dict[Exponents, Scalar]] = {}
     work = [dict(c.terms) for c in v.components]
     remainder: list[dict[Exponents, Scalar]] = [{} for _ in work]
@@ -318,37 +337,37 @@ def module_divide(
     # so each position is finished before the next one is touched
     for pos, terms in enumerate(work):
         leads = by_pos.get(pos, ())
+        memo = found.setdefault(pos, {})
         while terms:
-            expo = max(terms, key=keyf)
+            expo = next(iter(terms)) if len(terms) == 1 else max(terms, key=keyf)
             coeff = terms.pop(expo)
-            for i, lexpo, lcoeff in leads:
-                if _divides(lexpo, expo):
-                    q_expo = _sub(expo, lexpo)
-                    q_coeff = exact_quotient(coeff, lcoeff)
-                    # each divisor reduces strictly decreasing terms of one
-                    # position, so its quotient exponents never repeat
-                    cofactors.setdefault(i, {})[q_expo] = q_coeff
-                    comps = elements[i].components
-                    for dpos in range(pos, rank):
-                        target = work[dpos]
-                        for ge, gc in comps[dpos].terms.items():
-                            if dpos == pos and ge is lexpo:
-                                continue  # the leading term cancels ``coeff``
-                            te = tuple(map(add, ge, q_expo))
-                            s = target.get(te, 0) - gc * q_coeff
-                            if s:
-                                target[te] = s if s.__class__ is int else normal_coefficient(s)
-                            else:
-                                del target[te]
-                    break
-            else:
+            if expo not in memo:
+                memo[expo] = next((lead for lead in leads if _divides(lead[1], expo)), None)
+            hit = memo[expo]
+            if hit is None:
                 remainder[pos][expo] = coeff
-    zero = Polynomial.zero(varset)
-    return (
-        {i: Polynomial._trusted(varset, cofactors[i]) for i in sorted(cofactors)},
-        ModuleElement(varset, tuple(Polynomial._trusted(varset, r) if r else zero
-                                    for r in remainder)),
-    )
+                continue
+            i, lexpo, lcoeff = hit
+            q_expo = _sub(expo, lexpo)
+            q_coeff = exact_quotient(coeff, lcoeff)
+            # each divisor reduces strictly decreasing terms of one
+            # position, so its quotient exponents never repeat
+            cofactors.setdefault(i, {})[q_expo] = q_coeff
+            comps = elements[i].components
+            for dpos in range(pos, rank):
+                target = work[dpos]
+                for ge, gc in comps[dpos].terms.items():
+                    if dpos == pos and ge is lexpo:
+                        continue  # the leading term cancels ``coeff``
+                    te = tuple(map(add, ge, q_expo))
+                    s = target.get(te, 0) - gc * q_coeff
+                    if s:
+                        target[te] = s if s.__class__ is int else normal_coefficient(s)
+                    else:
+                        del target[te]
+    return ({i: Polynomial._trusted(varset, cofactors[i]) for i in sorted(cofactors)},
+            ModuleElement._trusted(varset, tuple([Polynomial._trusted(varset, r)
+                                                  for r in remainder])))
 
 
 def divide_with_cofactors(
@@ -421,6 +440,12 @@ class GroebnerBasis:
         """The divisor table of the basis; an ideal's elements enter it in rank 1."""
         return DivisorTable([g if isinstance(g, ModuleElement) else _rank_one(g)
                              for g in self.generators], self.order)
+
+    @cached_property
+    def unit_inputs(self) -> tuple[int | None, ...]:
+        """``unit_inputs[k]`` is ``i`` when ``rows[k]`` is ``{i: 1}``, else ``None``."""
+        return tuple(next(iter(row)) if len(row) == 1 and 1 in row.values() else None
+                     for row in self.rows)
 
     def divide(self, f) -> tuple[Row, object]:
         """Division through :attr:`table`; the remainder has ``f``'s type."""
@@ -603,9 +628,13 @@ def module_groebner(
 
 
 def _certificate(gb: GroebnerBasis, cofactors: Row, remainder) -> Certificate:
-    """Compose cofactors over the basis into sparse cofactors over the input generators."""
-    return Certificate(gb.input_generators, _combine_rows(
-        remainder.varset, [(c, gb.rows[k]) for k, c in cofactors.items()]), remainder)
+    """Compose cofactors over the basis into sparse cofactors over the input generators;
+    the cofactor of a basis element that is input ``i`` (``gb.unit_inputs``) moves to ``i``."""
+    units = gb.unit_inputs
+    at = [units[k] for k in cofactors]
+    row = (dict(sorted(zip(at, cofactors.values()))) if None not in at else
+           _combine_rows(remainder.varset, [(c, gb.rows[k]) for k, c in cofactors.items()]))
+    return Certificate(gb.input_generators, row, remainder)
 
 
 def normal_form_with_cofactors(f: Polynomial, gb: GroebnerBasis) -> Certificate:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Callable, Iterable, Mapping, Sequence, Sized, Union
 
 from .errors import DigitLimitError, VariableSetError, excerpt
@@ -196,7 +196,7 @@ class ExactPoint:
 
 
 def _grevlex_key(expo: Exponents):
-    return (sum(expo), tuple(-e for e in reversed(expo)))
+    return (sum(expo), tuple(map(neg, reversed(expo))))
 
 
 @dataclass(frozen=True)

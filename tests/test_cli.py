@@ -442,6 +442,29 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["verdict"] == "pass"
 
 
+def test_a_fresh_cli_import_loads_every_module_the_tracer_wraps():
+    """``perfbench/spans.installed`` reads ``sys.modules`` for each target, so
+    ``import foliatk.cli`` alone must load every traced module, and each
+    target must resolve: a function on its module, a method on its class."""
+    script = (
+        "import sys\n"
+        "import foliatk.cli\n"
+        f"sys.path.insert(0, {str(SCENES.parent / 'perfbench')!r})\n"
+        "from spans import TARGETS\n"
+        "for module, attr, *_ in TARGETS:\n"
+        "    owner = sys.modules.get(module)\n"
+        "    assert owner is not None, module + ' is not imported'\n"
+        "    if '.' in attr:\n"
+        "        cls, meth = attr.split('.')\n"
+        "        assert meth in vars(getattr(owner, cls)), module + ':' + attr\n"
+        "    else:\n"
+        "        assert callable(getattr(owner, attr, None)), module + ':' + attr\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=_module_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("content", [
     None, "not json", b"\xff\xfe",
     # json.loads refuses an integer past the limit on integer-string conversion

@@ -69,6 +69,28 @@ def test_plain_list_division_matches_reference(case, order):
     _same(module_divide(v, DivisorTable(gens, order), order), want)
 
 
+# one table divides a list of elements, grows, and divides them again: the
+# second round must not reuse what the first found before the table grew
+growing = st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.lists(elements(r), max_size=2), st.lists(elements(r), min_size=1, max_size=2),
+    st.lists(elements(r), min_size=1, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(growing, ORDERS)
+def test_a_table_that_grows_divides_as_its_current_elements(case, order):
+    first, appended, dividends = case
+    # the dividends share terms: each sum meets the exponents of two of them
+    dividends = dividends + [a + b for a, b in zip(dividends, dividends[1:])]
+    table = DivisorTable(first, order)
+    for d in [None, *appended]:
+        if d is not None:
+            table.append(d)
+        for v in dividends:
+            _same(module_divide(v, table, order),
+                  reference_module_divide(v, table.elements, order))
+
+
 @settings(max_examples=40, deadline=None)
 @given(modules)
 def test_module_basis_division_matches_reference(case):
@@ -113,10 +135,20 @@ def test_canonical_poisson_matches_reference(f, g):
     assert canonical_poisson(f, g) == reference_canonical_poisson(f, g)
 
 
-@settings(max_examples=80, deadline=None)
-@given(fields, fields, polys(R2))
-def test_lie_bracket_and_apply_match_reference(x, y, f):
-    assert lie_bracket(x, y) == reference_lie_bracket(x, y)
+# the shape of the benchmark ladder's fields: R^3, exactly one nonzero component
+single_fields = st.tuples(st.integers(0, 2), polys(R3).filter(bool)).map(
+    lambda ic: VectorField(R3, tuple(ic[1] if j == ic[0] else Polynomial.zero(R3)
+                                     for j in range(3))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(fields, fields, polys(R2)) | st.tuples(single_fields, single_fields, polys(R3)))
+def test_lie_bracket_and_apply_match_reference(case):
+    x, y, f = case
+    got = lie_bracket(x, y)
+    # the bracket sums over nonzero components and builds no zero one's partials
+    assert not any(hasattr(c, "_partials") for c in x.components + y.components if not c)
+    assert got == reference_lie_bracket(x, y)
     assert x.apply(f) == reference_apply(x, f)
 
 
